@@ -6,11 +6,10 @@ from .core import (
     apply_merged,
     grid_search_task_arithmetic,
     mean_fold_merge,
-    scaled_stack_mean,
     task_arithmetic,
     task_vector,
 )
-from .driver import RunReport, RunState, run, select_best
+from .driver import RunReport, RunState, run
 from .dsl import EvalBudget, MergeProgram, compile_program, default_budget, evaluate
 from .generator import GeneratorPolicy, default_grammar, sample_program, temperature
 from .pipeline import (
@@ -20,7 +19,6 @@ from .pipeline import (
     RefineConfig,
     ScoredAlgorithm,
     build_preferences,
-    evaluate_candidates,
     filter_candidates,
     refine_policy,
 )
@@ -42,13 +40,11 @@ __all__ = [
     "apply_merged",
     "grid_search_task_arithmetic",
     "mean_fold_merge",
-    "scaled_stack_mean",
     "task_arithmetic",
     "task_vector",
     "RunReport",
     "RunState",
     "run",
-    "select_best",
     "EvalBudget",
     "MergeProgram",
     "compile_program",
@@ -64,7 +60,6 @@ __all__ = [
     "RefineConfig",
     "ScoredAlgorithm",
     "build_preferences",
-    "evaluate_candidates",
     "filter_candidates",
     "refine_policy",
     "__version__",

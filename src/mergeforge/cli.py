@@ -14,8 +14,7 @@ from pathlib import Path
 
 from . import benchmark
 from .config import ConfigError, load_config
-from .core import apply_merged
-from .driver import run as run_search
+from .driver import run as run_search, task_arithmetic_baseline
 from .dsl import EvalBudget, compile_program, default_budget
 from .pipeline import score_program
 from .report import write_reports
@@ -99,29 +98,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_baseline_task_arithmetic(args) -> int:
-    from .core import grid_search_task_arithmetic, task_arithmetic
-
     instance = benchmark.load_instance(args.instance)
     grid = tuple(float(g) for g in args.grid.split(","))
-    taus = instance.task_vectors()
-    evaluations = 0
-
-    def scorer(tau) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return benchmark.score(
-            apply_merged(instance.seed_model, tau),
-            instance.dev_probes, instance.dev_baseline_mse,
-        )
-
-    lambdas, dev = grid_search_task_arithmetic(taus, grid, scorer)
-    merged = apply_merged(instance.seed_model, task_arithmetic(taus, lambdas))
-    test = benchmark.score(merged, instance.test_probes, instance.test_baseline_mse)
+    result = task_arithmetic_baseline(instance, grid)
     print(json.dumps({
-        "lambdas": list(lambdas),
-        "dev_score": dev,
-        "test_score": test,
-        "evaluations": evaluations,
+        "lambdas": result["lambdas"],
+        "dev_score": result["dev"],
+        "test_score": result["test"],
+        "evaluations": result["evaluations"],
     }, sort_keys=True))
     return 0
 

@@ -111,35 +111,3 @@ def mean_fold_merge(taus: Sequence) -> Vector:
         merged = 0.5 * (merged + float(vec.mean()))
     return merged
 
-
-def merge_layerwise(merge_fn: Callable[[list[Vector]], Vector],
-                    layered_taus: Sequence[Sequence]) -> list[Vector]:
-    """Apply a flat-vector merge independently to each layer.
-
-    ``layered_taus`` holds one entry per candidate model, each a sequence of
-    per-layer vectors with a shared layout.  The merge math is per-tensor, so
-    running it layer by layer is equivalent to the flat single-vector mode.
-    """
-    if len(layered_taus) == 0:
-        raise ValueError("need at least one task vector")
-    n_layers = len(layered_taus[0])
-    if any(len(lt) != n_layers for lt in layered_taus):
-        raise DimensionError("candidates disagree on layer count")
-    return [
-        merge_fn([_as_vector(lt[i]) for lt in layered_taus]) for i in range(n_layers)
-    ]
-
-
-def scaled_stack_mean(taus: Sequence, factors: Sequence[float]) -> Vector:
-    """Scale each task vector by its factor, then take the elementwise mean
-    of the stack (not a normalized weighted mean)."""
-    if len(taus) != len(factors):
-        raise DimensionError(
-            f"{len(taus)} task vectors but {len(factors)} scale factors"
-        )
-    if len(taus) == 0:
-        raise ValueError("scaled_stack_mean needs at least one task vector")
-    vecs = [_as_vector(t) for t in taus]
-    _check_same_length(*vecs)
-    stacked = np.stack([float(f) * v for f, v in zip(factors, vecs)], axis=0)
-    return stacked.mean(axis=0)

@@ -41,9 +41,11 @@ from .pipeline import (
     category_counts,
     exact_text_duplicates,
     filter_candidates,
+    ranked,
     refine_policy,
     score_program,
     select_preference_sets,
+    top_k_carryover,
     write_preference_jsonl,
 )
 from .report import write_reports
@@ -93,30 +95,6 @@ class RunReport:
     baselines: dict
 
 
-def _ranked(algorithms) -> list[ScoredAlgorithm]:
-    return sorted(algorithms, key=lambda a: (-a.dev_score, a.iteration, a.program.source))
-
-
-def select_best(state: RunState, n: int) -> list[ScoredAlgorithm]:
-    """Top-n distinct dev performers across all iterations.
-
-    Distinct by canonical hash; ranked score-descending with ties broken by
-    earlier iteration, then lexicographic source.
-    """
-    out: list[ScoredAlgorithm] = []
-    seen: set[str] = set()
-    for alg in _ranked(state.all_scored):
-        if alg.program.canonical_hash in seen:
-            continue
-        seen.add(alg.program.canonical_hash)
-        out.append(alg)
-        if len(out) == n:
-            break
-    if not out:
-        log.warning("no successful programs in this run")
-    return out
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -149,36 +127,40 @@ def _iteration_record(stats: IterationStats, s_best: float | None) -> dict:
     }
 
 
-def _baselines(instance: BenchmarkInstance, budget: EvalBudget) -> dict:
+def task_arithmetic_baseline(instance: BenchmarkInstance, grid=TASK_ARITHMETIC_GRID) -> dict:
+    """Grid-searched task arithmetic: best dev mixing ratios, their dev and test scores."""
     taus = instance.task_vectors()
-
-    def dev_score(model) -> float:
-        return probe_score(model, instance.dev_probes, instance.dev_baseline_mse)
-
-    def test_score(model) -> float:
-        return probe_score(model, instance.test_probes, instance.test_baseline_mse)
-
     evaluations = 0
 
     def scorer(tau) -> float:
         nonlocal evaluations
         evaluations += 1
-        return dev_score(apply_merged(instance.seed_model, tau))
+        return probe_score(
+            apply_merged(instance.seed_model, tau), instance.dev_probes, instance.dev_baseline_mse,
+        )
 
-    lambdas, ta_dev = grid_search_task_arithmetic(taus, TASK_ARITHMETIC_GRID, scorer)
-    ta_model = apply_merged(instance.seed_model, task_arithmetic(taus, lambdas))
+    lambdas, dev = grid_search_task_arithmetic(taus, grid, scorer)
+    merged = apply_merged(instance.seed_model, task_arithmetic(taus, lambdas))
     return {
-        "seed_model": {"dev": dev_score(instance.seed_model), "test": test_score(instance.seed_model)},
-        "candidates": [
-            {"dev": dev_score(c), "test": test_score(c)} for c in instance.candidates
-        ],
-        "task_arithmetic": {
-            "grid": list(TASK_ARITHMETIC_GRID),
-            "lambdas": list(lambdas),
-            "dev": ta_dev,
-            "test": test_score(ta_model),
-            "evaluations": evaluations,
-        },
+        "grid": list(grid),
+        "lambdas": list(lambdas),
+        "dev": dev,
+        "test": probe_score(merged, instance.test_probes, instance.test_baseline_mse),
+        "evaluations": evaluations,
+    }
+
+
+def _baselines(instance: BenchmarkInstance) -> dict:
+    def scores(model) -> dict:
+        return {
+            "dev": probe_score(model, instance.dev_probes, instance.dev_baseline_mse),
+            "test": probe_score(model, instance.test_probes, instance.test_baseline_mse),
+        }
+
+    return {
+        "seed_model": scores(instance.seed_model),
+        "candidates": [scores(c) for c in instance.candidates],
+        "task_arithmetic": task_arithmetic_baseline(instance),
     }
 
 
@@ -252,7 +234,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         ]
         state.all_scored.extend(scored)
         if scored:
-            challenger = _ranked(scored)[0]
+            challenger = ranked(scored)[0]
             if state.best is None or challenger.dev_score > state.best.dev_score:
                 state.best = challenger
 
@@ -266,7 +248,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
                 prompt_id=prompt_id,
             )
         else:
-            chosen = _ranked(scored)
+            chosen = ranked(scored)
             log.warning("iteration %d: %d success(es); skipping preference building", t, len(scored))
         write_preference_jsonl(pairs, pref_path)
 
@@ -287,7 +269,9 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         with open(iter_path, "a", encoding="utf-8") as fh:
             fh.write(_dumps(_iteration_record(stats, state.s_best)) + "\n")
 
-    top = select_best(state, config.top_n_for_test)
+    top = top_k_carryover(state.all_scored, config.top_n_for_test)
+    if not top:
+        log.warning("no successful programs in this run")
     top_test = [
         (
             alg,
@@ -304,7 +288,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         best=state.best,
         iterations=state.history,
         top_test=top_test,
-        baselines=_baselines(instance, budget),
+        baselines=_baselines(instance),
     )
     _write_result(out, config, report)
     write_reports(out)

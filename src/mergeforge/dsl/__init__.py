@@ -2,7 +2,7 @@ from .ast import OP_TABLE, DslType, Node, pretty
 from .canon import canonical_hash, canonicalize
 from .interp import BudgetExceeded, DslRuntimeError, EvalBudget, default_budget, evaluate
 from .parser import ParseError, parse
-from .program import MergeProgram, compile_ast, compile_program
+from .program import MergeProgram, compile_program
 from .typecheck import DslTypeError, typecheck
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ParseError",
     "parse",
     "MergeProgram",
-    "compile_ast",
     "compile_program",
     "DslTypeError",
     "typecheck",

@@ -1,47 +1,99 @@
-"""AST node types for the merge-program expression language."""
+"""AST node types and the op table of the merge-program expression language."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 
 class DslType(enum.Enum):
     SCALAR = "scalar"
     VECTOR = "vector"
     VECTOR_LIST = "vector_list"
-    FN2 = "fn2"  # (vector, vector) -> vector; only the fold lambda has this type
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
 
-# Operation table: name -> (argument types, result type).  This is the whole
-# callable surface of the language; fold is a dedicated node, not a table op.
-OP_TABLE: dict[str, tuple[tuple[DslType, ...], DslType]] = {
-    "add": ((DslType.VECTOR, DslType.VECTOR), DslType.VECTOR),
-    "sub": ((DslType.VECTOR, DslType.VECTOR), DslType.VECTOR),
-    "scale": ((DslType.SCALAR, DslType.VECTOR), DslType.VECTOR),
-    "hadamard": ((DslType.VECTOR, DslType.VECTOR), DslType.VECTOR),
-    "emax": ((DslType.VECTOR, DslType.VECTOR), DslType.VECTOR),
-    "emin": ((DslType.VECTOR, DslType.VECTOR), DslType.VECTOR),
-    "mean_elem": ((DslType.VECTOR,), DslType.SCALAR),
-    "norm1": ((DslType.VECTOR,), DslType.SCALAR),
-    "norm2": ((DslType.VECTOR,), DslType.SCALAR),
-    "cos": ((DslType.VECTOR, DslType.VECTOR), DslType.SCALAR),
-    "mean_stack": ((DslType.VECTOR_LIST,), DslType.VECTOR),
-    "sum_stack": ((DslType.VECTOR_LIST,), DslType.VECTOR),
-    "ones": ((DslType.SCALAR,), DslType.VECTOR),
-    "clamp": ((DslType.SCALAR, DslType.SCALAR, DslType.SCALAR), DslType.SCALAR),
-    "length": ((DslType.VECTOR_LIST,), DslType.SCALAR),
-    "tail": ((DslType.VECTOR_LIST,), DslType.VECTOR_LIST),
+class DslRuntimeError(Exception):
+    """Index out of range or a non-finite intermediate value."""
+
+
+@dataclass(frozen=True)
+class Op:
+    """One operation: its signature, its implementation and its symmetry.
+
+    ``fn(d, *args)`` computes the raw result; ``d`` is the task-vector length.
+    The interpreter checks that scalar and vector results are finite.
+    """
+
+    args: tuple[DslType, ...]
+    result: DslType
+    fn: Callable
+    commutative: bool = False
+
+
+def _cos(d, a, b) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise DslRuntimeError("cosine of a zero vector")
+    return float(np.dot(a, b)) / (na * nb)
+
+
+def _mean_stack(d, vs):
+    if len(vs) == 0:
+        raise DslRuntimeError("mean_stack of an empty list")
+    return np.mean(np.stack(vs), axis=0)
+
+
+S, V, L = DslType.SCALAR, DslType.VECTOR, DslType.VECTOR_LIST
+
+# The op table: the whole callable surface of the language, in the order the
+# grammar lists its productions.  fold is a dedicated node, not a table op.
+OP_TABLE: dict[str, Op] = {
+    "add": Op((V, V), V, lambda d, a, b: a + b, commutative=True),
+    "sub": Op((V, V), V, lambda d, a, b: a - b),
+    "scale": Op((S, V), V, lambda d, s, v: s * v),
+    "hadamard": Op((V, V), V, lambda d, a, b: a * b, commutative=True),
+    "emax": Op((V, V), V, lambda d, a, b: np.maximum(a, b), commutative=True),
+    "emin": Op((V, V), V, lambda d, a, b: np.minimum(a, b), commutative=True),
+    "mean_elem": Op((V,), S, lambda d, v: float(np.mean(v))),
+    "norm1": Op((V,), S, lambda d, v: float(np.sum(np.abs(v)))),
+    "norm2": Op((V,), S, lambda d, v: float(np.linalg.norm(v))),
+    "cos": Op((V, V), S, _cos),
+    "mean_stack": Op((L,), V, _mean_stack),
+    "sum_stack": Op((L,), V, lambda d, vs: np.sum(np.stack(vs), axis=0) if vs else np.zeros(d)),
+    "ones": Op((S,), V, lambda d, s: np.full(d, s)),
+    "clamp": Op((S, S, S), S, lambda d, x, lo, hi: min(max(x, lo), hi)),
+    "length": Op((L,), S, lambda d, vs: float(len(vs))),
+    "tail": Op((L,), L, lambda d, vs: list(vs[1:])),
 }
 
-# Scalar-valued infix operators resolved by the typechecker.
-SCALAR_BINOPS = {"+": "s_add", "-": "s_sub", "*": "s_mul"}
+# Scalar arithmetic has infix syntax only: these ops cannot be called by name.
+INFIX_OPS: dict[str, Op] = {
+    "s_add": Op((S, S), S, lambda d, a, b: a + b, commutative=True),
+    "s_sub": Op((S, S), S, lambda d, a, b: a - b),
+    "s_mul": Op((S, S), S, lambda d, a, b: a * b, commutative=True),
+}
 
-# Ops whose argument order does not change the result.
-COMMUTATIVE_OPS = frozenset({"add", "hadamard", "emax", "emin", "s_add", "s_mul"})
+# Every op by name, for the passes that see typechecked ASTs.
+OPS: dict[str, Op] = {**OP_TABLE, **INFIX_OPS}
+
+# Infix operators resolve to ops once the operand types are known.
+INFIX: dict[tuple[str, DslType, DslType], str] = {
+    ("+", V, V): "add",
+    ("-", V, V): "sub",
+    ("*", V, V): "hadamard",
+    ("*", S, V): "scale",
+    ("*", V, S): "scale",
+    ("+", S, S): "s_add",
+    ("-", S, S): "s_sub",
+    ("*", S, S): "s_mul",
+}
 
 
 @dataclass

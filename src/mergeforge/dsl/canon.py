@@ -13,9 +13,10 @@ from __future__ import annotations
 import hashlib
 
 from .ast import (
-    COMMUTATIVE_OPS,
+    OPS,
     BinOp,
     Call,
+    DslType,
     Fold,
     ModelIndex,
     ModelsRef,
@@ -27,21 +28,6 @@ from .ast import (
 # Canonical trees are nested tuples: ("lit", v) | ("models",) | ("model", i)
 # | ("var", depth, slot) | (op, arg, ...) | ("fold", list, init, body).
 Canon = tuple
-
-
-def _fold_scalar(op: str, args: list[Canon]) -> Canon | None:
-    if not all(a[0] == "lit" for a in args):
-        return None
-    vals = [a[1] for a in args]
-    if op == "s_add":
-        return ("lit", vals[0] + vals[1])
-    if op == "s_sub":
-        return ("lit", vals[0] - vals[1])
-    if op == "s_mul":
-        return ("lit", vals[0] * vals[1])
-    if op == "clamp":
-        return ("lit", min(max(vals[0], vals[1]), vals[2]))
-    return None
 
 
 def _serialize(tree: Canon) -> str:
@@ -70,7 +56,7 @@ def _normalize(node: Node, binders: list[tuple[str, str]]) -> Canon:
         if node.resolved is None:
             raise ValueError("canonicalization requires a typechecked AST")
         args = [_normalize(node.left, binders), _normalize(node.right, binders)]
-        if node.resolved == "scale" and _vector_on_left(node):
+        if node.resolved == "scale" and node.left.ty == DslType.VECTOR:
             args.reverse()  # canonical scale() is (scalar, vector)
         return _canon_op(node.resolved, args)
     if isinstance(node, Fold):
@@ -81,17 +67,13 @@ def _normalize(node: Node, binders: list[tuple[str, str]]) -> Canon:
     raise ValueError(f"unknown node {type(node).__name__}")
 
 
-def _vector_on_left(node: BinOp) -> bool:
-    from .ast import DslType
-
-    return node.left.ty == DslType.VECTOR
-
-
 def _canon_op(op: str, args: list[Canon]) -> Canon:
-    folded = _fold_scalar(op, args)
-    if folded is not None:
-        return folded
-    if op in COMMUTATIVE_OPS:
+    spec = OPS[op]
+    if spec.result == DslType.SCALAR and all(a[0] == "lit" for a in args):
+        # The raw op (scalar ops ignore d), not the interpreter: a literal
+        # that overflows to inf compiles and fails when the program runs.
+        return ("lit", spec.fn(None, *(a[1] for a in args)))
+    if spec.commutative:
         args = sorted(args, key=_serialize)
     return (op, *args)
 

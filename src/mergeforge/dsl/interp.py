@@ -13,7 +13,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .ast import BinOp, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
+from .ast import (
+    OPS,
+    BinOp,
+    Call,
+    DslRuntimeError,
+    DslType,
+    Fold,
+    ModelIndex,
+    ModelsRef,
+    Node,
+    ScalarLit,
+    Var,
+)
 
 
 @dataclass(frozen=True)
@@ -32,10 +44,6 @@ def default_budget(k: int, d: int) -> EvalBudget:
 
 class BudgetExceeded(Exception):
     """Evaluation ran out of node-evaluation steps."""
-
-
-class DslRuntimeError(Exception):
-    """Index out of range or a non-finite intermediate value."""
 
 
 class _Machine:
@@ -79,13 +87,8 @@ class _Machine:
             left = self.eval(node.left, env)
             right = self.eval(node.right, env)
             assert node.resolved is not None, "interpreting an untyped AST"
-            if node.resolved == "scale":
-                # the scalar may sit on either side of '*'
-                if isinstance(left, np.ndarray):
-                    left, right = right, left
-                return self.apply("scale", [left, right])
-            if node.resolved.startswith("s_"):
-                return self.scalar_binop(node.resolved, float(left), float(right))
+            if node.resolved == "scale" and isinstance(left, np.ndarray):
+                left, right = right, left  # the scalar may sit on either side of '*'
             return self.apply(node.resolved, [left, right])
         if isinstance(node, Fold):
             items = self.eval(node.list_expr, env)
@@ -99,56 +102,10 @@ class _Machine:
             return acc
         raise DslRuntimeError(f"unknown node {type(node).__name__}")
 
-    def scalar_binop(self, op: str, left: float, right: float) -> float:
-        if op == "s_add":
-            return self.finite(left + right)
-        if op == "s_sub":
-            return self.finite(left - right)
-        return self.finite(left * right)
-
     def apply(self, op: str, args: list):
-        if op == "add":
-            return self.finite(args[0] + args[1])
-        if op == "sub":
-            return self.finite(args[0] - args[1])
-        if op == "scale":
-            return self.finite(float(args[0]) * args[1])
-        if op == "hadamard":
-            return self.finite(args[0] * args[1])
-        if op == "emax":
-            return self.finite(np.maximum(args[0], args[1]))
-        if op == "emin":
-            return self.finite(np.minimum(args[0], args[1]))
-        if op == "mean_elem":
-            return self.finite(float(np.mean(args[0])))
-        if op == "norm1":
-            return self.finite(float(np.sum(np.abs(args[0]))))
-        if op == "norm2":
-            return self.finite(float(np.linalg.norm(args[0])))
-        if op == "cos":
-            na = float(np.linalg.norm(args[0]))
-            nb = float(np.linalg.norm(args[1]))
-            if na == 0.0 or nb == 0.0:
-                raise DslRuntimeError("cosine of a zero vector")
-            return self.finite(float(np.dot(args[0], args[1])) / (na * nb))
-        if op == "mean_stack":
-            if len(args[0]) == 0:
-                raise DslRuntimeError("mean_stack of an empty list")
-            return self.finite(np.mean(np.stack(args[0]), axis=0))
-        if op == "sum_stack":
-            if len(args[0]) == 0:
-                return np.zeros(self.d)
-            return self.finite(np.sum(np.stack(args[0]), axis=0))
-        if op == "ones":
-            return self.finite(np.full(self.d, float(args[0])))
-        if op == "clamp":
-            x, lo, hi = (float(a) for a in args)
-            return self.finite(min(max(x, lo), hi))
-        if op == "length":
-            return float(len(args[0]))
-        if op == "tail":
-            return list(args[0][1:])
-        raise DslRuntimeError(f"unknown operation {op!r}")
+        spec = OPS[op]
+        value = spec.fn(self.d, *args)
+        return value if spec.result is DslType.VECTOR_LIST else self.finite(value)
 
 
 def evaluate(root: Node, models: Sequence, budget: EvalBudget) -> np.ndarray:

@@ -7,7 +7,10 @@
     fold    := "fold" "(" expr "," expr "," "(" ident "," ident ")" "->" expr ")"
 
 `#` starts a comment running to end of line.  Call names are fixed by the op
-table; bare identifiers must be fold binders in scope.
+table; bare identifiers must be fold binders in scope.  Both the nesting of
+brackets and call arguments and the depth of the resulting AST are bounded by
+MAX_DEPTH, so no text, however deep, exhausts the stack here or in the passes
+that recurse over the AST.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from .ast import (
     ScalarLit,
     Var,
 )
+
+
+MAX_DEPTH = 128
 
 
 class ParseError(ValueError):
@@ -84,6 +90,8 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.scopes: list[tuple[str, str]] = []  # fold binder pairs, innermost last
+        self.depth = 0  # nesting of brackets and call arguments
+        self.infix = False  # whether an infix operator was parsed
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -122,11 +130,16 @@ class _Parser:
         return body
 
     def parse_expr(self) -> Node:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
         node = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             right = self.parse_term()
             node = BinOp(symbol=op.kind, left=node, right=right, pos=(op.line, op.col))
+            self.infix = True
+        self.depth -= 1
         return node
 
     def parse_term(self) -> Node:
@@ -135,6 +148,7 @@ class _Parser:
             op = self.advance()
             right = self.parse_factor()
             node = BinOp(symbol="*", left=node, right=right, pos=(op.line, op.col))
+            self.infix = True
         return node
 
     def parse_factor(self) -> Node:
@@ -172,7 +186,7 @@ class _Parser:
             return self.parse_fold(pos)
         if name in OP_TABLE:
             args = self.parse_args()
-            arity = len(OP_TABLE[name][0])
+            arity = len(OP_TABLE[name].args)
             if len(args) != arity:
                 raise ParseError(
                     f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
@@ -222,6 +236,24 @@ class _Parser:
         )
 
 
+def _height(root: Node) -> int:
+    """Levels of nodes in the AST, counted without recursion."""
+    height, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if isinstance(child, Node):
+                    stack.append((child, level + 1))
+    return height
+
+
 def parse(source: str) -> Node:
     """Parse program text into an untyped AST; raises ParseError with position."""
-    return _Parser(tokenize(source)).parse_program()
+    parser = _Parser(tokenize(source))
+    root = parser.parse_program()
+    # Without infix chains the AST is no deeper than the bracket nesting.
+    if parser.infix and _height(root) > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", *root.pos)
+    return root

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ast import Node, pretty
+from .ast import Node
 from .canon import canonical_hash
 from .parser import parse
 from .typecheck import typecheck
@@ -31,13 +31,3 @@ def compile_program(source: str, provenance: tuple[int, str] = (0, "manual")) ->
         provenance=provenance,
     )
 
-
-def compile_ast(ast: Node, provenance: tuple[int, str]) -> MergeProgram:
-    """Wrap an already-built AST, rendering canonical source text for it."""
-    typecheck(ast)
-    return MergeProgram(
-        source=pretty(ast),
-        ast=ast,
-        canonical_hash=canonical_hash(ast),
-        provenance=provenance,
-    )

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from .ast import (
+    INFIX,
     OP_TABLE,
-    SCALAR_BINOPS,
+    OPS,
     BinOp,
     Call,
     DslType,
@@ -23,16 +24,6 @@ class DslTypeError(ValueError):
         self.pos = pos
 
 
-# Infix operators resolve to table ops once operand types are known.
-_BINOP_RULES: dict[tuple[str, DslType, DslType], str] = {
-    ("+", DslType.VECTOR, DslType.VECTOR): "add",
-    ("-", DslType.VECTOR, DslType.VECTOR): "sub",
-    ("*", DslType.VECTOR, DslType.VECTOR): "hadamard",
-    ("*", DslType.SCALAR, DslType.VECTOR): "scale",
-    ("*", DslType.VECTOR, DslType.SCALAR): "scale",
-}
-
-
 def _check(node: Node, env: dict[str, DslType]) -> DslType:
     if isinstance(node, ScalarLit):
         node.ty = DslType.SCALAR
@@ -46,29 +37,24 @@ def _check(node: Node, env: dict[str, DslType]) -> DslType:
             raise DslTypeError(f"unbound variable {node.name!r}", node.pos)
         node.ty = ty
     elif isinstance(node, Call):
-        arg_types, result = OP_TABLE[node.op]
-        for expected, arg in zip(arg_types, node.args):
+        spec = OP_TABLE[node.op]
+        for expected, arg in zip(spec.args, node.args):
             got = _check(arg, env)
             if got != expected:
                 raise DslTypeError(
                     f"{node.op} expects {expected.value}, got {got.value}", arg.pos
                 )
-        node.ty = result
+        node.ty = spec.result
     elif isinstance(node, BinOp):
         lt = _check(node.left, env)
         rt = _check(node.right, env)
-        rule = _BINOP_RULES.get((node.symbol, lt, rt))
-        if rule is not None:
-            node.resolved = rule
-            node.ty = DslType.VECTOR
-        elif lt == rt == DslType.SCALAR:
-            node.resolved = SCALAR_BINOPS[node.symbol]
-            node.ty = DslType.SCALAR
-        else:
+        node.resolved = INFIX.get((node.symbol, lt, rt))
+        if node.resolved is None:
             raise DslTypeError(
                 f"operator {node.symbol!r} not defined on ({lt.value}, {rt.value})",
                 node.pos,
             )
+        node.ty = OPS[node.resolved].result
     elif isinstance(node, Fold):
         lt = _check(node.list_expr, env)
         if lt != DslType.VECTOR_LIST:

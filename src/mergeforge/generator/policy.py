@@ -69,15 +69,14 @@ class Production:
         return not self.args
 
 
-def _call(lhs: str, op: str) -> Production:
-    arg_types, _ = OP_TABLE[op]
-    return Production(
-        pid=f"{lhs}->{op}",
-        lhs=lhs,
-        kind="call",
-        payload=op,
-        args=tuple(_NT_FOR_TYPE[t] for t in arg_types),
-    )
+def _calls(result: DslType) -> list[Production]:
+    """One production per table op with this result type, in table order."""
+    lhs = _NT_FOR_TYPE[result]
+    return [
+        Production(pid=f"{lhs}->{name}", lhs=lhs, kind="call", payload=name,
+                   args=tuple(_NT_FOR_TYPE[t] for t in op.args))
+        for name, op in OP_TABLE.items() if op.result == result
+    ]
 
 
 def default_grammar(k: int, palette: tuple[float, ...] = DEFAULT_LITERAL_PALETTE) -> dict[str, list[Production]]:
@@ -88,9 +87,7 @@ def default_grammar(k: int, palette: tuple[float, ...] = DEFAULT_LITERAL_PALETTE
         Production(pid=f"V->models[{j}]", lhs=NT_VECTOR, kind="model", payload=j)
         for j in range(k)
     ]
-    vector += [_call(NT_VECTOR, op) for op in
-               ("add", "sub", "scale", "hadamard", "emax", "emin",
-                "mean_stack", "sum_stack", "ones")]
+    vector += _calls(DslType.VECTOR)
     vector.append(Production(
         pid="V->fold", lhs=NT_VECTOR, kind="fold",
         args=(NT_LIST, NT_VECTOR, NT_VECTOR), never_in_body=True,
@@ -103,12 +100,8 @@ def default_grammar(k: int, palette: tuple[float, ...] = DEFAULT_LITERAL_PALETTE
         Production(pid=f"S->lit({c!r})", lhs=NT_SCALAR, kind="lit", payload=float(c))
         for c in palette
     ]
-    scalar += [_call(NT_SCALAR, op) for op in
-               ("mean_elem", "norm1", "norm2", "cos", "clamp", "length")]
-    lst = [
-        Production(pid="L->models", lhs=NT_LIST, kind="models"),
-        _call(NT_LIST, "tail"),
-    ]
+    scalar += _calls(DslType.SCALAR)
+    lst = [Production(pid="L->models", lhs=NT_LIST, kind="models")] + _calls(DslType.VECTOR_LIST)
     return {NT_VECTOR: vector, NT_SCALAR: scalar, NT_LIST: lst}
 
 
@@ -261,7 +254,7 @@ def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool,
             _rederive(policy, arg, arg_nt, in_body, binders, counts)
         return
     elif isinstance(node, BinOp):
-        if node.resolved is None or node.resolved.startswith("s_"):
+        if node.resolved not in OP_TABLE:
             raise UnderivableProgram("scalar infix arithmetic has no production")
         left, right = node.left, node.right
         if node.resolved == "scale" and left.ty == DslType.VECTOR:

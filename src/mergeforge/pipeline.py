@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmark import BenchmarkInstance, ProbeSet, score as probe_score
+from .benchmark import ProbeSet, score as probe_score
 from .core import apply_merged
 from .dsl import (
     BudgetExceeded,
@@ -151,32 +151,6 @@ def filter_candidates(
     return outcomes
 
 
-def evaluate_candidates(
-    programs: Sequence[MergeProgram],
-    instance: BenchmarkInstance,
-    budget: EvalBudget,
-    iteration: int = 0,
-) -> list[ScoredAlgorithm]:
-    """Dev-score already-filtered programs, preserving input order.
-
-    Programs are expected to evaluate cleanly here; one that does not is
-    logged and dropped (it would have been classified non-executable).
-    """
-    taus = instance.task_vectors()
-    scored: list[ScoredAlgorithm] = []
-    for program in programs:
-        try:
-            dev = score_program(
-                program, taus, instance.seed_model,
-                instance.dev_probes, instance.dev_baseline_mse, budget,
-            )
-        except (BudgetExceeded, DslRuntimeError) as exc:
-            log.warning("program %s failed after filtering: %s", program.canonical_hash, exc)
-            continue
-        scored.append(ScoredAlgorithm(program=program, dev_score=dev, iteration=iteration))
-    return scored
-
-
 def nearest_rank_thresholds(
     scores: Sequence[float], p_w: float, p_l: float
 ) -> tuple[float, float]:
@@ -195,7 +169,8 @@ def nearest_rank_thresholds(
     return ordered[n - n_w], ordered[n_l - 1]
 
 
-def _ranked(algorithms: Iterable[ScoredAlgorithm]) -> list[ScoredAlgorithm]:
+def ranked(algorithms: Iterable[ScoredAlgorithm]) -> list[ScoredAlgorithm]:
+    """Score-descending; ties go to the earlier iteration, then the smaller source."""
     return sorted(
         algorithms,
         key=lambda a: (-a.dev_score, a.iteration, a.program.source),
@@ -206,13 +181,12 @@ def top_k_carryover(pool: Sequence[ScoredAlgorithm], k: int) -> list[ScoredAlgor
     """Best k pool entries by score, deduplicated by canonical hash."""
     out: list[ScoredAlgorithm] = []
     seen: set[str] = set()
-    for alg in _ranked(pool):
-        if alg.program.canonical_hash in seen:
-            continue
-        seen.add(alg.program.canonical_hash)
-        out.append(alg)
+    for alg in ranked(pool):
         if len(out) == k:
             break
+        if alg.program.canonical_hash not in seen:
+            seen.add(alg.program.canonical_hash)
+            out.append(alg)
     return out
 
 
@@ -237,7 +211,7 @@ def select_preference_sets(
             taken.add(alg.program.canonical_hash)
             chosen.append(alg)
     rejected = [a for a in scored if a.dev_score <= s_pl]
-    return _ranked(chosen), _ranked(rejected), s_pw, s_pl
+    return ranked(chosen), ranked(rejected), s_pw, s_pl
 
 
 def build_preferences(

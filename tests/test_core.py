@@ -10,8 +10,6 @@ from mergeforge.core import (
     apply_merged,
     grid_search_task_arithmetic,
     mean_fold_merge,
-    merge_layerwise,
-    scaled_stack_mean,
     task_arithmetic,
     task_vector,
 )
@@ -176,37 +174,3 @@ def test_mean_fold_matches_closed_form():
         taus = [rng.normal(size=d) for _ in range(k)]
         got = mean_fold_merge(taus)
         assert np.max(np.abs(got - _mean_fold_closed_form(taus))) <= 1e-12
-
-
-def test_scaled_stack_mean_constant_vectors():
-    out = scaled_stack_mean([[1.0, 1.0]] * 3, [0.6, 0.3, 0.4])
-    assert np.allclose(out, [1.3 / 3] * 2, atol=1e-12)
-
-
-def test_scaled_stack_mean_single_model():
-    assert np.array_equal(scaled_stack_mean([[3.0, 3.0]], [1.0]), [3.0, 3.0])
-
-
-def test_scaled_stack_mean_two_models():
-    out = scaled_stack_mean([[2.0, 0.0], [0.0, 2.0]], [0.5, 0.5])
-    assert np.array_equal(out, [0.5, 0.5])
-
-
-def test_scaled_stack_mean_length_mismatch():
-    with pytest.raises(DimensionError):
-        scaled_stack_mean([[1.0, 2.0]], [0.5, 0.5])
-
-
-def test_merge_layerwise_matches_per_layer_application():
-    rng = np.random.default_rng(31)
-    layered = [[rng.normal(size=6), rng.normal(size=4)] for _ in range(3)]
-    merged = merge_layerwise(mean_fold_merge, layered)
-    assert len(merged) == 2
-    for layer in range(2):
-        want = mean_fold_merge([lt[layer] for lt in layered])
-        assert np.array_equal(merged[layer], want)
-
-
-def test_merge_layerwise_rejects_ragged_layers():
-    with pytest.raises(DimensionError, match="layer count"):
-        merge_layerwise(mean_fold_merge, [[np.ones(3)], [np.ones(3), np.ones(3)]])

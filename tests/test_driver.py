@@ -5,10 +5,11 @@ import pytest
 
 from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
-from mergeforge.driver import RunState, run, select_best
+from mergeforge.driver import RunState, run
 from mergeforge.dsl import compile_program
-from mergeforge.generator import GeneratorPolicy, identity_grammar, temperature
-from mergeforge.pipeline import ScoredAlgorithm
+from mergeforge.generator import GeneratorPolicy, Production, identity_grammar, temperature
+from mergeforge.generator.policy import NT_VECTOR
+from mergeforge.pipeline import ScoredAlgorithm, top_k_carryover
 
 
 def _small_config(tmp_path, **overrides):
@@ -154,40 +155,41 @@ def test_select_best_tie_rule():
         "c": "merge(models) = models[2]",
         "d": "merge(models) = mean_stack(models)",
     }
-    state = RunState()
-    state.all_scored = [
+    all_scored = [
         ScoredAlgorithm(compile_program(programs["a"]), 90.0, 1),
         ScoredAlgorithm(compile_program(programs["b"]), 95.0, 2),
         ScoredAlgorithm(compile_program(programs["c"]), 95.0, 1),
         ScoredAlgorithm(compile_program(programs["d"]), 80.0, 1),
     ]
-    top2 = select_best(state, 2)
+    top2 = top_k_carryover(all_scored, 2)
     assert [a.dev_score for a in top2] == [95.0, 95.0]
     assert top2[0].iteration == 1  # earlier iteration wins the tie
 
 
 def test_select_best_dedup_keeps_earlier_iteration():
     program = compile_program("merge(models) = models[0]")
-    state = RunState()
-    state.all_scored = [
+    all_scored = [
         ScoredAlgorithm(program, 88.0, 3),
         ScoredAlgorithm(program, 88.0, 1),
     ]
-    top = select_best(state, 10)
+    top = top_k_carryover(all_scored, 10)
     assert len(top) == 1
     assert top[0].iteration == 1
 
 
 def test_select_best_n_larger_than_distinct():
     program = compile_program("merge(models) = models[0]")
-    state = RunState()
-    state.all_scored = [ScoredAlgorithm(program, 88.0, 1)]
-    assert len(select_best(state, 15)) == 1
+    assert len(top_k_carryover([ScoredAlgorithm(program, 88.0, 1)], 15)) == 1
 
 
-def test_select_best_empty_warns(caplog):
+def test_select_best_empty_warns(tmp_path, caplog):
+    # every candidate indexes a model the instance lacks, so none succeeds
+    grammar = identity_grammar()
+    grammar[NT_VECTOR] = [Production(pid="V->models[5]", lhs=NT_VECTOR, kind="model", payload=5)]
+    config = _small_config(tmp_path, iterations=1, candidates_per_iteration=5)
     with caplog.at_level("WARNING"):
-        assert select_best(RunState(), 3) == []
+        report = run(config, initial_policy=GeneratorPolicy.initial(grammar))
+    assert report.top_test == []
     assert "no successful programs" in caplog.text
 
 

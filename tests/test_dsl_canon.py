@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mergeforge.dsl import EvalBudget, compile_program, evaluate
-from mergeforge.dsl.ast import COMMUTATIVE_OPS, BinOp, Call, Fold
+from mergeforge.dsl.ast import OP_TABLE, BinOp, Call, Fold
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
 
@@ -65,7 +65,7 @@ def _scramble(node):
     """Equivalence-preserving rewrite: swap commutative args, rename binders."""
     if isinstance(node, Call):
         args = tuple(_scramble(a) for a in node.args)
-        if node.op in COMMUTATIVE_OPS:
+        if OP_TABLE[node.op].commutative:
             args = tuple(reversed(args))
         return Call(op=node.op, args=args)
     if isinstance(node, BinOp):

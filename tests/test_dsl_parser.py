@@ -11,6 +11,7 @@ from mergeforge.dsl import (
     pretty,
     typecheck,
 )
+from mergeforge.dsl.parser import MAX_DEPTH
 from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
@@ -44,6 +45,47 @@ def test_unknown_identifier():
 def test_unknown_operation():
     with pytest.raises(ParseError, match="unknown identifier"):
         parse("merge(models) = frobnicate(models[0])")
+
+
+def test_scalar_infix_ops_are_not_callable_by_name():
+    with pytest.raises(ParseError, match="unknown identifier 's_add'"):
+        parse("merge(models) = ones(s_add(1.0, 2.0))")
+
+
+def _nested_calls(n):
+    return "merge(models) = " + "add(" * n + "models[0]" + ", models[1])" * n
+
+
+def _infix_chain(n):
+    return "merge(models) = models[0]" + " + models[1]" * n
+
+
+def _parens(n):
+    return "merge(models) = " + "(" * n + "models[0]" + ")" * n
+
+
+def _chains_in_parens(levels):
+    # every level short enough on its own; together far deeper than MAX_DEPTH
+    expr = "models[0]"
+    for level in range(levels, 0, -1):
+        expr = "(" + expr + " + models[1]" * (MAX_DEPTH - level - 1) + ")"
+    return "merge(models) = " + expr
+
+
+@pytest.mark.parametrize("build", [_nested_calls, _infix_chain, _parens])
+def test_nesting_up_to_max_depth_parses(build):
+    typecheck(parse(build(MAX_DEPTH - 1)))
+
+
+@pytest.mark.parametrize("source", [
+    _nested_calls(MAX_DEPTH), _nested_calls(5000),
+    _infix_chain(MAX_DEPTH), _infix_chain(5000),
+    _parens(MAX_DEPTH), _parens(5000),
+    _chains_in_parens(60),
+])
+def test_nesting_beyond_max_depth_is_parse_error(source):
+    with pytest.raises(ParseError, match="nested deeper than 128 levels"):
+        parse(source)
 
 
 def test_arity_mismatch():

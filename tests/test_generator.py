@@ -1,12 +1,16 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mergeforge.dsl import compile_program, parse, typecheck
+from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
 from mergeforge.generator import (
     GeneratorPolicy,
     Production,
     UnderivableProgram,
     default_grammar,
+    default_prompt_template,
     derivation_counts,
     extract_program,
     identity_grammar,
@@ -282,3 +286,40 @@ def test_extract_idempotence():
     once = extract_program(raw)
     again = extract_program(f"```\n{once}\n```")
     assert once == again
+
+
+# -- op lists in documents --------------------------------------------------
+
+def _listed_ops(text, start):
+    """Names called between ``start`` and the line that introduces ``models[i]``."""
+    begin = text.index(start) + len(start)
+    section = text[begin:text.index("`models[i]`", begin)]
+    return sorted(set(re.findall(r"([a-z_0-9]+)\(", section)))
+
+
+@pytest.mark.parametrize("text,start", [
+    (default_prompt_template().text, "Available operations:"),
+    ((Path(__file__).parents[1] / "README.md").read_text(), "program := merge(models) = <expr>"),
+], ids=["prompt_template", "readme"])
+def test_documented_ops_match_the_op_table(text, start):
+    assert _listed_ops(text, start) == sorted([*OP_TABLE, "fold"])
+
+
+def test_grammar_calls_follow_the_op_table():
+    grammar = default_grammar(3)
+    assert [p.pid for p in grammar[NT_VECTOR]] == [
+        "V->models[0]", "V->models[1]", "V->models[2]",
+        "V->add", "V->sub", "V->scale", "V->hadamard", "V->emax", "V->emin",
+        "V->mean_stack", "V->sum_stack", "V->ones", "V->fold", "V->acc", "V->x",
+    ]
+    assert [p.pid for p in grammar[NT_SCALAR] if p.kind == "call"] == [
+        "S->mean_elem", "S->norm1", "S->norm2", "S->cos", "S->clamp", "S->length",
+    ]
+    assert [p.pid for p in grammar[NT_LIST]] == ["L->models", "L->tail"]
+    calls = [p for prods in grammar.values() for p in prods if p.kind == "call"]
+    assert {p.payload: p.args for p in calls} == {
+        "add": ("V", "V"), "sub": ("V", "V"), "scale": ("S", "V"), "hadamard": ("V", "V"),
+        "emax": ("V", "V"), "emin": ("V", "V"), "mean_stack": ("L",), "sum_stack": ("L",),
+        "ones": ("S",), "mean_elem": ("V",), "norm1": ("V",), "norm2": ("V",),
+        "cos": ("V", "V"), "clamp": ("S", "S", "S"), "length": ("L",), "tail": ("L",),
+    }

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeforge.benchmark import make_instance, score
 from mergeforge.dsl import EvalBudget, compile_program, default_budget
@@ -22,11 +24,11 @@ from mergeforge.pipeline import (
     ScoredAlgorithm,
     build_preferences,
     category_counts,
-    evaluate_candidates,
     exact_text_duplicates,
     filter_candidates,
     nearest_rank_thresholds,
     refine_policy,
+    score_program,
     select_preference_sets,
     top_k_carryover,
 )
@@ -89,6 +91,45 @@ def test_runtime_failure_is_non_executable(instance):
     assert "out of range" in outcomes[0].reason
 
 
+def test_overflowing_literal_compiles_and_is_non_executable(instance):
+    source = "merge(models) = scale(1e308 * 10.0, models[0])"
+    compile_program(source)  # the canonical form folds the literal to inf
+    [outcome] = _filter(instance, [source])
+    assert outcome.category == NON_EXECUTABLE
+    assert outcome.program is not None and "non-finite" in outcome.reason
+
+
+_FRAGMENTS = (
+    "add(", "scale(", "ones(", "clamp(", "cos(", "fold(", "tail(", "mean_stack(",
+    "models", "models[0]", "models[2]", "[", "]", "(", ")", ", ", " + ", " - ", " * ",
+    "-", "0.5", "1e308", "(acc, x) -> ", "acc", "x", "# note\n", "\n", "=",
+)
+
+
+def _fenced(body):
+    return f"Try this:\n```\nmerge(models) = {body}\n```\n"
+
+
+_untrusted_text = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=200).map("".join).map(_fenced),
+    # Hypothesis raises the recursion limit while a test runs, so nesting
+    # goes far past the depth that exhausts Python's default stack.
+    st.builds(
+        lambda opened, closed: _fenced("add(" * opened + "models[0]" + ", models[1])" * closed),
+        st.integers(0, 5000), st.integers(0, 5000),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(_untrusted_text, max_size=4))
+def test_arbitrary_text_lands_in_exactly_one_category(instance, texts):
+    outcomes = _filter(instance, texts, budget=EvalBudget(2000), extract_from_raw=True)
+    assert len(outcomes) == len(texts)
+    assert all(o.category in CATEGORIES for o in outcomes)
+
+
 def test_empty_batch(instance):
     assert _filter(instance, []) == []
 
@@ -134,11 +175,17 @@ def test_typecheck_failures_do_not_poison_duplicates(instance):
     assert [o.category for o in outcomes] == [NON_EXECUTABLE, NON_EXECUTABLE]
 
 
+def _dev_score(instance, program):
+    return score_program(
+        program, instance.task_vectors(), instance.seed_model,
+        instance.dev_probes, instance.dev_baseline_mse, default_budget(3, 16),
+    )
+
+
 def test_evaluate_candidates_identity_matches_direct_scoring(instance):
     program = compile_program("merge(models) = models[0]")
-    scored = evaluate_candidates([program], instance, default_budget(3, 16), iteration=1)
     direct = score(instance.candidates[0], instance.dev_probes, instance.dev_baseline_mse)
-    assert scored[0].dev_score == pytest.approx(direct, abs=1e-9)
+    assert _dev_score(instance, program) == pytest.approx(direct, abs=1e-9)
 
 
 def test_evaluate_candidates_fixture_matches_core(instance):
@@ -146,15 +193,9 @@ def test_evaluate_candidates_fixture_matches_core(instance):
     from mergeforge.fixtures import load_corpus_program
 
     program = load_corpus_program("mean_shift_fold")
-    scored = evaluate_candidates([program], instance, default_budget(3, 16))
     merged = apply_merged(instance.seed_model, mean_fold_merge(instance.task_vectors()))
     want = score(merged, instance.dev_probes, instance.dev_baseline_mse)
-    assert scored[0].dev_score == pytest.approx(want, abs=1e-12)
-
-
-def test_evaluate_candidates_empty():
-    inst = make_instance(1, d=8, k=2, component_noise=0.0, probe_counts=(5, 5))
-    assert evaluate_candidates([], inst, default_budget(2, 8)) == []
+    assert _dev_score(instance, program) == pytest.approx(want, abs=1e-12)
 
 
 # -- preference construction --------------------------------------------------
@@ -225,6 +266,14 @@ def test_carryover_top_k():
     pool = _scored_from_values([95.0, 99.0, 80.0, 97.0], iteration=1)
     top = top_k_carryover(pool, 3)
     assert [a.dev_score for a in top] == [99.0, 97.0, 95.0]
+
+
+def test_carryover_k_zero_takes_nothing():
+    pool = _scored_from_values([95.0, 99.0, 80.0], iteration=1)
+    assert top_k_carryover(pool, 0) == []
+    scored = _scored_from_values(list(range(1, 101)), iteration=2)
+    chosen, _, _, _ = select_preference_sets(scored, pool, RefineConfig(k=0))
+    assert {a.dev_score for a in chosen} == {98.0, 99.0, 100.0}
 
 
 def test_carryover_added_to_chosen():
