@@ -148,12 +148,16 @@ def make_instance(
 def mse(model: Vector, probes: ProbeSet) -> float:
     if len(probes) == 0:
         raise ValueError("empty probe set")
-    pred = probes.xs @ np.asarray(model, dtype=np.float64)
-    return float(np.mean((pred - probes.ys) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # score() maps inf and nan to 0
+        pred = probes.xs @ np.asarray(model, dtype=np.float64)
+        return float(np.mean((pred - probes.ys) ** 2))
 
 
 def score(model: Vector, probes: ProbeSet, baseline_mse: float) -> float:
-    """Relative-MSE score in [0, 100]; the seed model scores exactly 0."""
+    """Relative-MSE score in [0, 100]; the seed model scores exactly 0.
+
+    A model whose MSE overflows to inf or is NaN scores 0.
+    """
     if baseline_mse <= 0:
         raise ValueError("baseline_mse must be positive")
     return 100.0 * max(0.0, 1.0 - mse(model, probes) / baseline_mse)

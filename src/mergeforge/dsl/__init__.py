@@ -1,5 +1,5 @@
 from .ast import OP_TABLE, DslType, Node, pretty
-from .canon import canonical_hash, canonicalize
+from .canon import canonical_hash
 from .interp import BudgetExceeded, DslRuntimeError, EvalBudget, default_budget, evaluate
 from .parser import ParseError, parse
 from .program import MergeProgram, compile_program
@@ -11,7 +11,6 @@ __all__ = [
     "Node",
     "pretty",
     "canonical_hash",
-    "canonicalize",
     "BudgetExceeded",
     "DslRuntimeError",
     "EvalBudget",

@@ -83,7 +83,8 @@ INFIX_OPS: dict[str, Op] = {
 # Every op by name, for the passes that see typechecked ASTs.
 OPS: dict[str, Op] = {**OP_TABLE, **INFIX_OPS}
 
-# Infix operators resolve to ops once the operand types are known.
+# Infix operators resolve to ops once the operand types are known; the
+# typechecker puts the operands of ``v * s`` in ``scale``'s (scalar, vector) order.
 INFIX: dict[tuple[str, DslType, DslType], str] = {
     ("+", V, V): "add",
     ("-", V, V): "sub",
@@ -99,7 +100,6 @@ INFIX: dict[tuple[str, DslType, DslType], str] = {
 @dataclass
 class Node:
     pos: tuple[int, int] = field(default=(0, 0), compare=False, kw_only=True)
-    ty: DslType | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass
@@ -124,16 +124,8 @@ class Var(Node):
 
 @dataclass
 class Call(Node):
-    op: str = ""
+    op: str = ""  # an infix symbol ("+", "-", "*") until typechecked
     args: tuple[Node, ...] = ()
-
-
-@dataclass
-class BinOp(Node):
-    symbol: str = ""
-    left: Node = None  # type: ignore[assignment]
-    right: Node = None  # type: ignore[assignment]
-    resolved: str | None = None  # filled by the typechecker (e.g. "+" -> "add")
 
 
 @dataclass
@@ -142,6 +134,11 @@ class Fold(Node):
     init_expr: Node = None  # type: ignore[assignment]
     binders: tuple[str, str] = ("acc", "x")
     body: Node = None  # type: ignore[assignment]
+
+
+# Ops with infix syntax only, and the raw symbols of an untyped tree, print infix.
+_PRINT_INFIX = {name: sym for (sym, _, _), name in INFIX.items() if name in INFIX_OPS}
+_PRINT_INFIX.update((sym, sym) for sym, _, _ in INFIX)
 
 
 def _fmt_float(value: float) -> str:
@@ -158,9 +155,10 @@ def pretty_expr(node: Node) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
-        return f"{node.op}({', '.join(pretty_expr(a) for a in node.args)})"
-    if isinstance(node, BinOp):
-        return f"({pretty_expr(node.left)} {node.symbol} {pretty_expr(node.right)})"
+        args = [pretty_expr(a) for a in node.args]
+        if node.op in _PRINT_INFIX:
+            return f"({args[0]} {_PRINT_INFIX[node.op]} {args[1]})"
+        return f"{node.op}({', '.join(args)})"
     if isinstance(node, Fold):
         a, b = node.binders
         return (

@@ -1,11 +1,14 @@
-"""Canonical form and hashing for duplicate detection.
+"""Canonical text and hashing for duplicate detection.
 
-Normalization: infix operators are replaced by their resolved named ops, fold
+The canonical text of a typechecked program is built once, bottom up: fold
 binders become de Bruijn slots, scalar subexpressions built purely from
-literals are folded to a single literal, and arguments of commutative ops are
-sorted by their serialized form.  Two programs that differ only in whitespace,
-comments, binder names, argument order of commutative ops, or pre-computable
-scalar arithmetic therefore hash identically.
+literals are folded to a single literal, and the args of commutative ops are
+sorted as text.  Two programs that differ only in whitespace, comments, binder
+names, argument order of commutative ops, infix versus named syntax, or
+pre-computable scalar arithmetic therefore hash identically.
+
+Spellings: ``lit:<repr>``, ``(models)``, ``(model i)``, ``(var depth slot)``,
+``(op arg ...)`` and ``(fold list init body)``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import hashlib
 
 from .ast import (
     OPS,
-    BinOp,
     Call,
     DslType,
     Fold,
@@ -25,64 +27,42 @@ from .ast import (
     Var,
 )
 
-# Canonical trees are nested tuples: ("lit", v) | ("models",) | ("model", i)
-# | ("var", depth, slot) | (op, arg, ...) | ("fold", list, init, body).
-Canon = tuple
+
+def _lit(value: float) -> str:
+    return f"lit:{float(value)!r}"
 
 
-def _serialize(tree: Canon) -> str:
-    if tree[0] == "lit":
-        return f"lit:{float(tree[1])!r}"
-    return "(" + " ".join(
-        part if isinstance(part, str) else _serialize(part) for part in tree
-    ) + ")"
-
-
-def _normalize(node: Node, binders: list[tuple[str, str]]) -> Canon:
+def _normalize(node: Node, binders: list[tuple[str, str]]) -> str:
     if isinstance(node, ScalarLit):
-        return ("lit", float(node.value))
+        return _lit(node.value)
     if isinstance(node, ModelsRef):
-        return ("models",)
+        return "(models)"
     if isinstance(node, ModelIndex):
-        return ("model", str(node.index))
+        return f"(model {node.index})"
     if isinstance(node, Var):
         for depth, pair in enumerate(reversed(binders)):
             if node.name in pair:
-                return ("var", str(depth), str(pair.index(node.name)))
+                return f"(var {depth} {pair.index(node.name)})"
         raise ValueError(f"unbound variable {node.name!r} during canonicalization")
     if isinstance(node, Call):
-        return _canon_op(node.op, [_normalize(a, binders) for a in node.args])
-    if isinstance(node, BinOp):
-        if node.resolved is None:
-            raise ValueError("canonicalization requires a typechecked AST")
-        args = [_normalize(node.left, binders), _normalize(node.right, binders)]
-        if node.resolved == "scale" and node.left.ty == DslType.VECTOR:
-            args.reverse()  # canonical scale() is (scalar, vector)
-        return _canon_op(node.resolved, args)
+        spec = OPS[node.op]
+        args = [_normalize(a, binders) for a in node.args]
+        if spec.result == DslType.SCALAR and all(a.startswith("lit:") for a in args):
+            # The raw op (scalar ops ignore d), not the interpreter: a literal
+            # that overflows to inf compiles and fails when the program runs.
+            return _lit(spec.fn(None, *(float(a[4:]) for a in args)))
+        if spec.commutative:
+            args.sort()
+        return f"({node.op} {' '.join(args)})"
     if isinstance(node, Fold):
         list_c = _normalize(node.list_expr, binders)
         init_c = _normalize(node.init_expr, binders)
         body_c = _normalize(node.body, binders + [node.binders])
-        return ("fold", list_c, init_c, body_c)
+        return f"(fold {list_c} {init_c} {body_c})"
     raise ValueError(f"unknown node {type(node).__name__}")
 
 
-def _canon_op(op: str, args: list[Canon]) -> Canon:
-    spec = OPS[op]
-    if spec.result == DslType.SCALAR and all(a[0] == "lit" for a in args):
-        # The raw op (scalar ops ignore d), not the interpreter: a literal
-        # that overflows to inf compiles and fails when the program runs.
-        return ("lit", spec.fn(None, *(a[1] for a in args)))
-    if spec.commutative:
-        args = sorted(args, key=_serialize)
-    return (op, *args)
-
-
-def canonicalize(root: Node) -> Canon:
-    return _normalize(root, [])
-
-
 def canonical_hash(root: Node) -> str:
-    """128-bit hex digest of the normalized tree of a typechecked program."""
-    data = _serialize(canonicalize(root)).encode("utf-8")
+    """128-bit hex digest of the canonical text of a typechecked program."""
+    data = _normalize(root, []).encode("utf-8")
     return hashlib.blake2b(data, digest_size=16).hexdigest()

@@ -15,7 +15,6 @@ import numpy as np
 
 from .ast import (
     OPS,
-    BinOp,
     Call,
     DslRuntimeError,
     DslType,
@@ -83,13 +82,6 @@ class _Machine:
         if isinstance(node, Call):
             args = [self.eval(a, env) for a in node.args]
             return self.apply(node.op, args)
-        if isinstance(node, BinOp):
-            left = self.eval(node.left, env)
-            right = self.eval(node.right, env)
-            assert node.resolved is not None, "interpreting an untyped AST"
-            if node.resolved == "scale" and isinstance(left, np.ndarray):
-                left, right = right, left  # the scalar may sit on either side of '*'
-            return self.apply(node.resolved, [left, right])
         if isinstance(node, Fold):
             items = self.eval(node.list_expr, env)
             acc = self.eval(node.init_expr, env)

@@ -7,10 +7,11 @@
     fold    := "fold" "(" expr "," expr "," "(" ident "," ident ")" "->" expr ")"
 
 `#` starts a comment running to end of line.  Call names are fixed by the op
-table; bare identifiers must be fold binders in scope.  Both the nesting of
-brackets and call arguments and the depth of the resulting AST are bounded by
-MAX_DEPTH, so no text, however deep, exhausts the stack here or in the passes
-that recurse over the AST.
+table; bare identifiers must be fold binders in scope.  An infix operator
+becomes a Call whose op is its symbol, which the typechecker resolves.  Both
+the nesting of brackets and call arguments and the depth of the resulting AST
+are bounded by MAX_DEPTH, so no text, however deep, exhausts the stack here or
+in the passes that recurse over the AST.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from .ast import (
     OP_TABLE,
-    BinOp,
     Call,
     Fold,
     ModelIndex,
@@ -137,7 +137,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             right = self.parse_term()
-            node = BinOp(symbol=op.kind, left=node, right=right, pos=(op.line, op.col))
+            node = Call(op=op.kind, args=(node, right), pos=(op.line, op.col))
             self.infix = True
         self.depth -= 1
         return node
@@ -147,7 +147,7 @@ class _Parser:
         while self.peek().kind == "*":
             op = self.advance()
             right = self.parse_factor()
-            node = BinOp(symbol="*", left=node, right=right, pos=(op.line, op.col))
+            node = Call(op="*", args=(node, right), pos=(op.line, op.col))
             self.infix = True
         return node
 

@@ -1,12 +1,10 @@
-"""Type annotation pass: every node gets one DslType, programs must be Vector."""
+"""Type pass: resolves infix operators to named ops; programs must be Vector."""
 
 from __future__ import annotations
 
 from .ast import (
     INFIX,
-    OP_TABLE,
     OPS,
-    BinOp,
     Call,
     DslType,
     Fold,
@@ -26,36 +24,36 @@ class DslTypeError(ValueError):
 
 def _check(node: Node, env: dict[str, DslType]) -> DslType:
     if isinstance(node, ScalarLit):
-        node.ty = DslType.SCALAR
-    elif isinstance(node, ModelsRef):
-        node.ty = DslType.VECTOR_LIST
-    elif isinstance(node, ModelIndex):
-        node.ty = DslType.VECTOR
-    elif isinstance(node, Var):
+        return DslType.SCALAR
+    if isinstance(node, ModelsRef):
+        return DslType.VECTOR_LIST
+    if isinstance(node, ModelIndex):
+        return DslType.VECTOR
+    if isinstance(node, Var):
         ty = env.get(node.name)
         if ty is None:
             raise DslTypeError(f"unbound variable {node.name!r}", node.pos)
-        node.ty = ty
-    elif isinstance(node, Call):
-        spec = OP_TABLE[node.op]
+        return ty
+    if isinstance(node, Call):
+        spec = OPS.get(node.op)
+        if spec is None:  # an infix symbol: its operand types pick the op
+            types = tuple(_check(arg, env) for arg in node.args)
+            op = INFIX.get((node.op, *types))
+            if op is None:
+                shown = ", ".join(t.value for t in types)
+                raise DslTypeError(f"operator {node.op!r} not defined on ({shown})", node.pos)
+            node.op, spec = op, OPS[op]
+            if spec.args != types:  # v * s: scale takes the scalar first
+                node.args = node.args[::-1]
+            return spec.result
         for expected, arg in zip(spec.args, node.args):
             got = _check(arg, env)
             if got != expected:
                 raise DslTypeError(
                     f"{node.op} expects {expected.value}, got {got.value}", arg.pos
                 )
-        node.ty = spec.result
-    elif isinstance(node, BinOp):
-        lt = _check(node.left, env)
-        rt = _check(node.right, env)
-        node.resolved = INFIX.get((node.symbol, lt, rt))
-        if node.resolved is None:
-            raise DslTypeError(
-                f"operator {node.symbol!r} not defined on ({lt.value}, {rt.value})",
-                node.pos,
-            )
-        node.ty = OPS[node.resolved].result
-    elif isinstance(node, Fold):
+        return spec.result
+    if isinstance(node, Fold):
         lt = _check(node.list_expr, env)
         if lt != DslType.VECTOR_LIST:
             raise DslTypeError(f"fold expects a vector list, got {lt.value}", node.list_expr.pos)
@@ -69,14 +67,16 @@ def _check(node: Node, env: dict[str, DslType]) -> DslType:
         bt = _check(node.body, inner)
         if bt != DslType.VECTOR:
             raise DslTypeError(f"fold body must produce a vector, got {bt.value}", node.body.pos)
-        node.ty = DslType.VECTOR
-    else:
-        raise DslTypeError(f"unknown node {type(node).__name__}", getattr(node, "pos", (0, 0)))
-    return node.ty
+        return DslType.VECTOR
+    raise DslTypeError(f"unknown node {type(node).__name__}", getattr(node, "pos", (0, 0)))
 
 
 def typecheck(root: Node) -> Node:
-    """Annotate all nodes in place; the program result type must be Vector."""
+    """Check types and resolve infix symbols to op names in place; returns ``root``.
+
+    Later passes see named ops only (``v * s`` becomes ``scale(s, v)``), and
+    checking a checked tree again is harmless.  Programs must produce a vector.
+    """
     result = _check(root, {})
     if result != DslType.VECTOR:
         raise DslTypeError(

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..dsl.ast import (
     OP_TABLE,
-    BinOp,
     Call,
     DslType,
     Fold,
@@ -248,20 +247,11 @@ def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool,
             raise UnderivableProgram(f"variable {node.name!r} outside a fold body")
         prod = _production(policy, nt, f"V->{BINDERS[binders.index(node.name)]}")
     elif isinstance(node, Call):
+        if node.op not in OP_TABLE:
+            raise UnderivableProgram("scalar infix arithmetic has no production")
         prod = _production(policy, nt, f"{nt}->{node.op}")
         counts[prod.pid] += 1
         for arg_nt, arg in zip(prod.args, node.args):
-            _rederive(policy, arg, arg_nt, in_body, binders, counts)
-        return
-    elif isinstance(node, BinOp):
-        if node.resolved not in OP_TABLE:
-            raise UnderivableProgram("scalar infix arithmetic has no production")
-        left, right = node.left, node.right
-        if node.resolved == "scale" and left.ty == DslType.VECTOR:
-            left, right = right, left
-        prod = _production(policy, nt, f"{nt}->{node.resolved}")
-        counts[prod.pid] += 1
-        for arg_nt, arg in zip(prod.args, (left, right)):
             _rederive(policy, arg, arg_nt, in_body, binders, counts)
         return
     elif isinstance(node, Fold):

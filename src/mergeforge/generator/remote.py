@@ -45,12 +45,11 @@ def _headers(cfg: EndpointConfig) -> dict[str, str]:
     return headers
 
 
-def _completion_text(body: dict) -> str:
-    try:
-        choices = body["choices"]
-        return str(choices[0]["message"]["content"])
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ProtocolError(f"response missing choices/message/content: {exc}") from exc
+def _completion_text(resp: requests.Response) -> str:
+    try:  # a body that is not JSON raises requests' JSONDecodeError, a ValueError
+        return str(resp.json()["choices"][0]["message"]["content"])
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise ProtocolError(f"response is not chat-completions JSON: {exc!r}") from exc
 
 
 def _one_request(cfg: EndpointConfig, payload: dict) -> str:
@@ -67,7 +66,7 @@ def _one_request(cfg: EndpointConfig, payload: dict) -> str:
             if status == 200:
                 if statuses:
                     log.info("request succeeded after %d retries", len(statuses))
-                return _completion_text(resp.json())
+                return _completion_text(resp)
             statuses.append(status)
             if status not in _RETRYABLE_STATUS:
                 raise GenerationSourceError(f"endpoint returned {status}", statuses)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_score_clamps_at_zero():
     worse = inst.target + np.sqrt(2.0) * (inst.seed_model - inst.target)
     assert mse(worse, inst.dev_probes) == pytest.approx(2 * inst.dev_baseline_mse)
     assert score(worse, inst.dev_probes, inst.dev_baseline_mse) == 0.0
+
+
+def test_non_finite_mse_scores_zero_without_warnings():
+    inst = make_instance(3, d=16, k=2, component_noise=0.05, probe_counts=(10, 10))
+    huge = np.full(16, 1e200)  # finite, but its squared residuals overflow
+    with_nan = np.full(16, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mse(huge, inst.dev_probes) == np.inf
+        assert np.isnan(mse(with_nan, inst.dev_probes))
+        assert score(huge, inst.dev_probes, inst.dev_baseline_mse) == 0.0
+        assert score(with_nan, inst.dev_probes, inst.dev_baseline_mse) == 0.0
 
 
 def test_score_monotone_in_distance():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mergeforge.dsl import EvalBudget, compile_program, evaluate
-from mergeforge.dsl.ast import OP_TABLE, BinOp, Call, Fold
+from mergeforge.dsl.ast import OP_TABLE, Call, Fold
+from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
 
@@ -61,6 +62,28 @@ def test_infix_and_named_forms_agree():
     )
 
 
+# Canonical hashes are written to the deterministic run files, so the bytes
+# they hash are pinned.
+PINNED_HASHES = {
+    "cosine_blend_fold": "2cb919b8a48af5dd90c3c9a13a7dcb0a",
+    "extremes_mixture": "8f8dbe2c756744e786c3c5b07bed6d6b",
+    "mean_shift_fold": "e7a8cb29ebe718a572b5a81b055fba4b",
+    "stack_mean": "36897b95684dce7cf6b57ee323d6a1da",
+    "uniform_sum": "1853020d975501b66b3b2f1e6de66bfc",
+    "weighted_sum_three": "482f86c43ab6d03fe33515838be5b33f",
+    "merge(models) = models[0] + models[1]": "fa020c132284bf1d8df6f8617d92ee9b",
+    "merge(models) = add(models[0], models[1])": "fa020c132284bf1d8df6f8617d92ee9b",
+    "merge(models) = models[0] * 0.5": "f794f4763da905a798dfaffaafe2083b",
+    "merge(models) = scale(0.5, models[0])": "f794f4763da905a798dfaffaafe2083b",
+}
+
+
+@pytest.mark.parametrize("key", PINNED_HASHES)
+def test_pinned_canonical_hashes(key):
+    source = load_corpus_source(key) if key in corpus_names() else key
+    assert h(source) == PINNED_HASHES[key]
+
+
 def _scramble(node):
     """Equivalence-preserving rewrite: swap commutative args, rename binders."""
     if isinstance(node, Call):
@@ -68,12 +91,6 @@ def _scramble(node):
         if OP_TABLE[node.op].commutative:
             args = tuple(reversed(args))
         return Call(op=node.op, args=args)
-    if isinstance(node, BinOp):
-        return BinOp(
-            symbol=node.symbol,
-            left=_scramble(node.left),
-            right=_scramble(node.right),
-        )
     if isinstance(node, Fold):
         renames = {node.binders[0]: "left_", node.binders[1]: "right_"}
         return Fold(
@@ -92,9 +109,6 @@ def _rename(node, renames):
         return Var(name=renames.get(node.name, node.name))
     if isinstance(node, Call):
         return Call(op=node.op, args=tuple(_rename(a, renames) for a in node.args))
-    if isinstance(node, BinOp):
-        return BinOp(symbol=node.symbol, left=_rename(node.left, renames),
-                     right=_rename(node.right, renames))
     if isinstance(node, Fold):
         inner = {k: v for k, v in renames.items() if k not in node.binders}
         return Fold(list_expr=_rename(node.list_expr, renames),

@@ -154,6 +154,12 @@ def test_vector_times_scalar_matches_scale():
     )
 
 
+def test_vector_times_scalar_evaluates_the_scalar_first():
+    # v * s is scale(s, v), so the failing scalar operand is reported
+    with pytest.raises(DslRuntimeError, match=r"models\[7\] out of range"):
+        run("merge(models) = models[5] * norm2(models[7])", [np.ones(2)] * 3)
+
+
 def test_default_budget_scales_with_problem_size():
     assert default_budget(3, 64).max_steps == 10_000 * 3 * 64
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mergeforge.dsl import (
-    DslType,
     DslTypeError,
     ParseError,
     canonical_hash,
@@ -11,6 +10,7 @@ from mergeforge.dsl import (
     pretty,
     typecheck,
 )
+from mergeforge.dsl.ast import Call, ModelIndex, ScalarLit
 from mergeforge.dsl.parser import MAX_DEPTH
 from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
@@ -23,12 +23,12 @@ MEAN_FOLD_SRC = (
 
 def test_projection_parses():
     ast = typecheck(parse("merge(models) = models[0]"))
-    assert ast.ty == DslType.VECTOR
+    assert ast == ModelIndex(index=0)
 
 
 def test_mean_fold_fixture_parses():
     ast = typecheck(parse(MEAN_FOLD_SRC))
-    assert ast.ty == DslType.VECTOR
+    assert ast == parse(MEAN_FOLD_SRC)
 
 
 def test_unclosed_paren_is_parse_error():
@@ -110,7 +110,7 @@ def test_comments_and_whitespace():
         models[0],   # first
         models[1])
     """
-    assert typecheck(parse(src)).ty == DslType.VECTOR
+    assert typecheck(parse(src)) == parse("merge(models) = add(models[0], models[1])")
 
 
 def test_non_integer_index_rejected():
@@ -120,7 +120,7 @@ def test_non_integer_index_rejected():
 
 def test_negative_literal():
     ast = typecheck(parse("merge(models) = scale(-0.5, models[0])"))
-    assert ast.ty == DslType.VECTOR
+    assert ast == Call(op="scale", args=(ScalarLit(value=-0.5), ModelIndex(index=0)))
 
 
 # -- typecheck ------------------------------------------------------------
@@ -146,7 +146,16 @@ def test_add_of_lists_rejected():
 
 def test_infix_resolution():
     program = compile_program("merge(models) = models[0] + 0.5 * models[1]")
-    assert program.ast.ty == DslType.VECTOR
+    assert program.ast == Call(op="add", args=(
+        ModelIndex(index=0),
+        Call(op="scale", args=(ScalarLit(value=0.5), ModelIndex(index=1))),
+    ))
+
+
+def test_typecheck_lowers_infix_to_named_ops():
+    assert typecheck(parse("merge(models) = models[0] * 0.5")) == typecheck(
+        parse("merge(models) = scale(0.5, models[0])")
+    )
 
 
 def test_scalar_plus_vector_rejected():
@@ -156,9 +165,15 @@ def test_scalar_plus_vector_rejected():
 
 # -- pretty-print round trip ----------------------------------------------
 
-@pytest.mark.parametrize("name", corpus_names())
-def test_corpus_round_trip(name):
-    source = load_corpus_source(name)
+SCALAR_INFIX_SRC = "merge(models) = scale(mean_elem(models[0]) + 0.1, models[0])"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [load_corpus_source(name) for name in corpus_names()] + [SCALAR_INFIX_SRC],
+    ids=corpus_names() + ["scalar_infix"],
+)
+def test_corpus_round_trip(source):
     ast = typecheck(parse(source))
     reparsed = typecheck(parse(pretty(ast)))
     assert canonical_hash(reparsed) == canonical_hash(ast)

@@ -1,8 +1,11 @@
 import re
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
 from mergeforge.generator import (
@@ -158,14 +161,12 @@ def test_depth_limit_forces_terminals():
 
 
 def _depth(node):
-    from mergeforge.dsl.ast import BinOp, Call, Fold
+    from mergeforge.dsl.ast import Call, Fold
 
     if isinstance(node, Call):
         return 1 + max((_depth(a) for a in node.args), default=0)
     if isinstance(node, Fold):
         return 1 + max(_depth(node.list_expr), _depth(node.init_expr), _depth(node.body))
-    if isinstance(node, BinOp):
-        return 1 + max(_depth(node.left), _depth(node.right))
     return 1
 
 
@@ -286,6 +287,33 @@ def test_extract_idempotence():
     once = extract_program(raw)
     again = extract_program(f"```\n{once}\n```")
     assert once == again
+
+
+def test_extract_is_linear_on_unclosed_fences():
+    start = time.perf_counter()
+    assert extract_program("`" * 80_000) is None
+    assert time.perf_counter() - start < 0.5
+
+
+# The regex the fence scan replaced: same results, quadratic on hostile text.
+_FENCE_ORACLE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+
+def _oracle_extract(raw):
+    for match in _FENCE_ORACLE.finditer(raw):
+        body = match.group(1)
+        if any(line.lstrip().startswith("merge(") for line in body.splitlines()):
+            return body.strip()
+    return None
+
+
+_fence_pieces = st.sampled_from(["`", "``", "```", "\n", " ", "x", "merge(", "\r", "```merge\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_fence_pieces, max_size=40).map("".join))
+def test_extract_matches_the_regex_oracle(raw):
+    assert extract_program(raw) == _oracle_extract(raw)
 
 
 # -- op lists in documents --------------------------------------------------

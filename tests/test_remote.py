@@ -34,6 +34,9 @@ class _MockEndpoint:
                 if status == -1:  # malformed 200 body
                     payload = b'{"unexpected": true}'
                     status = 200
+                elif status == -2:  # 200 body that is not JSON
+                    payload = b"<html>gateway says hello</html>"
+                    status = 200
                 else:
                     payload = json.dumps({
                         "choices": [{"message": {"content": outer.completion}}]
@@ -119,6 +122,13 @@ def test_malformed_body_is_protocol_error(endpoint):
     server = endpoint(script=[-1])
     with pytest.raises(ProtocolError):
         remote_generate(_config(server), "p", 1.0, 1)
+
+
+def test_non_json_body_is_protocol_error(endpoint):
+    server = endpoint(script=[-2])
+    with pytest.raises(ProtocolError, match="JSONDecodeError"):
+        remote_generate(_config(server), "p", 1.0, 1)
+    assert len(server.requests) == 1
 
 
 def test_zero_requests_rejected(endpoint):
