@@ -8,6 +8,7 @@ are never polluted by NaN or Inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +59,7 @@ class _Machine:
 
     def finite(self, value):
         if isinstance(value, float):
-            ok = np.isfinite(value)
+            ok = math.isfinite(value)
         else:
             ok = bool(np.isfinite(value).all())
         if not ok:

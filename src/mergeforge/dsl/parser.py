@@ -17,7 +17,7 @@ in the passes that recurse over the AST.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     OP_TABLE,
@@ -41,8 +41,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -61,27 +60,32 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# The token pattern plus a catch-all: findall over it walks the tokens that
+# tokenize yields, and a character tokenize rejects lands in group ``bad``.
+SCAN_RE = re.compile(_TOKEN_RE.pattern + r"| (?P<bad>.)", re.VERBOSE | re.DOTALL)
+
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
+    line, line_start = 1, 0  # line number and offset of its first character
+    pos, end = 0, len(source)
+    match = _TOKEN_RE.match
+    while pos < end:
+        m = match(source, pos)
         if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup or ""
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind if kind != "sym" else text, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "ws":
+            # only whitespace can hold a newline
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rfind("\n") + 1
+        elif kind != "comment":
+            tokens.append(Token(text if kind == "sym" else kind, text, line, pos - line_start + 1))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 

@@ -3,7 +3,9 @@
 Sampling runs a top-down typed derivation.  At every choice point the
 eligible productions are weighted by softmax(logit / T); at the depth limit
 only terminal productions remain eligible, so derivations always finish and
-every sampled program parses and typechecks by construction.
+every sampled program parses and typechecks by construction.  Each grammar
+slot's eligible productions and cdf are computed once per policy and
+temperature, and a choice draws the index ``Generator.choice(n, p=p)`` would.
 
 The same grammar supports deterministic re-derivation: given a typed AST we
 can recover exactly which productions a derivation would have used, which is
@@ -12,8 +14,10 @@ what the preference-based refinement consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,12 +117,21 @@ def identity_grammar() -> dict[str, list[Production]]:
     }
 
 
+class _Slot(NamedTuple):
+    """One choice point's eligible productions, their probabilities and cdf."""
+    eligible: tuple[Production, ...]
+    probs: np.ndarray
+    cdf: list[float]
+
+
 @dataclass(frozen=True)
 class GeneratorPolicy:
     grammar: dict[str, list[Production]]
     logits: dict[str, float]
     max_depth: int = 8
     version: int = 0
+    # (temperature, nonterminal, terminal only, in fold body) -> _Slot
+    _slots: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def initial(cls, grammar: dict[str, list[Production]], max_depth: int = 8) -> "GeneratorPolicy":
@@ -137,7 +150,7 @@ class GeneratorPolicy:
             if not prods:
                 raise ValueError(f"nonterminal {nt} has no productions")
             for in_body in (False, True):
-                if not any(p.terminal for p in _eligible(prods, self.max_depth, self.max_depth, in_body)):
+                if not _eligible(prods, True, in_body):
                     raise ValueError(
                         f"nonterminal {nt} has no terminal production "
                         f"({'in' if in_body else 'outside'} fold bodies)"
@@ -146,40 +159,54 @@ class GeneratorPolicy:
     def with_logits(self, logits: dict[str, float]) -> "GeneratorPolicy":
         return replace(self, logits=logits, version=self.version + 1)
 
+    def slot(self, temp: float, nt: str, depth: int, in_body: bool) -> _Slot:
+        """The choice point for ``nt`` at ``depth``, built on first use."""
+        key = (temp, nt, depth >= self.max_depth, in_body)
+        slot = self._slots.get(key)
+        if slot is None:
+            eligible = _eligible(self.grammar[nt], key[2], in_body)
+            probs = _softmax(np.array([self.logits[p.pid] for p in eligible]), temp)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            slot = self._slots[key] = _Slot(eligible, probs, cdf.tolist())
+        return slot
+
     def production_probability(self, nt: str, pid: str, temp: float,
                                depth: int = 0, in_body: bool = False) -> float:
         """Analytic softmax probability of one production at a choice point."""
-        eligible = _eligible(self.grammar[nt], depth, self.max_depth, in_body)
-        weights = _softmax(np.array([self.logits[p.pid] for p in eligible]), temp)
-        for p, w in zip(eligible, weights):
+        slot = self.slot(float(temp), nt, depth, in_body)
+        for p, w in zip(slot.eligible, slot.probs):
             if p.pid == pid:
                 return float(w)
         return 0.0
 
 
-def _eligible(prods: list[Production], depth: int, max_depth: int, in_body: bool) -> list[Production]:
-    out = [
+def _eligible(prods: list[Production], terminal_only: bool, in_body: bool) -> tuple[Production, ...]:
+    return tuple(
         p for p in prods
         if (in_body or not p.only_in_body)
         and (not in_body or not p.never_in_body)
-        and (depth < max_depth or p.terminal)
-    ]
-    return out
+        and (not terminal_only or p.terminal)
+    )
 
 
 def _softmax(logits: np.ndarray, temp: float) -> np.ndarray:
-    if temp <= 0:
+    if not temp > 0:
         raise ValueError("temperature must be positive")
     shifted = (logits - logits.max()) / temp
     w = np.exp(shifted)
-    return w / w.sum()
+    p = w / w.sum()
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities are not finite")
+    return p
 
 
 def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: bool,
             rng: np.random.Generator) -> Node:
-    eligible = _eligible(policy.grammar[nt], depth, policy.max_depth, in_body)
-    probs = _softmax(np.array([policy.logits[p.pid] for p in eligible]), temp)
-    prod = eligible[rng.choice(len(eligible), p=probs)]
+    # Generator.choice(n, p=probs) draws the cdf's searchsorted(side="right")
+    # index of one rng.random(); bisect_right finds the same index.
+    eligible, _, cdf = policy.slot(temp, nt, depth, in_body)
+    prod = eligible[bisect_right(cdf, rng.random())]
     if prod.kind == "model":
         return ModelIndex(index=int(prod.payload))
     if prod.kind == "models":

@@ -115,9 +115,12 @@ def filter_candidates(
     """Classify each candidate text into exactly one category, in input order.
 
     ``seen_hashes`` is updated with the canonical hash of every candidate that
-    compiles, so later batches can detect duplicates against this one.
+    compiles, so later batches can detect duplicates against this one.  Each
+    distinct source is compiled once per call; a repeat that compiled is a
+    duplicate of its first occurrence.
     """
     outcomes: list[CandidateOutcome] = []
+    compiled: dict[str, MergeProgram | str] = {}  # source -> program or compile error
     for raw in candidates:
         source = raw
         if extract_from_raw:
@@ -126,10 +129,15 @@ def filter_candidates(
                 outcomes.append(CandidateOutcome(NO_FUNCTION_EXTRACTED, source=raw))
                 continue
             source = extracted
-        try:
-            program = compile_program(source, provenance=(iteration, generator_kind))
-        except (ParseError, DslTypeError) as exc:
-            outcomes.append(CandidateOutcome(NON_EXECUTABLE, source=source, reason=str(exc)))
+        program = compiled.get(source)
+        if program is None:
+            try:
+                program = compile_program(source, provenance=(iteration, generator_kind))
+            except (ParseError, DslTypeError) as exc:
+                program = str(exc)
+            compiled[source] = program
+        if isinstance(program, str):
+            outcomes.append(CandidateOutcome(NON_EXECUTABLE, source=source, reason=program))
             continue
         if program.canonical_hash in seen_hashes:
             outcomes.append(CandidateOutcome(DUPLICATE, source=source, program=program))

@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 from .dsl.ast import OP_TABLE
-from .dsl.parser import ParseError, tokenize
+from .dsl.parser import SCAN_RE
 from .pipeline import CATEGORIES, SUCCESS
 
 HISTOGRAM_BIN_WIDTH = 5.0
@@ -44,20 +44,23 @@ def histogram_bins(scores, width: float = HISTOGRAM_BIN_WIDTH) -> list[tuple[flo
     return [(i * width, (i + 1) * width, counts[i]) for i in sorted(counts)]
 
 
+_IDENT = SCAN_RE.groupindex["ident"] - 1
+_BAD = SCAN_RE.groupindex["bad"] - 1
+
+
 def strategy_token_counts(sources) -> Counter[str]:
     """Frequency of operation names across program sources.
 
     The desk analog of word-frequency analysis over generated strategies:
     counts op-table names (plus ``fold``) in the token stream of each source.
+    Sources the lexer rejects are skipped.
     """
     names = set(OP_TABLE) | {"fold"}
     counts: Counter[str] = Counter()
     for source in sources:
-        try:
-            tokens = tokenize(source)
-        except ParseError:
-            continue
-        counts.update(t.text for t in tokens if t.kind == "ident" and t.text in names)
+        groups = tuple(zip(*SCAN_RE.findall(source)))  # one column per group
+        if groups and not any(groups[_BAD]):
+            counts.update(filter(names.__contains__, groups[_IDENT]))
     return counts
 
 

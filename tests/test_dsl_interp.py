@@ -95,6 +95,12 @@ def test_non_finite_intermediate_is_runtime_error():
         run("merge(models) = scale(1e308, scale(1e308, models[0]))", [np.ones(2)])
 
 
+def test_non_finite_scalar_is_runtime_error():
+    # norm1 of two finite 1e308 entries overflows to a float inf
+    with pytest.raises(DslRuntimeError, match="^non-finite intermediate value$"):
+        run("merge(models) = ones(norm1(scale(1e308, models[0])))", [np.ones(2)])
+
+
 def test_cos_of_zero_vector_is_runtime_error():
     with pytest.raises(DslRuntimeError, match="zero vector"):
         run(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeforge.dsl import (
     DslTypeError,
@@ -11,7 +13,7 @@ from mergeforge.dsl import (
     typecheck,
 )
 from mergeforge.dsl.ast import Call, ModelIndex, ScalarLit
-from mergeforge.dsl.parser import MAX_DEPTH
+from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, tokenize
 from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
@@ -186,3 +188,68 @@ def test_sampled_program_round_trip():
         ast = typecheck(parse(source))
         reparsed = typecheck(parse(pretty(ast)))
         assert canonical_hash(reparsed) == canonical_hash(ast)
+
+
+# -- lexer against the per-token-object oracle ------------------------------
+
+def _oracle_tokenize(source):
+    """The lexer before tokens became tuples: newlines counted in every token."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        text = m.group(0)
+        kind = m.lastgroup or ""
+        if kind not in ("ws", "comment"):
+            tokens.append((kind if kind != "sym" else text, text, line, col))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _lexed(lex, source):
+    try:
+        return [tuple(t) for t in lex(source)]
+    except ParseError as exc:
+        return (exc.line, exc.col, str(exc))
+
+
+_LEXER_CASES = [
+    "1e5add", "# add\nadd(", "\tadd(\t models[0],\n\t\tmodels[1])", "add(\r\n models[0])\r\n",
+    "add(é)", "", "merge(models) = (acc, x) -> 1.5e-3 * models[2]\n# end",
+    "\n\n  x\n", "models[0] !", "a b\x0cc d",
+]
+
+_lexer_text = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from([
+        "add", "(", ")", "[", "]", ",", "=", "+", "-", "*", "->", "1", "1e5", "0.5e-3", "é",
+        " ", "\t", "\n", "\r\n", "# note", "#", "models", "_x9", "!", "\x0b",
+    ]), max_size=60).map("".join),
+)
+
+
+@pytest.mark.parametrize("source", _LEXER_CASES)
+def test_tokenize_matches_the_oracle_on_hand_cases(source):
+    assert _lexed(tokenize, source) == _lexed(_oracle_tokenize, source)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lexer_text)
+def test_tokenize_matches_the_oracle(source):
+    assert _lexed(tokenize, source) == _lexed(_oracle_tokenize, source)
+
+
+def test_unexpected_character_position():
+    with pytest.raises(ParseError, match="unexpected character 'é'") as exc:
+        tokenize("merge(models) =\n  add(é)")
+    assert (exc.value.line, exc.value.col) == (2, 7)

@@ -1,5 +1,7 @@
+import hashlib
 import re
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -351,3 +353,114 @@ def test_grammar_calls_follow_the_op_table():
         "ones": ("S",), "mean_elem": ("V",), "norm1": ("V",), "norm2": ("V",),
         "cos": ("V", "V"), "clamp": ("S", "S", "S"), "length": ("L",), "tail": ("L",),
     }
+
+
+# -- cached slots against the per-choice-point sampler ----------------------
+
+def _oracle_derive(policy, temp, nt, depth, in_body, rng):
+    """The sampler before slots were cached: eligibility, softmax and rng.choice at every choice."""
+    from mergeforge.dsl.ast import Call, Fold, ModelIndex, ModelsRef, ScalarLit, Var
+    from mergeforge.generator import BINDERS
+
+    eligible = [
+        p for p in policy.grammar[nt]
+        if (in_body or not p.only_in_body)
+        and (not in_body or not p.never_in_body)
+        and (depth < policy.max_depth or p.terminal)
+    ]
+    logits = np.array([policy.logits[p.pid] for p in eligible])
+    w = np.exp((logits - logits.max()) / temp)
+    prod = eligible[rng.choice(len(eligible), p=w / w.sum())]
+    if prod.kind == "model":
+        return ModelIndex(index=int(prod.payload))
+    if prod.kind == "models":
+        return ModelsRef()
+    if prod.kind == "lit":
+        return ScalarLit(value=float(prod.payload))
+    if prod.kind == "var":
+        return Var(name=BINDERS[int(prod.payload)])
+    if prod.kind == "call":
+        return Call(op=prod.payload, args=tuple(
+            _oracle_derive(policy, temp, a, depth + 1, in_body, rng) for a in prod.args
+        ))
+    return Fold(
+        list_expr=_oracle_derive(policy, temp, prod.args[0], depth + 1, False, rng),
+        init_expr=_oracle_derive(policy, temp, prod.args[1], depth + 1, False, rng),
+        binders=BINDERS,
+        body=_oracle_derive(policy, temp, prod.args[2], depth + 1, True, rng),
+    )
+
+
+_N_PRODUCTIONS = sum(len(prods) for prods in default_grammar(3).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    logits=st.lists(st.floats(-10.0, 10.0), min_size=_N_PRODUCTIONS, max_size=_N_PRODUCTIONS),
+    temp=st.floats(0.05, 3.0, exclude_min=True),
+    max_depth=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, seed):
+    from mergeforge.dsl import pretty
+
+    policy = GeneratorPolicy.initial(default_grammar(3), max_depth=max_depth)
+    policy = policy.with_logits(dict(zip(policy.logits, logits)))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        expected = pretty(_oracle_derive(policy, temp, NT_VECTOR, 0, False, oracle_rng))
+        assert sample_program(policy, temp, rng) == expected
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_pinned_sample_texts():
+    # sha256 of the first 300 texts, recorded before choice points drew from cached slots
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    rng = np.random.default_rng(7)
+    texts = [sample_program(policy, 1.2, rng) for _ in range(300)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "190acc389703dc267fef66de9671dd44c7ac27ab58c40eb9b366d2242056983e"
+    )
+
+
+@pytest.mark.parametrize("nt,depth,in_body", [
+    (NT_VECTOR, 0, False), (NT_VECTOR, 0, True), (NT_VECTOR, 4, False),
+    (NT_SCALAR, 2, True), (NT_LIST, 4, False),
+])
+def test_production_probability_matches_the_cached_cdf(nt, depth, in_body):
+    policy = GeneratorPolicy.initial(default_grammar(3), max_depth=4)
+    policy = policy.with_logits({pid: 0.37 * (i % 7) - 1.0 for i, pid in enumerate(policy.logits)})
+    eligible, _, cdf = policy.slot(0.8, nt, depth, in_body)
+    increments = np.diff(cdf, prepend=0.0)
+    probs = {p.pid: policy.production_probability(nt, p.pid, 0.8, depth, in_body)
+             for p in policy.grammar[nt]}
+    assert [probs[p.pid] for p in eligible] == pytest.approx(increments, abs=1e-12)
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(probs[p.pid] == 0.0 for p in policy.grammar[nt] if p not in eligible)
+
+
+def test_refined_policy_starts_with_no_cached_slots():
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    before = policy.production_probability(NT_VECTOR, "V->add", 1.0)
+    assert policy.with_logits(policy.logits)._slots == {}
+    refined = policy.with_logits({**policy.logits, "V->add": 3.0})
+    assert refined.production_probability(NT_VECTOR, "V->add", 1.0) > before
+    assert refined == replace(policy, logits=refined.logits, version=1)  # slots do not compare
+
+
+@pytest.mark.parametrize("temp", [0.0, -1.0, float("nan")])
+def test_non_positive_temperature_raises(temp):
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    with pytest.raises(ValueError, match="temperature"):
+        sample_program(policy, temp, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="temperature"):
+        policy.production_probability(NT_VECTOR, "V->add", temp)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_infinite_logit_raises():
+    # rng.choice rejected the NaN probabilities an infinite logit gives; the cached slot does too
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    policy = policy.with_logits({**policy.logits, "V->add": float("inf")})
+    with pytest.raises(ValueError, match="not finite"):
+        sample_program(policy, 1.0, np.random.default_rng(0))

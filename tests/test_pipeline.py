@@ -175,6 +175,60 @@ def test_typecheck_failures_do_not_poison_duplicates(instance):
     assert [o.category for o in outcomes] == [NON_EXECUTABLE, NON_EXECUTABLE]
 
 
+_SEEN_BEFORE = "merge(models) = mean_stack(models)"
+_MEMO_PROGRAMS = [
+    "merge(models) = add(models[0], models[1])",  # success
+    _deep_program(),                              # timeout under EvalBudget(60)
+    "merge(models) = add(models[0]",              # parse error
+    "merge(models) = mean_elem(models[0])",       # type error
+    "merge(models) = models[9]",                  # runtime error
+    _SEEN_BEFORE,                                 # hash in the incoming set
+]
+
+
+def _outcome_key(o):
+    return (o.category, o.program.canonical_hash if o.program else None,
+            o.dev_score, o.reason, o.source)
+
+
+@pytest.mark.parametrize("extract_from_raw", [False, True])
+def test_repeats_in_one_call_match_one_call_per_text(instance, monkeypatch, extract_from_raw):
+    import mergeforge.pipeline as pipeline
+
+    texts = list(_MEMO_PROGRAMS)
+    if extract_from_raw:
+        texts = [f"```\n{src}\n```" for src in texts] + [
+            "prose only, no fence",              # no_function_extracted
+            f"Another idea:\n```merge\n{_MEMO_PROGRAMS[0]}\n```",  # same source, other raw
+        ]
+    batch = texts + texts[::-1] + texts
+    seen_before = {compile_program(_SEEN_BEFORE).canonical_hash}
+    budget = EvalBudget(60)
+
+    seen_single = set(seen_before)
+    single = [
+        _filter(instance, [text], budget=budget, seen=seen_single, extract_from_raw=extract_from_raw)[0]
+        for text in batch
+    ]
+    sources = []
+    compile_program_ = pipeline.compile_program
+    monkeypatch.setattr(pipeline, "compile_program",
+                        lambda source, **kw: sources.append(source) or compile_program_(source, **kw))
+    seen_batch = set(seen_before)
+    whole = _filter(instance, batch, budget=budget, seen=seen_batch, extract_from_raw=extract_from_raw)
+
+    assert [_outcome_key(o) for o in whole] == [_outcome_key(o) for o in single]
+    assert seen_batch == seen_single
+    assert sorted(sources) == sorted(set(_MEMO_PROGRAMS))  # each distinct source compiled once
+    first = [o.category for o in whole[:len(_MEMO_PROGRAMS)]]
+    assert first == [SUCCESS, TIMEOUT, NON_EXECUTABLE, NON_EXECUTABLE, NON_EXECUTABLE, DUPLICATE]
+    last = [o.category for o in whole[-len(texts):][:len(_MEMO_PROGRAMS)]]
+    assert last == [DUPLICATE, DUPLICATE, NON_EXECUTABLE, NON_EXECUTABLE, DUPLICATE, DUPLICATE]
+    assert set(o.category for o in whole) == set(CATEGORIES) - (
+        set() if extract_from_raw else {NO_FUNCTION_EXTRACTED}
+    )
+
+
 def _dev_score(instance, program):
     return score_program(
         program, instance.task_vectors(), instance.seed_model,

@@ -1,9 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergeforge.config import BenchmarkConfig, RunConfig
+from mergeforge.dsl import OP_TABLE, ParseError
+from mergeforge.dsl.parser import tokenize
 from mergeforge.driver import run
 from mergeforge.report import ReportError, histogram_bins, strategy_token_counts, write_reports
 
@@ -33,6 +38,43 @@ def test_strategy_token_counts():
     assert counts["add"] == 1
     assert counts["mean_elem"] == 1
     assert "models" not in counts
+
+
+def _oracle_token_counts(sources):
+    """Op names counted from tokenize's token stream; unlexable sources skipped."""
+    names = set(OP_TABLE) | {"fold"}
+    counts = Counter()
+    for source in sources:
+        try:
+            tokens = tokenize(source)
+        except ParseError:
+            continue
+        counts.update(t.text for t in tokens if t.kind == "ident" and t.text in names)
+    return counts
+
+
+_REPORT_CASES = [
+    "1e5add", "# add\nadd(", "\tadd(\t fold(models),\n\t\tnorm2)", "add(\r\n tail)\r\n",
+    "add(é)", "", "mean_stack # mean_stack é\nsum_stack", "add_x addx xadd 1add", "add!",
+]
+
+
+def test_strategy_token_counts_match_the_oracle_on_hand_cases():
+    for source in _REPORT_CASES:
+        assert strategy_token_counts([source]) == _oracle_token_counts([source]), source
+    assert strategy_token_counts(_REPORT_CASES) == _oracle_token_counts(_REPORT_CASES)
+
+
+_report_text = st.lists(st.sampled_from([
+    *OP_TABLE, "fold", "models", "(", ")", ",", " ", "\n", "\t", "1", "1e5", "é", "#", "!",
+    "_", "x",
+]), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_report_text, st.text(max_size=40)), max_size=5))
+def test_strategy_token_counts_match_the_oracle(sources):
+    assert strategy_token_counts(sources) == _oracle_token_counts(sources)
 
 
 def _write_logs(run_dir, candidates, iterations):
