@@ -76,7 +76,7 @@ class BenchmarkInstance:
         h = hashlib.sha256()
         for arr in (self.seed_model, self.target, self.masks.astype(np.uint8),
                     self.dev_probes.xs, self.test_probes.xs, *self.candidates):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
 

@@ -20,6 +20,16 @@ from .pipeline import score_program
 from .report import write_reports
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mergeforge")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -41,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score one merge program on an instance")
     p_eval.add_argument("--program", required=True, help="path to a .merge file")
     p_eval.add_argument("--instance", required=True)
-    p_eval.add_argument("--budget", type=int, default=None)
+    p_eval.add_argument("--budget", type=_positive_int, default=None)
     p_eval.add_argument("--probes", choices=("dev", "test"), default="dev")
 
     p_base = sub.add_parser("baseline", help="run a built-in baseline")
@@ -81,7 +91,7 @@ def _cmd_make_instance(args) -> int:
 def _cmd_eval(args) -> int:
     instance = benchmark.load_instance(args.instance)
     program = compile_program(Path(args.program).read_text())
-    budget = EvalBudget(args.budget) if args.budget else default_budget(instance.k, instance.d)
+    budget = EvalBudget(args.budget) if args.budget is not None else default_budget(instance.k, instance.d)
     if args.probes == "dev":
         probes, baseline = instance.dev_probes, instance.dev_baseline_mse
     else:

@@ -12,12 +12,19 @@ becomes a Call whose op is its symbol, which the typechecker resolves.  Both
 the nesting of brackets and call arguments and the depth of the resulting AST
 are bounded by MAX_DEPTH, so no text, however deep, exhausts the stack here or
 in the passes that recurse over the AST.
+
+The lexer splits a text with one ``findall`` and classifies each piece by its
+first character, so a token costs no Python-level regex call; the parser walks
+the resulting lists by index.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
+from itertools import accumulate, compress
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .ast import (
     OP_TABLE,
@@ -48,196 +55,85 @@ class Token(NamedTuple):
     col: int
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<sym>[()\[\],=+\-*])
-    """,
-    re.VERBOSE,
+# Token alternatives in match order; ws and comment pieces are skipped.
+_ALTERNATIVES = (
+    ("ws", r"\s+"),
+    ("comment", r"#[^\n]*"),
+    ("number", r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("arrow", r"->"),
+    ("sym", r"[()\[\],=+\-*]"),
 )
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _ALTERNATIVES))
 
 # The token pattern plus a catch-all: findall over it walks the tokens that
 # tokenize yields, and a character tokenize rejects lands in group ``bad``.
-SCAN_RE = re.compile(_TOKEN_RE.pattern + r"| (?P<bad>.)", re.VERBOSE | re.DOTALL)
+SCAN_RE = re.compile(_TOKEN_RE.pattern + r"|(?P<bad>.)", re.DOTALL)
+
+# The same without groups, so findall returns the pieces themselves: tokens,
+# skipped text and single rejected characters, which together tile the text.
+_PIECE_RE = re.compile("|".join(pattern for _, pattern in _ALTERNATIVES) + r"|.", re.DOTALL)
+
+
+def _kind(piece: str) -> str | None:
+    """A piece's token kind, "" for skipped text, None for a rejected character."""
+    m = _TOKEN_RE.match(piece)
+    if m is None:
+        return None
+    kind = m.lastgroup
+    return "" if kind in ("ws", "comment") else piece if kind == "sym" else kind
+
+
+# The alternatives' first characters are disjoint except "-", which starts
+# both "-" and "->" (_lex marks the arrows), so the first character of an
+# ASCII piece fixes its kind.  Other first characters are left to _kind.
+_FIRST_KIND = {c: k for c in map(chr, range(128)) if (k := _kind(c)) is not None}
+
+
+def _locator(source: str) -> Callable[[int], tuple[int, int]]:
+    """Map an offset in ``source`` to its (line, col), both from 1."""
+    if "\n" not in source:
+        return lambda offset: (1, offset + 1)
+    starts = [0, *(m.end() for m in re.finditer("\n", source))]
+
+    def locate(offset: int) -> tuple[int, int]:
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    return locate
+
+
+def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds, texts and offsets of the tokens of ``source``, ending in eof."""
+    pieces = _PIECE_RE.findall(source)
+    offsets = list(accumulate(map(len, pieces), initial=0))
+    kinds = list(map(_FIRST_KIND.get, map(itemgetter(0), pieces)))
+    j = -1
+    for _ in range(pieces.count("->")):
+        j = pieces.index("->", j + 1)
+        kinds[j] = "arrow"
+    if None in kinds:  # a non-ASCII or rejected first character
+        for j, kind in enumerate(kinds):
+            if kind is None:
+                kind = kinds[j] = _kind(pieces[j])
+                if kind is None:
+                    raise ParseError(
+                        f"unexpected character {pieces[j]!r}", *_locator(source)(offsets[j])
+                    )
+    texts = list(compress(pieces, kinds))
+    offsets = list(compress(offsets, kinds))
+    kinds = list(filter(None, kinds))
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(len(source))
+    return kinds, texts, offsets
 
 
 def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line number and offset of its first character
-    pos, end = 0, len(source)
-    match = _TOKEN_RE.match
-    while pos < end:
-        m = match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "ws":
-            # only whitespace can hold a newline
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + text.rfind("\n") + 1
-        elif kind != "comment":
-            tokens.append(Token(text if kind == "sym" else kind, text, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.scopes: list[tuple[str, str]] = []  # fold binder pairs, innermost last
-        self.depth = 0  # nesting of brackets and call arguments
-        self.infix = False  # whether an infix operator was parsed
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or repr(kind)
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {want}, found {got!r}", tok.line, tok.col)
-        return self.advance()
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    # -- grammar ---------------------------------------------------------
-
-    def parse_program(self) -> Node:
-        head = self.expect("ident", "'merge'")
-        if head.text != "merge":
-            raise ParseError("program must start with 'merge'", head.line, head.col)
-        self.expect("(")
-        models = self.expect("ident", "'models'")
-        if models.text != "models":
-            raise ParseError("merge takes the single parameter 'models'", models.line, models.col)
-        self.expect(")")
-        self.expect("=")
-        body = self.parse_expr()
-        self.expect("eof", "end of program")
-        return body
-
-    def parse_expr(self) -> Node:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.parse_term()
-            node = Call(op=op.kind, args=(node, right), pos=(op.line, op.col))
-            self.infix = True
-        self.depth -= 1
-        return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().kind == "*":
-            op = self.advance()
-            right = self.parse_factor()
-            node = Call(op="*", args=(node, right), pos=(op.line, op.col))
-            self.infix = True
-        return node
-
-    def parse_factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return ScalarLit(value=float(tok.text), pos=(tok.line, tok.col))
-        if tok.kind == "-":
-            self.advance()
-            num = self.expect("number", "a number after unary '-'")
-            return ScalarLit(value=-float(num.text), pos=(tok.line, tok.col))
-        if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if tok.kind == "ident":
-            return self.parse_ident()
-        raise self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
-
-    def parse_ident(self) -> Node:
-        tok = self.advance()
-        name = tok.text
-        pos = (tok.line, tok.col)
-        if name == "models":
-            if self.peek().kind == "[":
-                self.advance()
-                idx = self.expect("number", "an integer index")
-                if not idx.text.isdigit():
-                    raise ParseError("model index must be an integer", idx.line, idx.col)
-                self.expect("]")
-                return ModelIndex(index=int(idx.text), pos=pos)
-            return ModelsRef(pos=pos)
-        if name == "fold":
-            return self.parse_fold(pos)
-        if name in OP_TABLE:
-            args = self.parse_args()
-            arity = len(OP_TABLE[name].args)
-            if len(args) != arity:
-                raise ParseError(
-                    f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
-                    *pos,
-                )
-            return Call(op=name, args=tuple(args), pos=pos)
-        for pair in reversed(self.scopes):
-            if name in pair:
-                return Var(name=name, pos=pos)
-        raise ParseError(f"unknown identifier {name!r}", *pos)
-
-    def parse_args(self) -> list[Node]:
-        self.expect("(")
-        args = [self.parse_expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            args.append(self.parse_expr())
-        self.expect(")")
-        return args
-
-    def parse_fold(self, pos: tuple[int, int]) -> Node:
-        self.expect("(")
-        list_expr = self.parse_expr()
-        self.expect(",")
-        init_expr = self.parse_expr()
-        self.expect(",")
-        self.expect("(")
-        first = self.expect("ident", "a binder name")
-        self.expect(",")
-        second = self.expect("ident", "a binder name")
-        if second.text == first.text:
-            raise ParseError("fold binders must be distinct", second.line, second.col)
-        self.expect(")")
-        self.expect("arrow", "'->'")
-        self.scopes.append((first.text, second.text))
-        try:
-            body = self.parse_expr()
-        finally:
-            self.scopes.pop()
-        self.expect(")")
-        return Fold(
-            list_expr=list_expr,
-            init_expr=init_expr,
-            binders=(first.text, second.text),
-            body=body,
-            pos=pos,
-        )
+    """The tokens of ``source`` as the parser reads them, ending in eof."""
+    kinds, texts, offsets = _lex(source)
+    locate = _locator(source)
+    return [Token(kind, text, *locate(off)) for kind, text, off in zip(kinds, texts, offsets)]
 
 
 def _height(root: Node) -> int:
@@ -253,11 +149,154 @@ def _height(root: Node) -> int:
     return height
 
 
+_ARITY = {name: len(op.args) for name, op in OP_TABLE.items()}
+
+
 def parse(source: str) -> Node:
     """Parse program text into an untyped AST; raises ParseError with position."""
-    parser = _Parser(tokenize(source))
-    root = parser.parse_program()
+    kinds, texts, offsets = _lex(source)
+    locate = _locator(source)
+    i = 0  # index of the next token
+    depth = 0  # nesting of brackets and call arguments
+    infix = False  # whether an infix operator was parsed
+    scopes: list[tuple[str, str]] = []  # fold binder pairs, innermost last
+
+    def error(message: str, j: int) -> ParseError:
+        return ParseError(message, *locate(offsets[j]))
+
+    def expected(want: str) -> ParseError:
+        return error(f"expected {want}, found {texts[i] or 'end of input'!r}", i)
+
+    def expect(kind: str, want: str | None = None) -> int:
+        nonlocal i
+        if kinds[i] != kind:
+            raise expected(want or repr(kind))
+        i += 1
+        return i - 1
+
+    def expr() -> Node:
+        nonlocal i, depth, infix
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise error(f"expression nested deeper than {MAX_DEPTH} levels", i)
+        node = factor()
+        kind = kinds[i]
+        while kind == "*" or kind == "+" or kind == "-":
+            infix = True
+            op = i
+            i += 1
+            right = factor()
+            if kind != "*":  # the right term binds its own "*" chain first
+                while kinds[i] == "*":
+                    star = i
+                    i += 1
+                    right = Call("*", (right, factor()), pos=locate(offsets[star]))
+            node = Call(kind, (node, right), pos=locate(offsets[op]))
+            kind = kinds[i]
+        depth -= 1
+        return node
+
+    def factor() -> Node:
+        nonlocal i
+        j = i
+        kind = kinds[j]
+        i += 1
+        if kind == "ident":
+            name = texts[j]
+            arity = _ARITY.get(name)
+            if arity is not None:
+                if kinds[i] != "(":
+                    raise expected("'('")
+                i += 1
+                args = [expr()]
+                while kinds[i] == ",":
+                    i += 1
+                    args.append(expr())
+                if kinds[i] != ")":
+                    raise expected("')'")
+                i += 1
+                if len(args) != arity:
+                    plural = "s" if arity != 1 else ""
+                    raise error(f"{name} takes {arity} argument{plural}, got {len(args)}", j)
+                return Call(name, tuple(args), pos=locate(offsets[j]))
+            if name == "models":
+                if kinds[i] != "[":
+                    return ModelsRef(pos=locate(offsets[j]))
+                i += 1
+                if kinds[i] != "number":
+                    raise expected("an integer index")
+                index = texts[i]
+                if not index.isdigit():
+                    raise error("model index must be an integer", i)
+                i += 1
+                if kinds[i] != "]":
+                    raise expected("']'")
+                i += 1
+                return ModelIndex(int(index), pos=locate(offsets[j]))
+            if name == "fold":
+                return fold(j)
+            for pair in reversed(scopes):
+                if name in pair:
+                    return Var(name, pos=locate(offsets[j]))
+            raise error(f"unknown identifier {name!r}", j)
+        if kind == "number":
+            return ScalarLit(float(texts[j]), pos=locate(offsets[j]))
+        if kind == "(":
+            node = expr()
+            if kinds[i] != ")":
+                raise expected("')'")
+            i += 1
+            return node
+        if kind == "-":
+            if kinds[i] != "number":
+                raise expected("a number after unary '-'")
+            i += 1
+            return ScalarLit(-float(texts[i - 1]), pos=locate(offsets[j]))
+        raise error(f"expected an expression, found {texts[j] or 'end of input'!r}", j)
+
+    def fold(j: int) -> Node:
+        expect("(")
+        list_expr = expr()
+        expect(",")
+        init_expr = expr()
+        expect(",")
+        expect("(")
+        first = texts[expect("ident", "a binder name")]
+        expect(",")
+        second = expect("ident", "a binder name")
+        if texts[second] == first:
+            raise error("fold binders must be distinct", second)
+        expect(")")
+        expect("arrow", "'->'")
+        binders = (first, texts[second])
+        scopes.append(binders)
+        body = expr()
+        scopes.pop()
+        expect(")")
+        return Fold(
+            list_expr=list_expr,
+            init_expr=init_expr,
+            binders=binders,
+            body=body,
+            pos=locate(offsets[j]),
+        )
+
+    try:
+        if texts[expect("ident", "'merge'")] != "merge":
+            raise error("program must start with 'merge'", 0)
+        expect("(")
+        if texts[expect("ident", "'models'")] != "models":
+            raise error("merge takes the single parameter 'models'", 2)
+        expect(")")
+        expect("=")
+        root = expr()
+        expect("eof", "end of program")
+    finally:
+        # The nested functions reach one another through their closures, a
+        # reference cycle; unbinding them frees the parse's lists here rather
+        # than at the next run of the cycle collector.
+        expr = factor = fold = None
     # Without infix chains the AST is no deeper than the bracket nesting.
-    if parser.infix and _height(root) > MAX_DEPTH:
+    if infix and _height(root) > MAX_DEPTH:
         raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", *root.pos)
     return root

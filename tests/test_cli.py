@@ -100,6 +100,16 @@ def test_usage_error_exit_code():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-3", "ten"])
+def test_eval_budget_must_be_a_positive_int(instance_file, tmp_path, capsys, budget):
+    program_path = tmp_path / "prog.merge"
+    program_path.write_text("merge(models) = mean_stack(models)\n")
+    argv = ["eval", "--program", str(program_path), "--instance", str(instance_file)]
+    assert main(argv + ["--budget", budget]) == 1
+    assert "--budget: expected a positive integer" in capsys.readouterr().err
+    assert main(argv + ["--budget", "1000"]) == 0
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["report", "--run", str(tmp_path)]) == 2

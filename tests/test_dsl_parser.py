@@ -1,3 +1,8 @@
+import dataclasses
+import functools
+import gc
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +17,17 @@ from mergeforge.dsl import (
     pretty,
     typecheck,
 )
-from mergeforge.dsl.ast import Call, ModelIndex, ScalarLit
-from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, tokenize
+from mergeforge.dsl.ast import (
+    OP_TABLE,
+    Call,
+    Fold,
+    ModelIndex,
+    ModelsRef,
+    Node,
+    ScalarLit,
+    Var,
+)
+from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, Token, _height, tokenize
 from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
@@ -253,3 +267,358 @@ def test_unexpected_character_position():
     with pytest.raises(ParseError, match="unexpected character 'é'") as exc:
         tokenize("merge(models) =\n  add(é)")
     assert (exc.value.line, exc.value.col) == (2, 7)
+
+
+# -- parser against the per-token-method oracle ------------------------------
+
+class _OracleParser:
+    """The parser before it read parallel token lists: a method per step."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.scopes = []  # fold binder pairs, innermost last
+        self.depth = 0  # nesting of brackets and call arguments
+        self.infix = False  # whether an infix operator was parsed
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind, what=None):
+        tok = self.peek()
+        if tok.kind != kind:
+            want = what or repr(kind)
+            got = tok.text or "end of input"
+            raise ParseError(f"expected {want}, found {got!r}", tok.line, tok.col)
+        return self.advance()
+
+    def fail(self, message):
+        tok = self.peek()
+        return ParseError(message, tok.line, tok.col)
+
+    def parse_program(self):
+        head = self.expect("ident", "'merge'")
+        if head.text != "merge":
+            raise ParseError("program must start with 'merge'", head.line, head.col)
+        self.expect("(")
+        models = self.expect("ident", "'models'")
+        if models.text != "models":
+            raise ParseError("merge takes the single parameter 'models'", models.line, models.col)
+        self.expect(")")
+        self.expect("=")
+        body = self.parse_expr()
+        self.expect("eof", "end of program")
+        return body
+
+    def parse_expr(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
+        node = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            right = self.parse_term()
+            node = Call(op=op.kind, args=(node, right), pos=(op.line, op.col))
+            self.infix = True
+        self.depth -= 1
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek().kind == "*":
+            op = self.advance()
+            right = self.parse_factor()
+            node = Call(op="*", args=(node, right), pos=(op.line, op.col))
+            self.infix = True
+        return node
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            return ScalarLit(value=float(tok.text), pos=(tok.line, tok.col))
+        if tok.kind == "-":
+            self.advance()
+            num = self.expect("number", "a number after unary '-'")
+            return ScalarLit(value=-float(num.text), pos=(tok.line, tok.col))
+        if tok.kind == "(":
+            self.advance()
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        if tok.kind == "ident":
+            return self.parse_ident()
+        raise self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+
+    def parse_ident(self):
+        tok = self.advance()
+        name = tok.text
+        pos = (tok.line, tok.col)
+        if name == "models":
+            if self.peek().kind == "[":
+                self.advance()
+                idx = self.expect("number", "an integer index")
+                if not idx.text.isdigit():
+                    raise ParseError("model index must be an integer", idx.line, idx.col)
+                self.expect("]")
+                return ModelIndex(index=int(idx.text), pos=pos)
+            return ModelsRef(pos=pos)
+        if name == "fold":
+            return self.parse_fold(pos)
+        if name in OP_TABLE:
+            args = self.parse_args()
+            arity = len(OP_TABLE[name].args)
+            if len(args) != arity:
+                raise ParseError(
+                    f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
+                    *pos,
+                )
+            return Call(op=name, args=tuple(args), pos=pos)
+        for pair in reversed(self.scopes):
+            if name in pair:
+                return Var(name=name, pos=pos)
+        raise ParseError(f"unknown identifier {name!r}", *pos)
+
+    def parse_args(self):
+        self.expect("(")
+        args = [self.parse_expr()]
+        while self.peek().kind == ",":
+            self.advance()
+            args.append(self.parse_expr())
+        self.expect(")")
+        return args
+
+    def parse_fold(self, pos):
+        self.expect("(")
+        list_expr = self.parse_expr()
+        self.expect(",")
+        init_expr = self.parse_expr()
+        self.expect(",")
+        self.expect("(")
+        first = self.expect("ident", "a binder name")
+        self.expect(",")
+        second = self.expect("ident", "a binder name")
+        if second.text == first.text:
+            raise ParseError("fold binders must be distinct", second.line, second.col)
+        self.expect(")")
+        self.expect("arrow", "'->'")
+        self.scopes.append((first.text, second.text))
+        try:
+            body = self.parse_expr()
+        finally:
+            self.scopes.pop()
+        self.expect(")")
+        return Fold(
+            list_expr=list_expr,
+            init_expr=init_expr,
+            binders=(first.text, second.text),
+            body=body,
+            pos=pos,
+        )
+
+
+def _oracle_parse(source):
+    parser = _OracleParser([Token(*tok) for tok in _oracle_tokenize(source)])
+    root = parser.parse_program()
+    if parser.infix and _height(root) > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", *root.pos)
+    return root
+
+
+def _dump(value):
+    """A node as nested tuples that include every node's pos."""
+    if isinstance(value, Node):
+        return (type(value).__name__, value.pos, *(
+            _dump(getattr(value, f.name)) for f in dataclasses.fields(value) if f.name != "pos"
+        ))
+    if isinstance(value, tuple):
+        return tuple(_dump(v) for v in value)
+    return value
+
+
+def _parsed(parse_fn, source):
+    """The untyped and the typechecked tree, or the error with its position."""
+    try:
+        root = parse_fn(source)
+    except ParseError as exc:
+        return ("ParseError", exc.line, exc.col, str(exc))
+    untyped = _dump(root)
+    try:
+        return untyped, _dump(typecheck(root))
+    except DslTypeError as exc:
+        return untyped, ("DslTypeError", exc.pos, str(exc))
+
+
+def _nest(n, tail=""):
+    return "merge(models) = " + "add(" * n + "models[0]" + ", models[1])" * n + tail
+
+
+_PARSER_CASES = [
+    "merge(models) = models[0] + 0.5 * models[1] - models[2] * 2.0 * -1.5",
+    "merge(models) = (models[0] - models[1]) * (0.5 + mean_elem(models[2]) * 3.0)",
+    "merge(models) = scale(-0.5, models[0]) - -1.0",
+    "merge(models) = fold(models, models[0], (acc, x) -> "
+    "fold(models, acc, (x, acc) -> add(acc, scale(0.5, x))))",
+    "# header\nmerge(models) = # rest\n  add(models[0], # first\n models[1])\n",
+    "merge(models) =\r\n  add(models[0],\r\n\tmodels[1])\r\n",
+    "merge(models) = models[\u0663] * \u0663.5",
+    "merge(models) =\u00a0add(models[0],\u00a0models[1])",
+    "merge(models) =\n  add(models[0], \u00e9)",
+    "merge(models) = add(models[0])",
+    "merge(models) = ones(1.0, 2.0)",
+    "merge(models) = models[1.5]",
+    "merge(models) = fold(models, models[0], (acc, acc) -> acc)",
+    "merge(models) = add(models[0], models[1]",
+    "merge(model) = models[0]",
+    "merge(models) = mean_elem(models[0])",
+    _nest(120), _nest(127), _nest(128), _nest(200), _nest(200, " \u00e9"),
+    "merge(models) = " + "(" * 150 + "models[0]" + ")" * 150,
+    "merge(models) = models[0]" + "\n + models[1]" * 130,
+]
+
+_LEAVES = [
+    "models[0]", "models[0]", "models[2]", "models", "models", "0.5", "0.5", "-1.5", "1e-3",
+    "\u0663", "acc", "x", "models[1.5]", "models[\u0663]", "frob",
+]
+_BINDERS = ["acc", "x", "x", "y", "add", "models"]
+
+
+def _call(parts):
+    name, args = parts
+    body = [f for i, arg in enumerate(args) for f in ([","] if i else []) + arg]
+    return [name, "(", *body, ")"]
+
+
+def _infix(parts):
+    left, op, right = parts
+    return [*left, op, *right]
+
+
+def _fold(parts):
+    items, init, first, second, body = parts
+    return ["fold", "(", *items, ",", *init, ",", "(", first, ",", second, ")", "->", *body, ")"]
+
+
+# Fragment lists of any shape: unknown names, wrong arity, binders out of scope.
+_any_call = st.sampled_from([*OP_TABLE, "s_add"])
+_any_expr = st.recursive(
+    st.sampled_from(_LEAVES).map(lambda leaf: [leaf]),
+    lambda inner: st.one_of(
+        st.tuples(_any_call, st.lists(inner, max_size=4)).map(_call),
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(_infix),
+        inner.map(lambda f: ["(", *f, ")"]),
+        st.tuples(inner, inner, st.sampled_from(_BINDERS), st.sampled_from(_BINDERS), inner).map(_fold),
+    ),
+    max_leaves=24,
+)
+
+
+@functools.cache
+def _vector_expr(depth, binders=()):
+    """Fragment lists of well-typed vector expressions; fold bodies may shadow binders."""
+    leaf = st.sampled_from(["models[0]", "models[2]", "models[\u0663]", *binders]).map(lambda s: [s])
+    if depth == 0:
+        return leaf
+    vec = _vector_expr(depth - 1, binders)
+    scalar = st.one_of(
+        st.sampled_from(["0.5", "-1.5", "\u0663.5", "2e-1"]).map(lambda s: [s]),
+        vec.map(lambda v: ["mean_elem", "(", *v, ")"]),
+    )
+    scalar = st.one_of(scalar, st.tuples(scalar, st.sampled_from(["+", "-", "*"]), scalar).map(_infix))
+    pair = st.tuples(st.sampled_from(["x", "acc", "b"]), st.sampled_from(["acc", "x", "c"])).filter(
+        lambda p: p[0] != p[1]
+    )
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(["add", "sub", "hadamard", "emax", "emin"]), st.lists(vec, min_size=2, max_size=2)).map(_call),
+        st.tuples(scalar, vec).map(lambda t: ["scale", "(", *t[0], ",", *t[1], ")"]),
+        st.tuples(vec, st.sampled_from(["+", "-", "*"]), vec).map(_infix),
+        st.tuples(vec, st.just("*"), scalar).map(_infix),
+        vec.map(lambda f: ["(", *f, ")"]),
+        pair.flatmap(lambda p: st.tuples(
+            st.just(["models"]), vec, st.just(p[0]), st.just(p[1]), _vector_expr(depth - 1, p),
+        )).map(_fold),
+    )
+
+
+_HEAD = ["merge", "(", "models", ")", "="]
+_BAD_HEADS = [["merge", "(", "model", ")", "="], ["merge", "(", "models", ")"], ["merge"], []]
+_SEPARATORS = [" "] * 8 + ["", "", "\n", "\r\n", "\t", "\u00a0", " # note\n"]
+
+
+@st.composite
+def _program_text(draw):
+    head = draw(st.sampled_from(_BAD_HEADS)) if draw(st.integers(0, 9)) == 5 else _HEAD
+    fragments = head + draw(st.one_of(
+        st.tuples(_any_call, st.lists(_any_expr, min_size=1, max_size=4)).map(_call),
+        _vector_expr(4),
+    ))
+    seps = draw(st.lists(
+        st.sampled_from(_SEPARATORS), min_size=len(fragments), max_size=len(fragments),
+    ))
+    if draw(st.integers(0, 9)) == 5:  # one rejected character somewhere
+        seps[draw(st.integers(0, len(seps) - 1))] += "\u00e9"
+    return "".join(s + f for s, f in zip(seps, fragments))
+
+
+@st.composite
+def _deep_text(draw):
+    n = draw(st.integers(120, 200))
+    inner = draw(st.sampled_from(["add(", "(", "scale(0.5, "]))
+    close = {"add(": ", models[1])", "(": ")", "scale(0.5, ": ")"}[inner]
+    sep = draw(st.sampled_from(["", " ", "\n"]))
+    tail = draw(st.sampled_from(["", " # end", " \u00e9", " + models[2]", ")"]))
+    return "merge(models) = " + (inner + sep) * n + "models[0]" + close * n + tail
+
+
+@pytest.mark.parametrize("source", _PARSER_CASES, ids=[f"case{i}" for i in range(len(_PARSER_CASES))])
+def test_parse_matches_the_oracle_on_hand_cases(source):
+    assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_program_text(), _program_text(), _program_text(), _deep_text()))
+def test_parse_matches_the_oracle(source):
+    assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+
+
+def _balanced(leaves):
+    if leaves == 1:
+        return "\nmodels[0]"
+    half = leaves // 2
+    return f"add({_balanced(half)}, {_balanced(leaves - half)})"
+
+
+def test_positions_cost_linear_time():
+    source = "merge(models) = " + _balanced(4096)
+    start = time.perf_counter()
+    root = parse(source)
+    assert time.perf_counter() - start < 1.0
+    last = root
+    while isinstance(last, Call):
+        last = last.args[1]
+    assert root.pos == (1, 17) and last.pos == (4097, 1)
+    lines = (source + " \u00e9").split("\n")
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse(source + " \u00e9")
+    assert (exc.value.line, exc.value.col) == (len(lines), len(lines[-1]))
+
+
+@pytest.mark.parametrize("source", [MEAN_FOLD_SRC, "merge(models) = add(models[0], frob)"])
+def test_parse_leaves_no_reference_cycles(source):
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            try:
+                parse(source)
+            except ParseError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
