@@ -97,6 +97,16 @@ def _block_masks(d: int, k: int, overlap: float) -> np.ndarray:
     return masks
 
 
+def check_sizes(d: int, k: int, component_noise: float, n_dev: int, n_test: int) -> None:
+    """Raise ValueError unless the sizes describe a buildable instance."""
+    if d < 2 or k < 2:
+        raise ValueError(f"need d >= 2 and k >= 2, got d={d}, k={k}")
+    if not component_noise >= 0:
+        raise ValueError("component_noise must be >= 0")
+    if n_dev < 1 or n_test < 1:
+        raise ValueError("probe counts must be >= 1")
+
+
 def make_instance(
     rng_seed: int,
     d: int,
@@ -106,13 +116,8 @@ def make_instance(
     overlap: float = 0.25,
 ) -> BenchmarkInstance:
     """Deterministically build an instance from the seed and sizes."""
-    if d < 2 or k < 2:
-        raise ValueError(f"need d >= 2 and k >= 2, got d={d}, k={k}")
-    if component_noise < 0:
-        raise ValueError("component_noise must be >= 0")
     n_dev, n_test = probe_counts
-    if n_dev < 1 or n_test < 1:
-        raise ValueError("probe counts must be >= 1")
+    check_sizes(d, k, component_noise, n_dev, n_test)
 
     def rng(stream: str) -> np.random.Generator:
         return np.random.default_rng((rng_seed, STREAMS[stream]))

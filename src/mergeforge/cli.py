@@ -9,12 +9,13 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import benchmark
-from .config import ConfigError, load_config
-from .driver import run as run_search, task_arithmetic_baseline
+from .config import BenchmarkConfig, ConfigError, load_config
+from .driver import TASK_ARITHMETIC_GRID, run as run_search, task_arithmetic_baseline
 from .dsl import EvalBudget, compile_program, default_budget
 from .pipeline import score_program
 from .report import write_reports
@@ -30,25 +31,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid(text: str) -> tuple[float, ...]:
+    try:
+        grid = tuple(float(g) for g in text.split(","))
+    except ValueError:
+        grid = ()
+    if not grid or not all(map(math.isfinite, grid)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
+    return grid
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    bench = BenchmarkConfig()
     parser = argparse.ArgumentParser(prog="mergeforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a full search run")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--config", required=True, help="JSON run configuration")
     p_run.add_argument("--output-dir", default=None, help="override the config output dir")
 
     p_mk = sub.add_parser("make-instance", help="build and save a benchmark instance")
+    p_mk.set_defaults(handler=_cmd_make_instance)
     p_mk.add_argument("--seed", type=int, required=True)
     p_mk.add_argument("--d", type=int, required=True)
     p_mk.add_argument("--k", type=int, required=True)
-    p_mk.add_argument("--noise", type=float, default=0.05)
-    p_mk.add_argument("--dev", type=int, default=100)
-    p_mk.add_argument("--test", type=int, default=1000)
-    p_mk.add_argument("--overlap", type=float, default=0.25)
+    p_mk.add_argument("--noise", type=float, default=bench.component_noise)
+    p_mk.add_argument("--dev", type=int, default=bench.n_dev)
+    p_mk.add_argument("--test", type=int, default=bench.n_test)
+    p_mk.add_argument("--overlap", type=float, default=bench.overlap)
     p_mk.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="score one merge program on an instance")
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("--program", required=True, help="path to a .merge file")
     p_eval.add_argument("--instance", required=True)
     p_eval.add_argument("--budget", type=_positive_int, default=None)
@@ -57,10 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_base = sub.add_parser("baseline", help="run a built-in baseline")
     base_sub = p_base.add_subparsers(dest="baseline", required=True)
     p_ta = base_sub.add_parser("task-arithmetic", help="grid-searched weighted sum")
-    p_ta.add_argument("--grid", default="0.2,0.4,0.6", help="comma-separated mixing ratios")
+    p_ta.set_defaults(handler=_cmd_baseline_task_arithmetic)
+    p_ta.add_argument(
+        "--grid", type=_grid, default=TASK_ARITHMETIC_GRID, help="comma-separated mixing ratios"
+    )
     p_ta.add_argument("--instance", required=True)
 
     p_rep = sub.add_parser("report", help="regenerate CSV reports from run logs")
+    p_rep.set_defaults(handler=_cmd_report)
     p_rep.add_argument("--run", required=True, help="run directory")
     return parser
 
@@ -79,9 +98,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_make_instance(args) -> int:
+    bench = BenchmarkConfig(args.d, args.k, args.noise, args.dev, args.test, args.overlap)
     instance = benchmark.make_instance(
-        rng_seed=args.seed, d=args.d, k=args.k, component_noise=args.noise,
-        probe_counts=(args.dev, args.test), overlap=args.overlap,
+        rng_seed=args.seed, d=bench.d, k=bench.k, component_noise=bench.component_noise,
+        probe_counts=(bench.n_dev, bench.n_test), overlap=bench.overlap,
     )
     benchmark.save_instance(instance, args.out)
     print(f"wrote {args.out}")
@@ -109,8 +129,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_baseline_task_arithmetic(args) -> int:
     instance = benchmark.load_instance(args.instance)
-    grid = tuple(float(g) for g in args.grid.split(","))
-    result = task_arithmetic_baseline(instance, grid)
+    result = task_arithmetic_baseline(instance, args.grid)
     print(json.dumps({
         "lambdas": result["lambdas"],
         "dev_score": result["dev"],
@@ -128,24 +147,12 @@ def _cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "make-instance":
-            return _cmd_make_instance(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "baseline":
-            return _cmd_baseline_task_arithmetic(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
-        return 1
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

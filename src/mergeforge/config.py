@@ -6,6 +6,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .benchmark import check_sizes
+from .generator import GeneratorPolicy, default_grammar, temperature
 from .generator.remote import EndpointConfig
 from .pipeline import RefineConfig
 
@@ -24,10 +26,10 @@ class BenchmarkConfig:
     overlap: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.k < 2:
-            raise ConfigError("benchmark needs d >= 2 and k >= 2")
-        if self.n_dev < 1 or self.n_test < 1:
-            raise ConfigError("probe counts must be >= 1")
+        try:
+            check_sizes(self.d, self.k, self.component_noise, self.n_dev, self.n_test)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,11 @@ class RunConfig:
             raise ConfigError("top_n_for_test must be >= 1")
         if self.budget_steps is not None and self.budget_steps < 1:
             raise ConfigError("budget_steps must be >= 1")
+        try:
+            temperature(1, self.t1, self.beta)
+            GeneratorPolicy.initial(default_grammar(self.benchmark.k), self.max_depth)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def full_scale_preset(**overrides) -> RunConfig:

@@ -241,9 +241,9 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         pool = state.carryover_pool()
         pairs = []
         if len(scored) >= 2:
-            chosen, _, _, _ = select_preference_sets(scored, pool, config.refine)
+            chosen, rejected, _, _ = select_preference_sets(scored, pool, config.refine)
             pairs = build_preferences(
-                scored, pool, config.refine,
+                chosen, rejected, config.refine,
                 np.random.default_rng((config.seed, _PREF_STREAM, t)),
                 prompt_id=prompt_id,
             )

@@ -14,9 +14,6 @@ class DslType(enum.Enum):
     VECTOR = "vector"
     VECTOR_LIST = "vector_list"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class DslRuntimeError(Exception):
     """Index out of range or a non-finite intermediate value."""

@@ -24,7 +24,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .ast import (
     OP_TABLE,
@@ -48,13 +48,6 @@ class ParseError(ValueError):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 # Token alternatives in match order; ws and comment pieces are skipped.
 _ALTERNATIVES = (
     ("ws", r"\s+"),
@@ -66,12 +59,8 @@ _ALTERNATIVES = (
 )
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _ALTERNATIVES))
 
-# The token pattern plus a catch-all: findall over it walks the tokens that
-# tokenize yields, and a character tokenize rejects lands in group ``bad``.
-SCAN_RE = re.compile(_TOKEN_RE.pattern + r"|(?P<bad>.)", re.DOTALL)
-
-# The same without groups, so findall returns the pieces themselves: tokens,
-# skipped text and single rejected characters, which together tile the text.
+# The alternatives without groups plus a catch-all, so findall returns pieces:
+# tokens, skipped text and single rejected characters, which tile the text.
 _PIECE_RE = re.compile("|".join(pattern for _, pattern in _ALTERNATIVES) + r"|.", re.DOTALL)
 
 
@@ -85,7 +74,7 @@ def _kind(piece: str) -> str | None:
 
 
 # The alternatives' first characters are disjoint except "-", which starts
-# both "-" and "->" (_lex marks the arrows), so the first character of an
+# both "-" and "->" (lex marks the arrows), so the first character of an
 # ASCII piece fixes its kind.  Other first characters are left to _kind.
 _FIRST_KIND = {c: k for c in map(chr, range(128)) if (k := _kind(c)) is not None}
 
@@ -103,7 +92,7 @@ def _locator(source: str) -> Callable[[int], tuple[int, int]]:
     return locate
 
 
-def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
+def lex(source: str) -> tuple[list[str], list[str], list[int]]:
     """Kinds, texts and offsets of the tokens of ``source``, ending in eof."""
     pieces = _PIECE_RE.findall(source)
     offsets = list(accumulate(map(len, pieces), initial=0))
@@ -129,13 +118,6 @@ def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
     return kinds, texts, offsets
 
 
-def tokenize(source: str) -> list[Token]:
-    """The tokens of ``source`` as the parser reads them, ending in eof."""
-    kinds, texts, offsets = _lex(source)
-    locate = _locator(source)
-    return [Token(kind, text, *locate(off)) for kind, text, off in zip(kinds, texts, offsets)]
-
-
 def _height(root: Node) -> int:
     """Levels of nodes in the AST, counted without recursion."""
     height, stack = 0, [(root, 1)]
@@ -154,7 +136,7 @@ _ARITY = {name: len(op.args) for name, op in OP_TABLE.items()}
 
 def parse(source: str) -> Node:
     """Parse program text into an untyped AST; raises ParseError with position."""
-    kinds, texts, offsets = _lex(source)
+    kinds, texts, offsets = lex(source)
     locate = _locator(source)
     i = 0  # index of the next token
     depth = 0  # nesting of brackets and call arguments

@@ -7,7 +7,6 @@ from .policy import (
     UnderivableProgram,
     default_grammar,
     derivation_counts,
-    identity_grammar,
     sample_ast,
     sample_program,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "UnderivableProgram",
     "default_grammar",
     "derivation_counts",
-    "identity_grammar",
     "sample_ast",
     "sample_program",
     "PromptTemplate",

@@ -108,15 +108,6 @@ def default_grammar(k: int, palette: tuple[float, ...] = DEFAULT_LITERAL_PALETTE
     return {NT_VECTOR: vector, NT_SCALAR: scalar, NT_LIST: lst}
 
 
-def identity_grammar() -> dict[str, list[Production]]:
-    """Single-production grammar that can only emit ``models[0]``; test hook."""
-    return {
-        NT_VECTOR: [Production(pid="V->models[0]", lhs=NT_VECTOR, kind="model", payload=0)],
-        NT_SCALAR: [Production(pid="S->lit(1.0)", lhs=NT_SCALAR, kind="lit", payload=1.0)],
-        NT_LIST: [Production(pid="L->models", lhs=NT_LIST, kind="models")],
-    }
-
-
 class _Slot(NamedTuple):
     """One choice point's eligible productions, their probabilities and cdf."""
     eligible: tuple[Production, ...]

@@ -10,8 +10,8 @@ def temperature(t: int, t1: float, beta: float) -> float:
     """
     if t < 1:
         raise ValueError("iteration index starts at 1")
-    if t1 <= 0:
+    if not t1 > 0:
         raise ValueError("initial temperature must be positive")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("decay rate must be >= 0")
     return t1 / (1.0 + beta * (t - 1))

@@ -82,7 +82,7 @@ class RefineConfig:
             raise ValueError("s must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
 
 
@@ -223,19 +223,19 @@ def select_preference_sets(
 
 
 def build_preferences(
-    scored: Sequence[ScoredAlgorithm],
-    carryover_pool: Sequence[ScoredAlgorithm],
+    chosen: Sequence[ScoredAlgorithm],
+    rejected: Sequence[ScoredAlgorithm],
     cfg: RefineConfig,
     rng: np.random.Generator,
     prompt_id: str = "prompt-fixed",
 ) -> list[PreferencePair]:
     """Pair each chosen program with up to ``cfg.s`` sampled rejected programs.
 
+    ``chosen`` and ``rejected`` are the sets ``select_preference_sets`` picks.
     Pairs where the two programs share a canonical hash, or where the chosen
     score does not strictly exceed the rejected score, are dropped; fully
     degenerate score distributions therefore produce no pairs.
     """
-    chosen, rejected, _, _ = select_preference_sets(scored, carryover_pool, cfg)
     if not rejected:
         log.warning("empty rejected set; no preference pairs built")
         return []

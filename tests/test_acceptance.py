@@ -122,7 +122,7 @@ def test_acceptance_4_preference_construction(n):
         assert s_pw == oracle_pw and s_pl == oracle_pl
         assert {id(a) for a in chosen} == {id(a) for a in scored if a.dev_score >= oracle_pw}
         assert {id(a) for a in rejected} == {id(a) for a in scored if a.dev_score <= oracle_pl}
-        pairs = build_preferences(scored, [], cfg, np.random.default_rng(7))
+        pairs = build_preferences(chosen, rejected, cfg, np.random.default_rng(7))
         for pair in pairs:
             assert pair.chosen.dev_score >= pair.rejected.dev_score
     _announce(4, f"preference thresholds, n={n}")

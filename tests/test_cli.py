@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from mergeforge.benchmark import load_instance, score
+from mergeforge.benchmark import load_instance, make_instance, score
 from mergeforge.cli import main
+from mergeforge.config import BenchmarkConfig
 from mergeforge.core import apply_merged, mean_fold_merge
+from mergeforge.driver import TASK_ARITHMETIC_GRID
 from mergeforge.pipeline import CATEGORIES
 
 
@@ -126,3 +128,62 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == 1
     config_path.write_text("{not json")
     assert main(["run", "--config", str(config_path)]) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    {"t1": 0},
+    {"t1": -1.0},
+    {"t1": float("nan")},
+    {"beta": -0.1},
+    {"max_depth": 0},
+    {"refine": {"eta": float("nan")}},
+    {"benchmark": {"d": 16, "k": 3, "component_noise": -0.1}},
+])
+def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
+    config = {
+        "iterations": 1, "candidates_per_iteration": 5,
+        "benchmark": {"d": 16, "k": 3, "n_dev": 10, "n_test": 10},
+        "output_dir": str(tmp_path / "run"),
+    }
+    config.update(bad)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))  # NaN is written as the token NaN
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("grid", ["0.2,,0.4", "", ",", "0.2,x", "nan", "0.2,inf"])
+def test_malformed_grid_is_usage_error(instance_file, capsys, grid):
+    argv = ["baseline", "task-arithmetic", "--grid", grid, "--instance", str(instance_file)]
+    assert main(argv) == 1
+    assert "--grid: expected comma-separated finite numbers" in capsys.readouterr().err
+
+
+def test_baseline_default_grid(instance_file, capsys):
+    assert main(["baseline", "task-arithmetic", "--instance", str(instance_file)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["evaluations"] == len(TASK_ARITHMETIC_GRID) ** 3
+    assert set(payload["lambdas"]) <= set(TASK_ARITHMETIC_GRID)
+
+
+@pytest.mark.parametrize("sizes", [
+    ["--d", "1", "--k", "3"],
+    ["--d", "24", "--k", "1"],
+    ["--d", "24", "--k", "3", "--dev", "0"],
+    ["--d", "24", "--k", "3", "--test", "-1"],
+    ["--d", "24", "--k", "3", "--noise", "-0.5"],
+])
+def test_bad_instance_sizes_are_usage_errors(tmp_path, capsys, sizes):
+    out = tmp_path / "instance.json"
+    assert main(["make-instance", "--seed", "5", *sizes, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_make_instance_defaults_come_from_benchmark_config(tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert main(["make-instance", "--seed", "5", "--d", "24", "--k", "3", "--out", str(out)]) == 0
+    cfg = BenchmarkConfig()
+    want = make_instance(5, 24, 3, cfg.component_noise, (cfg.n_dev, cfg.n_test), cfg.overlap)
+    assert load_instance(out).content_digest() == want.content_digest()

@@ -1,13 +1,15 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import identity_grammar
 from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
 from mergeforge.driver import RunState, run
 from mergeforge.dsl import compile_program
-from mergeforge.generator import GeneratorPolicy, Production, identity_grammar, temperature
+from mergeforge.generator import GeneratorPolicy, Production, temperature
 from mergeforge.generator.policy import NT_VECTOR
 from mergeforge.pipeline import ScoredAlgorithm, top_k_carryover
 
@@ -252,3 +254,31 @@ def test_remote_failure_aborts_with_partial_logs(tmp_path, monkeypatch):
     records = _read_jsonl(Path(config.output_dir) / "candidates.jsonl")
     assert len(records) == 2
     assert all(r["iteration"] == 1 for r in records)
+
+
+def _run_content_digest(run_dir: Path) -> str:
+    """sha256 over the float-free content of a run: independent of BLAS rounding."""
+    candidates = [
+        (r["category"], r["hash"], r["source"]) for r in _read_jsonl(run_dir / "candidates.jsonl")
+    ]
+    iterations = [
+        (r["counts"], r["chosen_hashes"], r["pairs_built"], r["policy_version"])
+        for r in _read_jsonl(run_dir / "iterations.jsonl")
+    ]
+    preferences = [
+        (r["chosen_source"], r["rejected_source"])
+        for r in _read_jsonl(run_dir / "preferences.jsonl")
+    ]
+    h = hashlib.sha256()
+    h.update(json.dumps([candidates, iterations, preferences], sort_keys=True).encode())
+    for name in ("strategy_tokens.csv", "filter_categories.csv"):
+        h.update((run_dir / "report" / name).read_bytes())
+    return h.hexdigest()
+
+
+def test_pinned_run_digest(tmp_path):
+    config = _small_config(tmp_path)
+    run(config)
+    assert _run_content_digest(Path(config.output_dir)) == (
+        "a74c66e377d5ad14844e067e87ee3cb0d507675588d1cba99c05f578317cd633"
+    )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Token, tokenize
 from mergeforge.dsl import (
     DslTypeError,
     ParseError,
@@ -27,7 +28,7 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
-from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, Token, _height, tokenize
+from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, _height
 from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 

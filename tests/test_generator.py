@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import identity_grammar
 from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
 from mergeforge.generator import (
     GeneratorPolicy,
@@ -18,7 +19,6 @@ from mergeforge.generator import (
     default_prompt_template,
     derivation_counts,
     extract_program,
-    identity_grammar,
     sample_ast,
     sample_program,
     temperature,

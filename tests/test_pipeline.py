@@ -310,8 +310,10 @@ def test_tie_values_at_threshold_all_included():
 
 def test_all_equal_scores_yield_no_pairs(caplog):
     scored = _scored_from_values([5.0] * 10)
+    cfg = RefineConfig(k=0)
+    chosen, rejected, _, _ = select_preference_sets(scored, [], cfg)
     with caplog.at_level("WARNING"):
-        pairs = build_preferences(scored, [], RefineConfig(k=0), np.random.default_rng(0))
+        pairs = build_preferences(chosen, rejected, cfg, np.random.default_rng(0))
     assert pairs == []
     assert "no usable preference pairs" in caplog.text
 
@@ -354,8 +356,9 @@ def test_pair_validity_and_determinism():
     values = [float(v) for v in rng_values.integers(0, 100, size=60)]
     scored = _scored_from_values(values)
     cfg = RefineConfig()
-    pairs_a = build_preferences(scored, [], cfg, np.random.default_rng(12))
-    pairs_b = build_preferences(scored, [], cfg, np.random.default_rng(12))
+    chosen, rejected, _, _ = select_preference_sets(scored, [], cfg)
+    pairs_a = build_preferences(chosen, rejected, cfg, np.random.default_rng(12))
+    pairs_b = build_preferences(chosen, rejected, cfg, np.random.default_rng(12))
     assert pairs_a == pairs_b
     assert pairs_a
     member_hashes = {a.program.canonical_hash for a in scored}
@@ -371,7 +374,8 @@ def test_sample_count_per_chosen():
     values = list(range(1, 101))
     scored = _scored_from_values(values)
     cfg = RefineConfig(s=3, k=0)
-    pairs = build_preferences(scored, [], cfg, np.random.default_rng(5))
+    chosen, rejected, _, _ = select_preference_sets(scored, [], cfg)
+    pairs = build_preferences(chosen, rejected, cfg, np.random.default_rng(5))
     per_chosen = {}
     for pair in pairs:
         per_chosen.setdefault(pair.chosen.dev_score, []).append(pair.rejected.dev_score)
@@ -383,7 +387,7 @@ def test_sample_count_per_chosen():
 
 def test_build_preferences_requires_two_scored():
     with pytest.raises(ValueError):
-        build_preferences(_scored_from_values([1.0]), [], RefineConfig(), np.random.default_rng(0))
+        select_preference_sets(_scored_from_values([1.0]), [], RefineConfig())
 
 
 def test_refine_config_validation():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tokenize
 from mergeforge.config import BenchmarkConfig, RunConfig
 from mergeforge.dsl import OP_TABLE, ParseError
-from mergeforge.dsl.parser import tokenize
 from mergeforge.driver import run
 from mergeforge.report import ReportError, histogram_bins, strategy_token_counts, write_reports
 
