@@ -85,10 +85,11 @@ def _block_masks(d: int, k: int, overlap: float) -> np.ndarray:
 
     overlap = 0 gives a disjoint partition of all d coordinates; overlap > 0
     extends each block by round(overlap * d/k) coordinates per side, wrapping
-    around, so neighbouring candidates share knowledge.
+    around, so neighbouring candidates share knowledge.  From overlap = k on,
+    every block covers all d coordinates, so larger values are capped at k.
     """
     bounds = np.linspace(0, d, k + 1).astype(int)
-    ext = int(round(overlap * d / k))
+    ext = int(round(min(overlap, k) * d / k))
     masks = np.zeros((k, d), dtype=bool)
     for j in range(k):
         lo, hi = bounds[j] - ext, bounds[j + 1] + ext
@@ -97,12 +98,15 @@ def _block_masks(d: int, k: int, overlap: float) -> np.ndarray:
     return masks
 
 
-def check_sizes(d: int, k: int, component_noise: float, n_dev: int, n_test: int) -> None:
+def check_sizes(d: int, k: int, component_noise: float, n_dev: int, n_test: int,
+                overlap: float) -> None:
     """Raise ValueError unless the sizes describe a buildable instance."""
     if d < 2 or k < 2:
         raise ValueError(f"need d >= 2 and k >= 2, got d={d}, k={k}")
     if not component_noise >= 0:
         raise ValueError("component_noise must be >= 0")
+    if not 0 <= overlap < float("inf"):
+        raise ValueError(f"overlap must be finite and >= 0, got {overlap}")
     if n_dev < 1 or n_test < 1:
         raise ValueError("probe counts must be >= 1")
 
@@ -117,7 +121,7 @@ def make_instance(
 ) -> BenchmarkInstance:
     """Deterministically build an instance from the seed and sizes."""
     n_dev, n_test = probe_counts
-    check_sizes(d, k, component_noise, n_dev, n_test)
+    check_sizes(d, k, component_noise, n_dev, n_test, overlap)
 
     def rng(stream: str) -> np.random.Generator:
         return np.random.default_rng((rng_seed, STREAMS[stream]))

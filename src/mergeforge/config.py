@@ -27,7 +27,7 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         try:
-            check_sizes(self.d, self.k, self.component_noise, self.n_dev, self.n_test)
+            check_sizes(self.d, self.k, self.component_noise, self.n_dev, self.n_test, self.overlap)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

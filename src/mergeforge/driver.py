@@ -130,11 +130,8 @@ def _iteration_record(stats: IterationStats, s_best: float | None) -> dict:
 def task_arithmetic_baseline(instance: BenchmarkInstance, grid=TASK_ARITHMETIC_GRID) -> dict:
     """Grid-searched task arithmetic: best dev mixing ratios, their dev and test scores."""
     taus = instance.task_vectors()
-    evaluations = 0
 
     def scorer(tau) -> float:
-        nonlocal evaluations
-        evaluations += 1
         return probe_score(
             apply_merged(instance.seed_model, tau), instance.dev_probes, instance.dev_baseline_mse,
         )
@@ -146,7 +143,7 @@ def task_arithmetic_baseline(instance: BenchmarkInstance, grid=TASK_ARITHMETIC_G
         "lambdas": list(lambdas),
         "dev": dev,
         "test": probe_score(merged, instance.test_probes, instance.test_baseline_mse),
-        "evaluations": evaluations,
+        "evaluations": len(grid) ** len(taus),
     }
 
 

@@ -59,52 +59,43 @@ class UnderivableProgram(ValueError):
 
 @dataclass(frozen=True)
 class Production:
+    """A grammar rule; binder variables occur only in fold bodies, and folds never occur there."""
     pid: str
-    lhs: str
     kind: str  # "model" | "call" | "fold" | "lit" | "var" | "models"
     payload: object = None
-    args: tuple[str, ...] = ()
-    only_in_body: bool = False  # fold-lambda variables
-    never_in_body: bool = False  # fold itself: no nested folds from the sampler
-
-    @property
-    def terminal(self) -> bool:
-        return not self.args
+    args: tuple[str, ...] = ()  # none for a terminal
 
 
 def _calls(result: DslType) -> list[Production]:
     """One production per table op with this result type, in table order."""
-    lhs = _NT_FOR_TYPE[result]
+    nt = _NT_FOR_TYPE[result]
     return [
-        Production(pid=f"{lhs}->{name}", lhs=lhs, kind="call", payload=name,
+        Production(pid=f"{nt}->{name}", kind="call", payload=name,
                    args=tuple(_NT_FOR_TYPE[t] for t in op.args))
         for name, op in OP_TABLE.items() if op.result == result
     ]
 
 
-def default_grammar(k: int, palette: tuple[float, ...] = DEFAULT_LITERAL_PALETTE) -> dict[str, list[Production]]:
+def default_grammar(k: int) -> dict[str, list[Production]]:
     """Full production table for instances with ``k`` candidate models."""
     if k < 1:
         raise ValueError("need at least one model")
     vector: list[Production] = [
-        Production(pid=f"V->models[{j}]", lhs=NT_VECTOR, kind="model", payload=j)
+        Production(pid=f"V->models[{j}]", kind="model", payload=j)
         for j in range(k)
     ]
     vector += _calls(DslType.VECTOR)
-    vector.append(Production(
-        pid="V->fold", lhs=NT_VECTOR, kind="fold",
-        args=(NT_LIST, NT_VECTOR, NT_VECTOR), never_in_body=True,
-    ))
     vector += [
-        Production(pid="V->acc", lhs=NT_VECTOR, kind="var", payload=0, only_in_body=True),
-        Production(pid="V->x", lhs=NT_VECTOR, kind="var", payload=1, only_in_body=True),
+        Production(pid="V->fold", kind="fold", args=(NT_LIST, NT_VECTOR, NT_VECTOR)),
+        Production(pid="V->acc", kind="var", payload=0),
+        Production(pid="V->x", kind="var", payload=1),
     ]
     scalar: list[Production] = [
-        Production(pid=f"S->lit({c!r})", lhs=NT_SCALAR, kind="lit", payload=float(c))
-        for c in palette
+        Production(pid=f"S->lit({c!r})", kind="lit", payload=float(c))
+        for c in DEFAULT_LITERAL_PALETTE
     ]
     scalar += _calls(DslType.SCALAR)
-    lst = [Production(pid="L->models", lhs=NT_LIST, kind="models")] + _calls(DslType.VECTOR_LIST)
+    lst = [Production(pid="L->models", kind="models")] + _calls(DslType.VECTOR_LIST)
     return {NT_VECTOR: vector, NT_SCALAR: scalar, NT_LIST: lst}
 
 
@@ -175,9 +166,8 @@ class GeneratorPolicy:
 def _eligible(prods: list[Production], terminal_only: bool, in_body: bool) -> tuple[Production, ...]:
     return tuple(
         p for p in prods
-        if (in_body or not p.only_in_body)
-        and (not in_body or not p.never_in_body)
-        and (not terminal_only or p.terminal)
+        if p.kind != ("fold" if in_body else "var")
+        and not (terminal_only and p.args)
     )
 
 
@@ -236,51 +226,40 @@ def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:
     nested folds, or ops missing from a restricted grammar.
     """
     counts: Counter = Counter()
-    _rederive(policy, root, NT_VECTOR, False, (), counts)
+    _rederive(policy, root, NT_VECTOR, (), counts)
     return counts
 
 
-def _production(policy: GeneratorPolicy, nt: str, pid: str) -> Production:
-    for p in policy.grammar[nt]:
-        if p.pid == pid:
-            return p
-    raise UnderivableProgram(f"no production {pid} in grammar")
-
-
-def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool,
+def _rederive(policy: GeneratorPolicy, node: Node, nt: str,
               binders: tuple[str, ...], counts: Counter) -> None:
+    """Count ``node``'s productions; ``binders`` is non-empty only in a fold body."""
+    children: tuple = ()  # (child node, the binders in scope there) pairs
     if isinstance(node, ModelIndex):
-        prod = _production(policy, nt, f"V->models[{node.index}]")
+        key = ("model", node.index)
     elif isinstance(node, ModelsRef):
-        prod = _production(policy, nt, "L->models")
+        key = ("models", None)
     elif isinstance(node, ScalarLit):
-        for p in policy.grammar[nt]:
-            if p.kind == "lit" and p.payload == float(node.value):
-                prod = p
-                break
-        else:
-            raise UnderivableProgram(f"literal {node.value!r} outside the palette")
+        key = ("lit", float(node.value))
     elif isinstance(node, Var):
-        if not in_body or node.name not in binders:
+        if node.name not in binders:
             raise UnderivableProgram(f"variable {node.name!r} outside a fold body")
-        prod = _production(policy, nt, f"V->{BINDERS[binders.index(node.name)]}")
+        key = ("var", binders.index(node.name))
     elif isinstance(node, Call):
         if node.op not in OP_TABLE:
             raise UnderivableProgram("scalar infix arithmetic has no production")
-        prod = _production(policy, nt, f"{nt}->{node.op}")
-        counts[prod.pid] += 1
-        for arg_nt, arg in zip(prod.args, node.args):
-            _rederive(policy, arg, arg_nt, in_body, binders, counts)
-        return
+        key = ("call", node.op)
+        children = tuple((arg, binders) for arg in node.args)
     elif isinstance(node, Fold):
-        if in_body:
+        if binders:
             raise UnderivableProgram("nested fold has no production")
-        prod = _production(policy, nt, "V->fold")
-        counts[prod.pid] += 1
-        _rederive(policy, node.list_expr, prod.args[0], False, (), counts)
-        _rederive(policy, node.init_expr, prod.args[1], False, (), counts)
-        _rederive(policy, node.body, prod.args[2], True, node.binders, counts)
-        return
+        key = ("fold", None)
+        children = ((node.list_expr, ()), (node.init_expr, ()), (node.body, node.binders))
     else:
         raise UnderivableProgram(f"unknown node {type(node).__name__}")
+    prod = next((p for p in policy.grammar[nt] if (p.kind, p.payload) == key), None)
+    if prod is None:
+        where = "the palette" if key[0] == "lit" else "the grammar"
+        raise UnderivableProgram(f"{key[0]} {key[1]!r} is outside {where}")
     counts[prod.pid] += 1
+    for arg_nt, (arg, arg_binders) in zip(prod.args, children):
+        _rederive(policy, arg, arg_nt, arg_binders, counts)

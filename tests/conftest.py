@@ -27,7 +27,7 @@ def tokenize(source: str) -> list[Token]:
 def identity_grammar() -> dict[str, list[Production]]:
     """Single-production grammar that can only emit ``models[0]``."""
     return {
-        NT_VECTOR: [Production(pid="V->models[0]", lhs=NT_VECTOR, kind="model", payload=0)],
-        NT_SCALAR: [Production(pid="S->lit(1.0)", lhs=NT_SCALAR, kind="lit", payload=1.0)],
-        NT_LIST: [Production(pid="L->models", lhs=NT_LIST, kind="models")],
+        NT_VECTOR: [Production(pid="V->models[0]", kind="model", payload=0)],
+        NT_SCALAR: [Production(pid="S->lit(1.0)", kind="lit", payload=1.0)],
+        NT_LIST: [Production(pid="L->models", kind="models")],
     }

@@ -32,6 +32,14 @@ def test_disjoint_masks_sum_to_full_delta():
     assert np.array_equal(coverage, np.ones(inst.d))
 
 
+def test_huge_overlap_covers_everything_without_a_huge_allocation():
+    # uncapped, overlap=1e12 would ask _block_masks for about 10**14 indexes
+    huge = make_instance(7, d=24, k=3, component_noise=0.05, probe_counts=(5, 5), overlap=1e12)
+    at_k = make_instance(7, d=24, k=3, component_noise=0.05, probe_counts=(5, 5), overlap=3)
+    assert huge.masks.all()
+    assert np.array_equal(huge.masks, at_k.masks)
+
+
 def test_mean_of_task_vectors_beats_single_candidates():
     wins = 0
     for seed in range(20):

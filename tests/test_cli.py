@@ -138,6 +138,10 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     {"max_depth": 0},
     {"refine": {"eta": float("nan")}},
     {"benchmark": {"d": 16, "k": 3, "component_noise": -0.1}},
+    {"benchmark": {"d": 16, "k": 3, "overlap": float("nan")}},
+    {"benchmark": {"d": 16, "k": 3, "overlap": float("inf")}},
+    {"benchmark": {"d": 16, "k": 3, "overlap": float("-inf")}},
+    {"benchmark": {"d": 16, "k": 3, "overlap": -3}},
 ])
 def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     config = {
@@ -173,6 +177,10 @@ def test_baseline_default_grid(instance_file, capsys):
     ["--d", "24", "--k", "3", "--dev", "0"],
     ["--d", "24", "--k", "3", "--test", "-1"],
     ["--d", "24", "--k", "3", "--noise", "-0.5"],
+    ["--d", "24", "--k", "3", "--overlap", "nan"],
+    ["--d", "24", "--k", "3", "--overlap", "inf"],
+    ["--d", "24", "--k", "3", "--overlap=-inf"],
+    ["--d", "24", "--k", "3", "--overlap", "-3"],
 ])
 def test_bad_instance_sizes_are_usage_errors(tmp_path, capsys, sizes):
     out = tmp_path / "instance.json"

@@ -187,7 +187,7 @@ def test_select_best_n_larger_than_distinct():
 def test_select_best_empty_warns(tmp_path, caplog):
     # every candidate indexes a model the instance lacks, so none succeeds
     grammar = identity_grammar()
-    grammar[NT_VECTOR] = [Production(pid="V->models[5]", lhs=NT_VECTOR, kind="model", payload=5)]
+    grammar[NT_VECTOR] = [Production(pid="V->models[5]", kind="model", payload=5)]
     config = _small_config(tmp_path, iterations=1, candidates_per_iteration=5)
     with caplog.at_level("WARNING"):
         report = run(config, initial_policy=GeneratorPolicy.initial(grammar))

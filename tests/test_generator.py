@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,8 +81,8 @@ def test_grammar_totality_fuzz():
 def test_low_temperature_concentrates_on_argmax():
     grammar = identity_grammar()
     grammar[NT_VECTOR] = [
-        Production(pid="V->models[0]", lhs=NT_VECTOR, kind="model", payload=0),
-        Production(pid="V->models[1]", lhs=NT_VECTOR, kind="model", payload=1),
+        Production(pid="V->models[0]", kind="model", payload=0),
+        Production(pid="V->models[1]", kind="model", payload=1),
     ]
     policy = GeneratorPolicy.initial(grammar, max_depth=2)
     logits = dict(policy.logits)
@@ -96,7 +97,7 @@ def test_low_temperature_concentrates_on_argmax():
 def test_uniform_logits_sample_uniformly():
     grammar = identity_grammar()
     grammar[NT_VECTOR] = [
-        Production(pid=f"V->models[{j}]", lhs=NT_VECTOR, kind="model", payload=j)
+        Production(pid=f"V->models[{j}]", kind="model", payload=j)
         for j in range(4)
     ]
     policy = GeneratorPolicy.initial(grammar, max_depth=2)
@@ -115,7 +116,7 @@ def test_softmax_invariant_to_constant_logit_shift():
     # unshifted analytic distribution; 0.999 quantile for df=3 is 16.266.
     grammar = identity_grammar()
     grammar[NT_VECTOR] = [
-        Production(pid=f"V->models[{j}]", lhs=NT_VECTOR, kind="model", payload=j)
+        Production(pid=f"V->models[{j}]", kind="model", payload=j)
         for j in range(4)
     ]
     policy = GeneratorPolicy.initial(grammar, max_depth=2)
@@ -187,7 +188,7 @@ def test_policy_validation_rejects_empty_nonterminal():
 def test_policy_validation_requires_terminals():
     grammar = identity_grammar()
     grammar[NT_LIST] = [
-        Production(pid="L->tail", lhs=NT_LIST, kind="call", payload="tail", args=(NT_LIST,))
+        Production(pid="L->tail", kind="call", payload="tail", args=(NT_LIST,))
     ]
     with pytest.raises(ValueError, match="terminal"):
         GeneratorPolicy.initial(grammar)
@@ -244,6 +245,33 @@ def test_out_of_grammar_index_is_underivable():
     policy = GeneratorPolicy.initial(default_grammar(2))
     program = compile_program("merge(models) = models[5]")
     with pytest.raises(UnderivableProgram):
+        derivation_counts(policy, program.ast)
+
+
+def test_nested_fold_is_underivable():
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    program = compile_program(
+        "merge(models) = fold(models, models[0], (acc, x) -> fold(models, acc, (a, b) -> a))"
+    )
+    with pytest.raises(UnderivableProgram, match="nested fold"):
+        derivation_counts(policy, program.ast)
+
+
+def test_variable_outside_a_fold_body_is_underivable():
+    from mergeforge.dsl.ast import Call, ModelIndex, Var
+
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    root = Call(op="add", args=(ModelIndex(index=0), Var(name="acc")))
+    with pytest.raises(UnderivableProgram, match="outside a fold body"):
+        derivation_counts(policy, root)
+
+
+def test_op_missing_from_a_restricted_grammar_is_underivable():
+    grammar = default_grammar(3)
+    grammar[NT_VECTOR] = [p for p in grammar[NT_VECTOR] if p.pid != "V->hadamard"]
+    policy = GeneratorPolicy.initial(grammar)
+    program = compile_program("merge(models) = hadamard(models[0], models[1])")
+    with pytest.raises(UnderivableProgram, match="hadamard"):
         derivation_counts(policy, program.ast)
 
 
@@ -357,20 +385,24 @@ def test_grammar_calls_follow_the_op_table():
 
 # -- cached slots against the per-choice-point sampler ----------------------
 
-def _oracle_derive(policy, temp, nt, depth, in_body, rng):
-    """The sampler before slots were cached: eligibility, softmax and rng.choice at every choice."""
+def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
+    """The sampler before slots were cached: eligibility, softmax and rng.choice at every choice.
+
+    Counts the pid of every production drawn in ``drawn``.
+    """
     from mergeforge.dsl.ast import Call, Fold, ModelIndex, ModelsRef, ScalarLit, Var
     from mergeforge.generator import BINDERS
 
     eligible = [
         p for p in policy.grammar[nt]
-        if (in_body or not p.only_in_body)
-        and (not in_body or not p.never_in_body)
-        and (depth < policy.max_depth or p.terminal)
+        if (in_body or p.kind != "var")
+        and (not in_body or p.kind != "fold")
+        and (depth < policy.max_depth or not p.args)
     ]
     logits = np.array([policy.logits[p.pid] for p in eligible])
     w = np.exp((logits - logits.max()) / temp)
     prod = eligible[rng.choice(len(eligible), p=w / w.sum())]
+    drawn[prod.pid] += 1
     if prod.kind == "model":
         return ModelIndex(index=int(prod.payload))
     if prod.kind == "models":
@@ -381,26 +413,27 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng):
         return Var(name=BINDERS[int(prod.payload)])
     if prod.kind == "call":
         return Call(op=prod.payload, args=tuple(
-            _oracle_derive(policy, temp, a, depth + 1, in_body, rng) for a in prod.args
+            _oracle_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args
         ))
     return Fold(
-        list_expr=_oracle_derive(policy, temp, prod.args[0], depth + 1, False, rng),
-        init_expr=_oracle_derive(policy, temp, prod.args[1], depth + 1, False, rng),
+        list_expr=_oracle_derive(policy, temp, prod.args[0], depth + 1, False, rng, drawn),
+        init_expr=_oracle_derive(policy, temp, prod.args[1], depth + 1, False, rng, drawn),
         binders=BINDERS,
-        body=_oracle_derive(policy, temp, prod.args[2], depth + 1, True, rng),
+        body=_oracle_derive(policy, temp, prod.args[2], depth + 1, True, rng, drawn),
     )
 
 
 _N_PRODUCTIONS = sum(len(prods) for prods in default_grammar(3).values())
+_POLICY_DRAWS = {
+    "logits": st.lists(st.floats(-10.0, 10.0), min_size=_N_PRODUCTIONS, max_size=_N_PRODUCTIONS),
+    "temp": st.floats(0.05, 3.0, exclude_min=True),
+    "max_depth": st.integers(1, 8),
+    "seed": st.integers(0, 2**32 - 1),
+}
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    logits=st.lists(st.floats(-10.0, 10.0), min_size=_N_PRODUCTIONS, max_size=_N_PRODUCTIONS),
-    temp=st.floats(0.05, 3.0, exclude_min=True),
-    max_depth=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-)
+@given(**_POLICY_DRAWS)
 def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, seed):
     from mergeforge.dsl import pretty
 
@@ -408,9 +441,23 @@ def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, s
     policy = policy.with_logits(dict(zip(policy.logits, logits)))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        expected = pretty(_oracle_derive(policy, temp, NT_VECTOR, 0, False, oracle_rng))
+        expected = pretty(_oracle_derive(policy, temp, NT_VECTOR, 0, False, oracle_rng, Counter()))
         assert sample_program(policy, temp, rng) == expected
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_POLICY_DRAWS)
+def test_derivation_counts_are_the_productions_drawn(logits, temp, max_depth, seed):
+    from mergeforge.dsl import pretty
+
+    policy = GeneratorPolicy.initial(default_grammar(3), max_depth=max_depth)
+    policy = policy.with_logits(dict(zip(policy.logits, logits)))
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        drawn = Counter()
+        ast = _oracle_derive(policy, temp, NT_VECTOR, 0, False, rng, drawn)
+        assert derivation_counts(policy, compile_program(pretty(ast)).ast) == drawn
 
 
 def test_pinned_sample_texts():
