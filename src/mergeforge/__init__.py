@@ -9,7 +9,7 @@ from .core import (
     task_arithmetic,
     task_vector,
 )
-from .driver import RunReport, RunState, run
+from .driver import RunReport, run
 from .dsl import EvalBudget, MergeProgram, compile_program, default_budget, evaluate
 from .generator import GeneratorPolicy, default_grammar, sample_program, temperature
 from .pipeline import (
@@ -43,7 +43,6 @@ __all__ = [
     "task_arithmetic",
     "task_vector",
     "RunReport",
-    "RunState",
     "run",
     "EvalBudget",
     "MergeProgram",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .benchmark import check_sizes
@@ -49,6 +49,8 @@ class RunConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.candidates_per_iteration < 1:
@@ -73,14 +75,23 @@ def full_scale_preset(**overrides) -> RunConfig:
     return replace(RunConfig(candidates_per_iteration=3000), **overrides)
 
 
+def _counted(obj):
+    """``obj``, once each field annotated ``int`` holds an integer (JSON 2.5 and true do not)."""
+    for f in fields(obj):  # annotations are strings here: postponed evaluation
+        value = getattr(obj, f.name)
+        if f.type in ("int", "int | None") and value is not None and type(value) is not int:
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+    return obj
+
+
 def _build(payload: dict) -> RunConfig:
     known = dict(payload)
     try:
-        refine = RefineConfig(**known.pop("refine", {}))
-        benchmark = BenchmarkConfig(**known.pop("benchmark", {}))
+        refine = _counted(RefineConfig(**known.pop("refine", {})))
+        benchmark = _counted(BenchmarkConfig(**known.pop("benchmark", {})))
         remote_raw = known.pop("remote", None)
-        remote = EndpointConfig(**remote_raw) if remote_raw else None
-        return RunConfig(refine=refine, benchmark=benchmark, remote=remote, **known)
+        remote = _counted(EndpointConfig(**remote_raw)) if remote_raw else None
+        return _counted(RunConfig(refine=refine, benchmark=benchmark, remote=remote, **known))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

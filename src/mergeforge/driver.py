@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .generator import (
 from .pipeline import (
     SUCCESS,
     CandidateOutcome,
+    PreferencePair,
     ScoredAlgorithm,
     build_preferences,
     category_counts,
@@ -46,7 +47,6 @@ from .pipeline import (
     score_program,
     select_preference_sets,
     top_k_carryover,
-    write_preference_jsonl,
 )
 from .report import write_reports
 
@@ -72,20 +72,6 @@ class IterationStats:
     duplicate_exact_text: int
 
 
-@dataclass
-class RunState:
-    best: ScoredAlgorithm | None = None
-    history: list[IterationStats] = field(default_factory=list)
-    all_scored: list[ScoredAlgorithm] = field(default_factory=list)
-
-    @property
-    def s_best(self) -> float | None:
-        return None if self.best is None else self.best.dev_score
-
-    def carryover_pool(self) -> list[ScoredAlgorithm]:
-        return [alg for stats in self.history for alg in stats.chosen]
-
-
 @dataclass(frozen=True)
 class RunReport:
     s_best: float | None
@@ -95,8 +81,10 @@ class RunReport:
     baselines: dict
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+def _append_jsonl(path: Path, records) -> None:
+    with open(path, "a", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _candidate_record(iteration: int, index: int, outcome: CandidateOutcome) -> dict:
@@ -108,6 +96,18 @@ def _candidate_record(iteration: int, index: int, outcome: CandidateOutcome) -> 
         "score": outcome.dev_score,
         "reason": outcome.reason,
         "source": outcome.source,
+    }
+
+
+def _pair_record(pair: PreferencePair) -> dict:
+    """A pair in the shape a preference-optimization trainer ingests."""
+    return {
+        "prompt_id": pair.prompt_id,
+        "chosen_source": pair.chosen.program.source,
+        "rejected_source": pair.rejected.program.source,
+        "chosen_score": pair.chosen.dev_score,
+        "rejected_score": pair.rejected.dev_score,
+        "iteration": pair.chosen.iteration,
     }
 
 
@@ -198,7 +198,8 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
     taus = instance.task_vectors()
     policy = initial_policy or GeneratorPolicy.initial(default_grammar(bench.k), config.max_depth)
     prompt_id = default_prompt_template().prompt_id
-    state = RunState()
+    history: list[IterationStats] = []
+    all_scored: list[ScoredAlgorithm] = []
 
     cand_path = out / "candidates.jsonl"
     iter_path = out / "iterations.jsonl"
@@ -221,21 +222,14 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
             iteration=t,
             generator_kind=config.generator_mode,
         )
-        with open(cand_path, "a", encoding="utf-8") as fh:
-            for i, outcome in enumerate(outcomes):
-                fh.write(_dumps(_candidate_record(t, i, outcome)) + "\n")
+        _append_jsonl(cand_path, (_candidate_record(t, i, o) for i, o in enumerate(outcomes)))
 
         scored = [
             ScoredAlgorithm(o.program, o.dev_score, t)
             for o in outcomes if o.category == SUCCESS
         ]
-        state.all_scored.extend(scored)
-        if scored:
-            challenger = ranked(scored)[0]
-            if state.best is None or challenger.dev_score > state.best.dev_score:
-                state.best = challenger
-
-        pool = state.carryover_pool()
+        all_scored.extend(scored)
+        pool = [alg for stats in history for alg in stats.chosen]
         pairs = []
         if len(scored) >= 2:
             chosen, rejected, _, _ = select_preference_sets(scored, pool, config.refine)
@@ -247,7 +241,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         else:
             chosen = ranked(scored)
             log.warning("iteration %d: %d success(es); skipping preference building", t, len(scored))
-        write_preference_jsonl(pairs, pref_path)
+        _append_jsonl(pref_path, map(_pair_record, pairs))
 
         if pairs and config.generator_mode == "grammar":
             policy = refine_policy(policy, pairs, config.refine.eta)
@@ -262,11 +256,11 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
             policy_version=policy.version,
             duplicate_exact_text=exact_text_duplicates(candidates),
         )
-        state.history.append(stats)
-        with open(iter_path, "a", encoding="utf-8") as fh:
-            fh.write(_dumps(_iteration_record(stats, state.s_best)) + "\n")
+        history.append(stats)
+        s_best = max((a.dev_score for a in all_scored), default=None)
+        _append_jsonl(iter_path, [_iteration_record(stats, s_best)])
 
-    top = top_k_carryover(state.all_scored, config.top_n_for_test)
+    top = top_k_carryover(all_scored, config.top_n_for_test)
     if not top:
         log.warning("no successful programs in this run")
     top_test = [
@@ -280,10 +274,11 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         for alg in top
     ]
 
+    best = top[0] if top else None  # ranked(all_scored)[0], as top_n_for_test >= 1
     report = RunReport(
-        s_best=state.s_best,
-        best=state.best,
-        iterations=state.history,
+        s_best=None if best is None else best.dev_score,
+        best=best,
+        iterations=history,
         top_test=top_test,
         baselines=_baselines(instance),
     )

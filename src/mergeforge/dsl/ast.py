@@ -138,13 +138,9 @@ _PRINT_INFIX = {name: sym for (sym, _, _), name in INFIX.items() if name in INFI
 _PRINT_INFIX.update((sym, sym) for sym, _, _ in INFIX)
 
 
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
-
-
 def pretty_expr(node: Node) -> str:
     if isinstance(node, ScalarLit):
-        return _fmt_float(node.value)
+        return repr(float(node.value))
     if isinstance(node, ModelsRef):
         return "models"
     if isinstance(node, ModelIndex):

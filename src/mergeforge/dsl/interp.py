@@ -52,11 +52,6 @@ class _Machine:
         self.d = models[0].shape[0]
         self.remaining = budget.max_steps
 
-    def tick(self) -> None:
-        if self.remaining < 1:
-            raise BudgetExceeded()
-        self.remaining -= 1
-
     def finite(self, value):
         if isinstance(value, float):
             ok = math.isfinite(value)
@@ -67,7 +62,9 @@ class _Machine:
         return value
 
     def eval(self, node: Node, env: dict[str, object]):
-        self.tick()
+        if self.remaining < 1:
+            raise BudgetExceeded()
+        self.remaining -= 1
         if isinstance(node, ScalarLit):
             return self.finite(float(node.value))
         if isinstance(node, ModelsRef):
@@ -82,7 +79,9 @@ class _Machine:
             return env[node.name]
         if isinstance(node, Call):
             args = [self.eval(a, env) for a in node.args]
-            return self.apply(node.op, args)
+            spec = OPS[node.op]
+            value = spec.fn(self.d, *args)
+            return value if spec.result is DslType.VECTOR_LIST else self.finite(value)
         if isinstance(node, Fold):
             items = self.eval(node.list_expr, env)
             acc = self.eval(node.init_expr, env)
@@ -94,11 +93,6 @@ class _Machine:
                 acc = self.eval(node.body, inner)
             return acc
         raise DslRuntimeError(f"unknown node {type(node).__name__}")
-
-    def apply(self, op: str, args: list):
-        spec = OPS[op]
-        value = spec.fn(self.d, *args)
-        return value if spec.result is DslType.VECTOR_LIST else self.finite(value)
 
 
 def evaluate(root: Node, models: Sequence, budget: EvalBudget) -> np.ndarray:

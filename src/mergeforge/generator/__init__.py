@@ -7,7 +7,6 @@ from .policy import (
     UnderivableProgram,
     default_grammar,
     derivation_counts,
-    sample_ast,
     sample_program,
 )
 from .prompt import PromptTemplate, default_prompt_template
@@ -23,7 +22,6 @@ __all__ = [
     "UnderivableProgram",
     "default_grammar",
     "derivation_counts",
-    "sample_ast",
     "sample_program",
     "PromptTemplate",
     "default_prompt_template",

@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,20 +98,13 @@ def default_grammar(k: int) -> dict[str, list[Production]]:
     return {NT_VECTOR: vector, NT_SCALAR: scalar, NT_LIST: lst}
 
 
-class _Slot(NamedTuple):
-    """One choice point's eligible productions, their probabilities and cdf."""
-    eligible: tuple[Production, ...]
-    probs: np.ndarray
-    cdf: list[float]
-
-
 @dataclass(frozen=True)
 class GeneratorPolicy:
     grammar: dict[str, list[Production]]
     logits: dict[str, float]
     max_depth: int = 8
     version: int = 0
-    # (temperature, nonterminal, terminal only, in fold body) -> _Slot
+    # (temperature, nonterminal, terminal only, in fold body) -> (eligible, cdf)
     _slots: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
@@ -141,8 +133,8 @@ class GeneratorPolicy:
     def with_logits(self, logits: dict[str, float]) -> "GeneratorPolicy":
         return replace(self, logits=logits, version=self.version + 1)
 
-    def slot(self, temp: float, nt: str, depth: int, in_body: bool) -> _Slot:
-        """The choice point for ``nt`` at ``depth``, built on first use."""
+    def slot(self, temp: float, nt: str, depth: int, in_body: bool) -> tuple:
+        """The eligible productions and cdf of ``nt`` at ``depth``, built on first use."""
         key = (temp, nt, depth >= self.max_depth, in_body)
         slot = self._slots.get(key)
         if slot is None:
@@ -150,17 +142,8 @@ class GeneratorPolicy:
             probs = _softmax(np.array([self.logits[p.pid] for p in eligible]), temp)
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            slot = self._slots[key] = _Slot(eligible, probs, cdf.tolist())
+            slot = self._slots[key] = (eligible, cdf.tolist())
         return slot
-
-    def production_probability(self, nt: str, pid: str, temp: float,
-                               depth: int = 0, in_body: bool = False) -> float:
-        """Analytic softmax probability of one production at a choice point."""
-        slot = self.slot(float(temp), nt, depth, in_body)
-        for p, w in zip(slot.eligible, slot.probs):
-            if p.pid == pid:
-                return float(w)
-        return 0.0
 
 
 def _eligible(prods: list[Production], terminal_only: bool, in_body: bool) -> tuple[Production, ...]:
@@ -186,7 +169,7 @@ def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: 
             rng: np.random.Generator) -> Node:
     # Generator.choice(n, p=probs) draws the cdf's searchsorted(side="right")
     # index of one rng.random(); bisect_right finds the same index.
-    eligible, _, cdf = policy.slot(temp, nt, depth, in_body)
+    eligible, cdf = policy.slot(temp, nt, depth, in_body)
     prod = eligible[bisect_right(cdf, rng.random())]
     if prod.kind == "model":
         return ModelIndex(index=int(prod.payload))
@@ -211,11 +194,7 @@ def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: 
 
 def sample_program(policy: GeneratorPolicy, temp: float, rng: np.random.Generator) -> str:
     """Sample one program as source text; always parses and typechecks."""
-    return pretty(sample_ast(policy, temp, rng))
-
-
-def sample_ast(policy: GeneratorPolicy, temp: float, rng: np.random.Generator) -> Node:
-    return _derive(policy, float(temp), NT_VECTOR, 0, False, rng)
+    return pretty(_derive(policy, float(temp), NT_VECTOR, 0, False, rng))
 
 
 def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:

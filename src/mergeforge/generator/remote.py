@@ -25,6 +25,14 @@ class EndpointConfig:
     max_retries: int = 3
     backoff_s: float = 0.5
 
+    def __post_init__(self) -> None:
+        if not 0 < self.timeout_s < float("inf"):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
+        if not 0 <= self.backoff_s < float("inf"):
+            raise ValueError(f"backoff_s must be finite and >= 0, got {self.backoff_s}")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+
 
 class GenerationSourceError(RuntimeError):
     def __init__(self, message: str, statuses: list[int | None]):

@@ -8,11 +8,9 @@ runtime failure during evaluation, and finally success with a dev score.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -302,17 +300,3 @@ def exact_text_duplicates(candidates: Sequence[str]) -> int:
     """How many candidates repeat earlier batch text verbatim; log-only metric."""
     counts = Counter(candidates)
     return sum(c - 1 for c in counts.values())
-
-
-def write_preference_jsonl(pairs: Sequence[PreferencePair], path: str | Path) -> None:
-    """Append pairs in the shape a preference-optimization trainer ingests."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(json.dumps({
-                "prompt_id": pair.prompt_id,
-                "chosen_source": pair.chosen.program.source,
-                "rejected_source": pair.rejected.program.source,
-                "chosen_score": pair.chosen.dev_score,
-                "rejected_score": pair.rejected.dev_score,
-                "iteration": pair.chosen.iteration,
-            }, sort_keys=True) + "\n")

@@ -5,9 +5,11 @@ Test modules import these by name (``from conftest import tokenize``).
 
 from typing import NamedTuple
 
+import numpy as np
+
 from mergeforge.dsl.parser import _locator, lex
-from mergeforge.generator import Production
-from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR
+from mergeforge.generator import GeneratorPolicy, Production
+from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, _eligible, _softmax
 
 
 class Token(NamedTuple):
@@ -31,3 +33,14 @@ def identity_grammar() -> dict[str, list[Production]]:
         NT_SCALAR: [Production(pid="S->lit(1.0)", kind="lit", payload=1.0)],
         NT_LIST: [Production(pid="L->models", kind="models")],
     }
+
+
+def production_probability(policy: GeneratorPolicy, nt: str, pid: str, temp: float,
+                           depth: int = 0, in_body: bool = False) -> float:
+    """Analytic softmax probability of one production at a choice point, uncached."""
+    eligible = _eligible(policy.grammar[nt], depth >= policy.max_depth, in_body)
+    probs = _softmax(np.array([policy.logits[p.pid] for p in eligible]), float(temp))
+    for p, w in zip(eligible, probs):
+        if p.pid == pid:
+            return float(w)
+    return 0.0

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import production_probability
 from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
 from mergeforge.core import apply_merged, grid_search_task_arithmetic, mean_fold_merge
@@ -220,8 +221,8 @@ def test_acceptance_7_policy_refinement_direction():
     # exact sign of the update rule
     assert refined.logits["V->mean_stack"] > policy.logits["V->mean_stack"]
     assert refined.logits["V->models[0]"] < policy.logits["V->models[0]"]
-    before_p = policy.production_probability("V", "V->mean_stack", 1.0)
-    after_p = refined.production_probability("V", "V->mean_stack", 1.0)
+    before_p = production_probability(policy, "V", "V->mean_stack", 1.0)
+    after_p = production_probability(refined, "V", "V->mean_stack", 1.0)
     assert after_p > before_p
 
     # empirical frequency over 10,000 samples at fixed temperature

@@ -142,6 +142,24 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     {"benchmark": {"d": 16, "k": 3, "overlap": float("inf")}},
     {"benchmark": {"d": 16, "k": 3, "overlap": float("-inf")}},
     {"benchmark": {"d": 16, "k": 3, "overlap": -3}},
+    # counts must be JSON integers, booleans excluded
+    {"iterations": 2.5},
+    {"candidates_per_iteration": 3.5},
+    {"seed": 1.5},
+    {"budget_steps": 10.5},
+    {"max_depth": 2.5},
+    {"top_n_for_test": 1.5},
+    {"top_n_for_test": True},
+    {"refine": {"s": 1.5}},
+    {"refine": {"k": 1.5}},
+    {"benchmark": {"d": 16.5, "k": 3}},
+    {"benchmark": {"d": 16, "k": 2.5}},
+    {"benchmark": {"d": 16, "k": 3, "n_dev": 10.5}},
+    {"seed": -1},
+    *({"generator_mode": "remote", "remote": {"url": "http://127.0.0.1:9", "model": "m", **endpoint}}
+      for endpoint in ({"timeout_s": 0}, {"timeout_s": -1.0}, {"timeout_s": float("nan")},
+                  {"timeout_s": float("inf")}, {"backoff_s": -1}, {"backoff_s": float("nan")},
+                  {"max_retries": -1}, {"max_retries": 1.5})),
 ])
 def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     config = {
@@ -155,6 +173,13 @@ def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     assert main(["run", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_non_integer_count_names_its_field(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"benchmark": {"d": 16, "k": 2.5}}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "k must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["0.2,,0.4", "", ",", "0.2,x", "nan", "0.2,inf"])

@@ -7,7 +7,7 @@ import pytest
 from conftest import identity_grammar
 from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
-from mergeforge.driver import RunState, run
+from mergeforge.driver import run
 from mergeforge.dsl import compile_program
 from mergeforge.generator import GeneratorPolicy, Production, temperature
 from mergeforge.generator.policy import NT_VECTOR
@@ -53,6 +53,20 @@ def test_s_best_non_decreasing_in_logs(tmp_path):
     assert all(a <= b for a, b in zip(series, series[1:]))
 
 
+def test_s_best_is_the_running_max_of_success_scores(tmp_path):
+    config = _small_config(tmp_path)
+    report = run(config)
+    candidates = _read_jsonl(Path(config.output_dir) / "candidates.jsonl")
+    scores = []
+    for rec in _read_jsonl(Path(config.output_dir) / "iterations.jsonl"):
+        scores += [c["score"] for c in candidates
+                   if c["iteration"] == rec["iteration"] and c["category"] == "success"]
+        assert rec["s_best_so_far"] == max(scores, default=None)
+    assert scores
+    assert report.best is report.top_test[0][0]
+    assert report.s_best == report.best.dev_score == max(scores)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config_a = _small_config(tmp_path, output_dir=str(tmp_path / "a"))
     config_b = _small_config(tmp_path, output_dir=str(tmp_path / "b"))
@@ -88,8 +102,7 @@ def test_carryover_pool_is_union_of_prior_chosen(tmp_path):
         assert set(rec["chosen_hashes"]) == pool_hashes
         seen_union |= pool_hashes
     # reconstruct the pool the final iteration saw
-    state = RunState(history=report.iterations[:-1])
-    pool = {a.program.canonical_hash for a in state.carryover_pool()}
+    pool = {a.program.canonical_hash for stats in report.iterations[:-1] for a in stats.chosen}
     assert pool == set().union(*(set(r["chosen_hashes"]) for r in records[:-1]))
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_grammar
+from conftest import identity_grammar, production_probability
 from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
 from mergeforge.generator import (
     GeneratorPolicy,
@@ -20,7 +20,6 @@ from mergeforge.generator import (
     default_prompt_template,
     derivation_counts,
     extract_program,
-    sample_ast,
     sample_program,
     temperature,
 )
@@ -127,7 +126,7 @@ def test_softmax_invariant_to_constant_logit_shift():
 
     temp = 0.9
     expected = np.array([
-        policy.production_probability(NT_VECTOR, f"V->models[{j}]", temp) for j in range(4)
+        production_probability(policy, NT_VECTOR, f"V->models[{j}]", temp) for j in range(4)
     ])
     shifted = policy.with_logits({
         pid: (v + 5.0 if pid.startswith("V->") else v)
@@ -149,8 +148,8 @@ def test_analytic_probability_unchanged_by_shift():
         for pid, v in policy.logits.items()
     })
     for pid in ("V->add", "V->fold", "V->models[0]"):
-        assert policy.production_probability(NT_VECTOR, pid, 1.1) == pytest.approx(
-            shifted.production_probability(NT_VECTOR, pid, 1.1), abs=1e-12
+        assert production_probability(policy, NT_VECTOR, pid, 1.1) == pytest.approx(
+            production_probability(shifted, NT_VECTOR, pid, 1.1), abs=1e-12
         )
 
 
@@ -221,7 +220,7 @@ def test_derivation_counts_fold_and_scalars():
 def test_sampled_programs_are_rederivable():
     policy = GeneratorPolicy.initial(default_grammar(3))
     for i in range(500):
-        ast = sample_ast(policy, 1.2, np.random.default_rng((8, i)))
+        ast = parse(sample_program(policy, 1.2, np.random.default_rng((8, i))))
         typecheck(ast)
         counts = derivation_counts(policy, ast)
         assert sum(counts.values()) >= 1
@@ -477,9 +476,9 @@ def test_pinned_sample_texts():
 def test_production_probability_matches_the_cached_cdf(nt, depth, in_body):
     policy = GeneratorPolicy.initial(default_grammar(3), max_depth=4)
     policy = policy.with_logits({pid: 0.37 * (i % 7) - 1.0 for i, pid in enumerate(policy.logits)})
-    eligible, _, cdf = policy.slot(0.8, nt, depth, in_body)
+    eligible, cdf = policy.slot(0.8, nt, depth, in_body)
     increments = np.diff(cdf, prepend=0.0)
-    probs = {p.pid: policy.production_probability(nt, p.pid, 0.8, depth, in_body)
+    probs = {p.pid: production_probability(policy, nt, p.pid, 0.8, depth, in_body)
              for p in policy.grammar[nt]}
     assert [probs[p.pid] for p in eligible] == pytest.approx(increments, abs=1e-12)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -488,10 +487,12 @@ def test_production_probability_matches_the_cached_cdf(nt, depth, in_body):
 
 def test_refined_policy_starts_with_no_cached_slots():
     policy = GeneratorPolicy.initial(default_grammar(3))
-    before = policy.production_probability(NT_VECTOR, "V->add", 1.0)
+    policy.slot(1.0, NT_VECTOR, 0, False)
+    assert policy._slots  # the parent's cache is filled, the child's must start empty
+    before = production_probability(policy, NT_VECTOR, "V->add", 1.0)
     assert policy.with_logits(policy.logits)._slots == {}
     refined = policy.with_logits({**policy.logits, "V->add": 3.0})
-    assert refined.production_probability(NT_VECTOR, "V->add", 1.0) > before
+    assert production_probability(refined, NT_VECTOR, "V->add", 1.0) > before
     assert refined == replace(policy, logits=refined.logits, version=1)  # slots do not compare
 
 
@@ -501,7 +502,7 @@ def test_non_positive_temperature_raises(temp):
     with pytest.raises(ValueError, match="temperature"):
         sample_program(policy, temp, np.random.default_rng(0))
     with pytest.raises(ValueError, match="temperature"):
-        policy.production_probability(NT_VECTOR, "V->add", temp)
+        production_probability(policy, NT_VECTOR, "V->add", temp)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
