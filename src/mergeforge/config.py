@@ -75,23 +75,32 @@ def full_scale_preset(**overrides) -> RunConfig:
     return replace(RunConfig(candidates_per_iteration=3000), **overrides)
 
 
-def _counted(obj):
-    """``obj``, once each field annotated ``int`` holds an integer (JSON 2.5 and true do not)."""
+# Annotation -> the JSON value types it takes and their name; no number is a bool.
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def _typed(obj):
+    """``obj``, once each field annotated ``int``, ``float`` or ``str`` holds a value of that kind."""
     for f in fields(obj):  # annotations are strings here: postponed evaluation
         value = getattr(obj, f.name)
-        if f.type in ("int", "int | None") and value is not None and type(value) is not int:
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        kind, _, optional = f.type.partition(" | ")
+        if kind in _KINDS and type(value) not in _KINDS[kind][0] and not (optional and value is None):
+            raise ConfigError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
     return obj
 
 
 def _build(payload: dict) -> RunConfig:
     known = dict(payload)
     try:
-        refine = _counted(RefineConfig(**known.pop("refine", {})))
-        benchmark = _counted(BenchmarkConfig(**known.pop("benchmark", {})))
+        refine = _typed(RefineConfig(**known.pop("refine", {})))
+        benchmark = _typed(BenchmarkConfig(**known.pop("benchmark", {})))
         remote_raw = known.pop("remote", None)
-        remote = _counted(EndpointConfig(**remote_raw)) if remote_raw else None
-        return _counted(RunConfig(refine=refine, benchmark=benchmark, remote=remote, **known))
+        remote = _typed(EndpointConfig(**remote_raw)) if remote_raw else None
+        return _typed(RunConfig(refine=refine, benchmark=benchmark, remote=remote, **known))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

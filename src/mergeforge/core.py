@@ -15,49 +15,44 @@ Vector = np.ndarray
 
 
 class DimensionError(ValueError):
-    """Raised when vector operands disagree on length."""
+    """Raised when vector operands are not 1-d, are empty or disagree on length."""
 
 
-def _as_vector(values) -> Vector:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"expected a non-empty 1-d vector, got shape {arr.shape}")
-    return arr
+def as_vectors(values: Sequence) -> list[Vector]:
+    """``values`` as a list of non-empty 1-d float64 vectors of one length.
 
-
-def _check_same_length(*vectors: Vector) -> int:
-    lengths = {v.shape[0] for v in vectors}
-    if len(lengths) != 1:
-        raise DimensionError(f"mismatched vector lengths: {sorted(lengths)}")
-    return lengths.pop()
+    Raises ValueError when there are none and DimensionError on a bad shape.
+    """
+    vecs = [np.asarray(v, dtype=np.float64) for v in values]
+    if not vecs:
+        raise ValueError("expected at least one vector")
+    shape = vecs[0].shape
+    if len(shape) != 1 or shape[0] == 0 or any(v.shape != shape for v in vecs):
+        raise DimensionError(
+            f"expected non-empty 1-d vectors of one length, got shapes {[v.shape for v in vecs]}"
+        )
+    return vecs
 
 
 def task_vector(candidate, seed) -> Vector:
     """Weight delta of a candidate model relative to the seed model."""
-    c = _as_vector(candidate)
-    s = _as_vector(seed)
-    _check_same_length(c, s)
+    c, s = as_vectors((candidate, seed))
     return c - s
 
 
 def apply_merged(seed, tau) -> Vector:
     """Add a merged task vector back onto the seed model."""
-    s = _as_vector(seed)
-    t = _as_vector(tau)
-    _check_same_length(s, t)
+    s, t = as_vectors((seed, tau))
     return s + t
 
 
 def task_arithmetic(taus: Sequence, lambdas: Sequence[float]) -> Vector:
     """Fixed weighted sum of task vectors: sum_j lambdas[j] * taus[j]."""
-    if len(taus) == 0:
-        raise ValueError("task_arithmetic needs at least one task vector")
-    if len(taus) != len(lambdas):
+    vecs = as_vectors(taus)
+    if len(vecs) != len(lambdas):
         raise DimensionError(
-            f"{len(taus)} task vectors but {len(lambdas)} mixing coefficients"
+            f"{len(vecs)} task vectors but {len(lambdas)} mixing coefficients"
         )
-    vecs = [_as_vector(t) for t in taus]
-    _check_same_length(*vecs)
     out = np.zeros_like(vecs[0])
     for lam, vec in zip(lambdas, vecs):
         out += float(lam) * vec
@@ -78,10 +73,7 @@ def grid_search_task_arithmetic(
     """
     if len(grid) == 0:
         raise ValueError("grid must be non-empty")
-    vecs = [_as_vector(t) for t in taus]
-    if not vecs:
-        raise ValueError("need at least one task vector")
-    _check_same_length(*vecs)
+    vecs = as_vectors(taus)
 
     best_lambdas: tuple[float, ...] | None = None
     best_score = -np.inf
@@ -102,10 +94,7 @@ def mean_fold_merge(taus: Sequence) -> Vector:
     merged <- (merged + mean(tau_i) * ones) / 2.  A single input is returned
     unchanged.
     """
-    if len(taus) == 0:
-        raise ValueError("mean_fold_merge needs at least one task vector")
-    vecs = [_as_vector(t) for t in taus]
-    _check_same_length(*vecs)
+    vecs = as_vectors(taus)
     merged = vecs[0].copy()
     for vec in vecs[1:]:
         merged = 0.5 * (merged + float(vec.mean()))

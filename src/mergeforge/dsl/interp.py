@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core import as_vectors
 from .ast import (
     OPS,
     Call,
@@ -97,11 +98,7 @@ class _Machine:
 
 def evaluate(root: Node, models: Sequence, budget: EvalBudget) -> np.ndarray:
     """Run a typechecked program on K task vectors of equal dimension."""
-    vecs = [np.asarray(m, dtype=np.float64) for m in models]
-    if not vecs:
-        raise ValueError("need at least one model vector")
-    if any(v.ndim != 1 or v.shape != vecs[0].shape for v in vecs):
-        raise ValueError("model vectors must share a single 1-d shape")
+    vecs = as_vectors(models)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow shows up as a non-finite check failure, not a warning
         result = _Machine(vecs, budget).eval(root, {})

@@ -187,16 +187,12 @@ def parse(source: str) -> Node:
             name = texts[j]
             arity = _ARITY.get(name)
             if arity is not None:
-                if kinds[i] != "(":
-                    raise expected("'('")
-                i += 1
+                expect("(")
                 args = [expr()]
                 while kinds[i] == ",":
                     i += 1
                     args.append(expr())
-                if kinds[i] != ")":
-                    raise expected("')'")
-                i += 1
+                expect(")")
                 if len(args) != arity:
                     plural = "s" if arity != 1 else ""
                     raise error(f"{name} takes {arity} argument{plural}, got {len(args)}", j)
@@ -205,16 +201,11 @@ def parse(source: str) -> Node:
                 if kinds[i] != "[":
                     return ModelsRef(pos=locate(offsets[j]))
                 i += 1
-                if kinds[i] != "number":
-                    raise expected("an integer index")
-                index = texts[i]
-                if not index.isdigit():
-                    raise error("model index must be an integer", i)
-                i += 1
-                if kinds[i] != "]":
-                    raise expected("']'")
-                i += 1
-                return ModelIndex(int(index), pos=locate(offsets[j]))
+                n = expect("number", "an integer index")
+                if not texts[n].isdigit():
+                    raise error("model index must be an integer", n)
+                expect("]")
+                return ModelIndex(int(texts[n]), pos=locate(offsets[j]))
             if name == "fold":
                 return fold(j)
             for pair in reversed(scopes):
@@ -225,15 +216,11 @@ def parse(source: str) -> Node:
             return ScalarLit(float(texts[j]), pos=locate(offsets[j]))
         if kind == "(":
             node = expr()
-            if kinds[i] != ")":
-                raise expected("')'")
-            i += 1
+            expect(")")
             return node
         if kind == "-":
-            if kinds[i] != "number":
-                raise expected("a number after unary '-'")
-            i += 1
-            return ScalarLit(-float(texts[i - 1]), pos=locate(offsets[j]))
+            n = expect("number", "a number after unary '-'")
+            return ScalarLit(-float(texts[n]), pos=locate(offsets[j]))
         raise error(f"expected an expression, found {texts[j] or 'end of input'!r}", j)
 
     def fold(j: int) -> Node:

@@ -22,7 +22,8 @@ class DslTypeError(ValueError):
         self.pos = pos
 
 
-def _check(node: Node, env: dict[str, DslType]) -> DslType:
+def _check(node: Node, scope: tuple[str, ...]) -> DslType:
+    """The type of ``node``; ``scope`` names the fold binders, each a vector."""
     if isinstance(node, ScalarLit):
         return DslType.SCALAR
     if isinstance(node, ModelsRef):
@@ -30,14 +31,13 @@ def _check(node: Node, env: dict[str, DslType]) -> DslType:
     if isinstance(node, ModelIndex):
         return DslType.VECTOR
     if isinstance(node, Var):
-        ty = env.get(node.name)
-        if ty is None:
+        if node.name not in scope:
             raise DslTypeError(f"unbound variable {node.name!r}", node.pos)
-        return ty
+        return DslType.VECTOR
     if isinstance(node, Call):
         spec = OPS.get(node.op)
         if spec is None:  # an infix symbol: its operand types pick the op
-            types = tuple(_check(arg, env) for arg in node.args)
+            types = tuple(_check(arg, scope) for arg in node.args)
             op = INFIX.get((node.op, *types))
             if op is None:
                 shown = ", ".join(t.value for t in types)
@@ -47,24 +47,20 @@ def _check(node: Node, env: dict[str, DslType]) -> DslType:
                 node.args = node.args[::-1]
             return spec.result
         for expected, arg in zip(spec.args, node.args):
-            got = _check(arg, env)
+            got = _check(arg, scope)
             if got != expected:
                 raise DslTypeError(
                     f"{node.op} expects {expected.value}, got {got.value}", arg.pos
                 )
         return spec.result
     if isinstance(node, Fold):
-        lt = _check(node.list_expr, env)
+        lt = _check(node.list_expr, scope)
         if lt != DslType.VECTOR_LIST:
             raise DslTypeError(f"fold expects a vector list, got {lt.value}", node.list_expr.pos)
-        it = _check(node.init_expr, env)
+        it = _check(node.init_expr, scope)
         if it != DslType.VECTOR:
             raise DslTypeError(f"fold seed must be a vector, got {it.value}", node.init_expr.pos)
-        acc, elem = node.binders
-        inner = dict(env)
-        inner[acc] = DslType.VECTOR
-        inner[elem] = DslType.VECTOR
-        bt = _check(node.body, inner)
+        bt = _check(node.body, scope + node.binders)
         if bt != DslType.VECTOR:
             raise DslTypeError(f"fold body must produce a vector, got {bt.value}", node.body.pos)
         return DslType.VECTOR
@@ -77,7 +73,7 @@ def typecheck(root: Node) -> Node:
     Later passes see named ops only (``v * s`` becomes ``scale(s, v)``), and
     checking a checked tree again is harmless.  Programs must produce a vector.
     """
-    result = _check(root, {})
+    result = _check(root, ())
     if result != DslType.VECTOR:
         raise DslTypeError(
             f"a merge program must produce a vector, got {result.value}", root.pos

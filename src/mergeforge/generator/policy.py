@@ -32,6 +32,7 @@ from ..dsl.ast import (
     Var,
     pretty,
 )
+from ..dsl.parser import MAX_DEPTH
 
 # Nonterminals, keyed by the type an expression must produce.
 NT_VECTOR = "V"
@@ -118,8 +119,8 @@ class GeneratorPolicy:
         return policy
 
     def validate(self) -> None:
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth < MAX_DEPTH:  # a derivation nests max_depth + 1 levels
+            raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH - 1}], got {self.max_depth}")
         for nt, prods in self.grammar.items():
             if not prods:
                 raise ValueError(f"nonterminal {nt} has no productions")

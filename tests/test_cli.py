@@ -136,6 +136,7 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     {"t1": float("nan")},
     {"beta": -0.1},
     {"max_depth": 0},
+    {"max_depth": 128},  # a derivation that deep nests past the parser's 128-level bound
     {"refine": {"eta": float("nan")}},
     {"benchmark": {"d": 16, "k": 3, "component_noise": -0.1}},
     {"benchmark": {"d": 16, "k": 3, "overlap": float("nan")}},
@@ -156,10 +157,16 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     {"benchmark": {"d": 16, "k": 2.5}},
     {"benchmark": {"d": 16, "k": 3, "n_dev": 10.5}},
     {"seed": -1},
+    # numbers must be JSON numbers and strings JSON strings, booleans excluded
+    {"t1": True},
+    {"beta": False},
+    {"refine": {"eta": True}},
+    {"benchmark": {"d": 16, "k": 3, "overlap": True}},
+    {"output_dir": 5},
     *({"generator_mode": "remote", "remote": {"url": "http://127.0.0.1:9", "model": "m", **endpoint}}
       for endpoint in ({"timeout_s": 0}, {"timeout_s": -1.0}, {"timeout_s": float("nan")},
                   {"timeout_s": float("inf")}, {"backoff_s": -1}, {"backoff_s": float("nan")},
-                  {"max_retries": -1}, {"max_retries": 1.5})),
+                  {"max_retries": -1}, {"max_retries": 1.5}, {"auth_token_env": 5}, {"url": 5})),
 ])
 def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     config = {

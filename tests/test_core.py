@@ -13,6 +13,7 @@ from mergeforge.core import (
     task_arithmetic,
     task_vector,
 )
+from mergeforge.dsl import EvalBudget, compile_program, evaluate
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -174,3 +175,26 @@ def test_mean_fold_matches_closed_form():
         taus = [rng.normal(size=d) for _ in range(k)]
         got = mean_fold_merge(taus)
         assert np.max(np.abs(got - _mean_fold_closed_form(taus))) <= 1e-12
+
+
+_IDENTITY = compile_program("merge(models) = models[0]").ast
+
+# Each entry calls a function on a list of vectors; the two-argument ones take
+# the first two items, repeating one or giving [] for each when there are none.
+_ON_VECTORS = {
+    "task_vector": lambda vs: task_vector(*(vs * 2 or [[], []])[:2]),
+    "apply_merged": lambda vs: apply_merged(*(vs * 2 or [[], []])[:2]),
+    "task_arithmetic": lambda vs: task_arithmetic(vs, [0.5] * len(vs)),
+    "grid_search_task_arithmetic": lambda vs: grid_search_task_arithmetic(vs, [0.5], lambda t: 0.0),
+    "mean_fold_merge": mean_fold_merge,
+    "evaluate": lambda vs: evaluate(_IDENTITY, vs, EvalBudget(100)),
+}
+
+
+@pytest.mark.parametrize("vectors", [
+    [], [np.ones((2, 2))], [np.ones(0)], [np.ones(2), np.ones(3)],
+], ids=["none", "2-d", "zero-length", "two-lengths"])
+@pytest.mark.parametrize("name", _ON_VECTORS)
+def test_malformed_vectors_are_refused(name, vectors):
+    with pytest.raises(ValueError):
+        _ON_VECTORS[name](vectors)

@@ -477,6 +477,12 @@ _PARSER_CASES = [
     "merge(models) = add(models[0], models[1]",
     "merge(model) = models[0]",
     "merge(models) = mean_elem(models[0])",
+    "merge(models) = add models[0], models[1])",
+    "merge(models) = models[x]",
+    "merge(models) = models[0",
+    "merge(models) = (models[0] + models[1]",
+    "merge(models) = scale(- mean_elem(models[0]), models[1])",
+    "merge(models) = add(models[0] models[1])",
     _nest(120), _nest(127), _nest(128), _nest(200), _nest(200, " \u00e9"),
     "merge(models) = " + "(" * 150 + "models[0]" + ")" * 150,
     "merge(models) = models[0]" + "\n + models[1]" * 130,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import identity_grammar, production_probability
 from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
+from mergeforge.dsl.parser import MAX_DEPTH, ParseError
 from mergeforge.generator import (
     GeneratorPolicy,
     Production,
@@ -75,6 +76,21 @@ def test_grammar_totality_fuzz():
     for i in range(10_000):
         source = sample_program(policy, 1.2, np.random.default_rng((2, i)))
         compile_program(source)
+
+
+def test_max_depth_stays_under_the_parser_nesting_bound():
+    with pytest.raises(ValueError, match="max_depth"):
+        GeneratorPolicy.initial(default_grammar(3), MAX_DEPTH)
+    # ones(mean_elem(ones(...))) chains nest one expression level per derivation step
+    policy = GeneratorPolicy.initial(default_grammar(3), MAX_DEPTH - 1)
+    policy = policy.with_logits({**policy.logits, "V->ones": 10.0, "S->mean_elem": 10.0})
+    for i in range(20):
+        compile_program(sample_program(policy, 1.0, np.random.default_rng((5, i))))
+    # one level more, bypassing validate, gives text the parser refuses
+    too_deep = replace(policy, max_depth=MAX_DEPTH)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
+        for i in range(20):
+            compile_program(sample_program(too_deep, 1.0, np.random.default_rng((5, i))))
 
 
 def test_low_temperature_concentrates_on_argmax():
