@@ -44,6 +44,10 @@ def _grid(text: str) -> tuple[float, ...]:
 def _build_parser() -> argparse.ArgumentParser:
     bench = BenchmarkConfig()
     parser = argparse.ArgumentParser(prog="mergeforge")
+    parser.add_argument(
+        "-v", dest="log_level", action="store_const", const=logging.INFO, default=logging.WARNING,
+        help="print INFO log lines (default: warnings and errors only)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a full search run")
@@ -146,11 +150,11 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.handler(args)
     except ConfigError as exc:

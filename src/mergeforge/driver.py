@@ -174,6 +174,78 @@ def _generate(config: RunConfig, policy: GeneratorPolicy, temp: float, iteration
     return remote_generate(config.remote, prompt, temp, config.candidates_per_iteration)
 
 
+def _iteration(
+    t: int,
+    config: RunConfig,
+    policy: GeneratorPolicy,
+    history: list[IterationStats],
+    top: list[ScoredAlgorithm],
+    instance: BenchmarkInstance,
+    taus: list[np.ndarray],
+    budget: EvalBudget,
+    out: Path,
+) -> tuple[GeneratorPolicy, list[ScoredAlgorithm]]:
+    """Run iteration ``t`` and log it; returns the refined policy and the new top-n.
+
+    Only the chosen set (kept in ``history``) and the top-n outlive the call, so
+    the rest of the iteration's programs are freed before the next one samples.
+    """
+    temp = temperature(t, config.t1, config.beta)
+    candidates = _generate(config, policy, temp, t)
+    outcomes = filter_candidates(
+        candidates,
+        set(),  # duplicate detection is per-iteration
+        budget,
+        taus,
+        instance.seed_model,
+        instance.dev_probes,
+        instance.dev_baseline_mse,
+        extract_from_raw=(config.generator_mode == "remote"),
+        iteration=t,
+        generator_kind=config.generator_mode,
+    )
+    _append_jsonl(out / "candidates.jsonl", (_candidate_record(t, i, o) for i, o in enumerate(outcomes)))
+
+    scored = [
+        ScoredAlgorithm(o.program, o.dev_score, t)
+        for o in outcomes if o.category == SUCCESS
+    ]
+    pool = [alg for stats in history for alg in stats.chosen]
+    pairs = []
+    if len(scored) >= 2:
+        chosen, rejected, _, _ = select_preference_sets(scored, pool, config.refine)
+        pairs = build_preferences(
+            chosen, rejected, config.refine,
+            np.random.default_rng((config.seed, _PREF_STREAM, t)),
+            prompt_id=default_prompt_template().prompt_id,
+        )
+    else:
+        chosen = ranked(scored)
+        log.warning("iteration %d: %d success(es); skipping preference building", t, len(scored))
+    _append_jsonl(out / "preferences.jsonl", map(_pair_record, pairs))
+
+    if pairs and config.generator_mode == "grammar":
+        policy = refine_policy(policy, pairs, config.refine.eta)
+
+    stats = IterationStats(
+        iteration=t,
+        temperature=temp,
+        counts=category_counts(outcomes),
+        success_scores=[a.dev_score for a in scored],
+        chosen=chosen,
+        pairs_built=len(pairs),
+        policy_version=policy.version,
+        duplicate_exact_text=exact_text_duplicates(candidates),
+    )
+    history.append(stats)
+    # No entry outside an earlier top-n, nor a worse copy of a hash in it, can
+    # enter a later one, so this is the top-n of every success so far.
+    top = top_k_carryover([*top, *scored], config.top_n_for_test)
+    s_best = top[0].dev_score if top else None
+    _append_jsonl(out / "iterations.jsonl", [_iteration_record(stats, s_best)])
+    return policy, top
+
+
 def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> RunReport:
     """Execute a full search run, writing logs and reports to the output dir."""
     out = Path(config.output_dir)
@@ -197,70 +269,15 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
     )
     taus = instance.task_vectors()
     policy = initial_policy or GeneratorPolicy.initial(default_grammar(bench.k), config.max_depth)
-    prompt_id = default_prompt_template().prompt_id
     history: list[IterationStats] = []
-    all_scored: list[ScoredAlgorithm] = []
+    top: list[ScoredAlgorithm] = []  # top-n of every success so far
 
-    cand_path = out / "candidates.jsonl"
-    iter_path = out / "iterations.jsonl"
-    pref_path = out / "preferences.jsonl"
-    for path in (cand_path, iter_path, pref_path):
-        path.write_text("")
+    for name in ("candidates.jsonl", "iterations.jsonl", "preferences.jsonl"):
+        (out / name).write_text("")
 
     for t in range(1, config.iterations + 1):
-        temp = temperature(t, config.t1, config.beta)
-        candidates = _generate(config, policy, temp, t)
-        outcomes = filter_candidates(
-            candidates,
-            set(),  # duplicate detection is per-iteration
-            budget,
-            taus,
-            instance.seed_model,
-            instance.dev_probes,
-            instance.dev_baseline_mse,
-            extract_from_raw=(config.generator_mode == "remote"),
-            iteration=t,
-            generator_kind=config.generator_mode,
-        )
-        _append_jsonl(cand_path, (_candidate_record(t, i, o) for i, o in enumerate(outcomes)))
+        policy, top = _iteration(t, config, policy, history, top, instance, taus, budget, out)
 
-        scored = [
-            ScoredAlgorithm(o.program, o.dev_score, t)
-            for o in outcomes if o.category == SUCCESS
-        ]
-        all_scored.extend(scored)
-        pool = [alg for stats in history for alg in stats.chosen]
-        pairs = []
-        if len(scored) >= 2:
-            chosen, rejected, _, _ = select_preference_sets(scored, pool, config.refine)
-            pairs = build_preferences(
-                chosen, rejected, config.refine,
-                np.random.default_rng((config.seed, _PREF_STREAM, t)),
-                prompt_id=prompt_id,
-            )
-        else:
-            chosen = ranked(scored)
-            log.warning("iteration %d: %d success(es); skipping preference building", t, len(scored))
-        _append_jsonl(pref_path, map(_pair_record, pairs))
-
-        if pairs and config.generator_mode == "grammar":
-            policy = refine_policy(policy, pairs, config.refine.eta)
-
-        stats = IterationStats(
-            iteration=t,
-            temperature=temp,
-            counts=category_counts(outcomes),
-            success_scores=[a.dev_score for a in scored],
-            chosen=chosen,
-            pairs_built=len(pairs),
-            policy_version=policy.version,
-            duplicate_exact_text=exact_text_duplicates(candidates),
-        )
-        history.append(stats)
-        s_best = max((a.dev_score for a in all_scored), default=None)
-        _append_jsonl(iter_path, [_iteration_record(stats, s_best)])
-
-    top = top_k_carryover(all_scored, config.top_n_for_test)
     if not top:
         log.warning("no successful programs in this run")
     top_test = [
@@ -274,7 +291,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         for alg in top
     ]
 
-    best = top[0] if top else None  # ranked(all_scored)[0], as top_n_for_test >= 1
+    best = top[0] if top else None  # the best success, as top_n_for_test >= 1
     report = RunReport(
         s_best=None if best is None else best.dev_score,
         best=best,

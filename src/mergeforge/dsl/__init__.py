@@ -1,6 +1,6 @@
 from .ast import OP_TABLE, DslType, Node, pretty
 from .canon import canonical_hash
-from .interp import BudgetExceeded, DslRuntimeError, EvalBudget, default_budget, evaluate
+from .interp import BudgetExceeded, DslRuntimeError, EvalBudget, Memo, default_budget, evaluate
 from .parser import ParseError, parse
 from .program import MergeProgram, compile_program
 from .typecheck import DslTypeError, typecheck
@@ -14,6 +14,7 @@ __all__ = [
     "BudgetExceeded",
     "DslRuntimeError",
     "EvalBudget",
+    "Memo",
     "default_budget",
     "evaluate",
     "ParseError",

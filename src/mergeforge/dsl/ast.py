@@ -44,7 +44,7 @@ def _cos(d, a, b) -> float:
 def _mean_stack(d, vs):
     if len(vs) == 0:
         raise DslRuntimeError("mean_stack of an empty list")
-    return np.mean(np.stack(vs), axis=0)
+    return np.add.reduce(vs) / len(vs)
 
 
 S, V, L = DslType.SCALAR, DslType.VECTOR, DslType.VECTOR_LIST
@@ -58,12 +58,12 @@ OP_TABLE: dict[str, Op] = {
     "hadamard": Op((V, V), V, lambda d, a, b: a * b, commutative=True),
     "emax": Op((V, V), V, lambda d, a, b: np.maximum(a, b), commutative=True),
     "emin": Op((V, V), V, lambda d, a, b: np.minimum(a, b), commutative=True),
-    "mean_elem": Op((V,), S, lambda d, v: float(np.mean(v))),
-    "norm1": Op((V,), S, lambda d, v: float(np.sum(np.abs(v)))),
+    "mean_elem": Op((V,), S, lambda d, v: float(np.add.reduce(v)) / len(v)),
+    "norm1": Op((V,), S, lambda d, v: float(np.add.reduce(np.abs(v)))),
     "norm2": Op((V,), S, lambda d, v: float(np.linalg.norm(v))),
     "cos": Op((V, V), S, _cos),
     "mean_stack": Op((L,), V, _mean_stack),
-    "sum_stack": Op((L,), V, lambda d, vs: np.sum(np.stack(vs), axis=0) if vs else np.zeros(d)),
+    "sum_stack": Op((L,), V, lambda d, vs: np.add.reduce(vs) if vs else np.zeros(d)),
     "ones": Op((S,), V, lambda d, s: np.full(d, s)),
     "clamp": Op((S, S, S), S, lambda d, x, lo, hi: min(max(x, lo), hi)),
     "length": Op((L,), S, lambda d, vs: float(len(vs))),

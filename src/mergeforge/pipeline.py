@@ -22,6 +22,7 @@ from .dsl import (
     DslRuntimeError,
     DslTypeError,
     EvalBudget,
+    Memo,
     MergeProgram,
     ParseError,
     compile_program,
@@ -91,9 +92,10 @@ def score_program(
     probes: ProbeSet,
     baseline_mse: float,
     budget: EvalBudget,
+    memo: Memo | None = None,
 ) -> float:
     """Merged tau -> merged model -> probe score, for one program."""
-    tau = evaluate(program.ast, taus, budget)
+    tau = evaluate(program.ast, taus, budget, memo)
     return probe_score(apply_merged(seed_model, tau), probes, baseline_mse)
 
 
@@ -115,9 +117,13 @@ def filter_candidates(
     ``seen_hashes`` is updated with the canonical hash of every candidate that
     compiles, so later batches can detect duplicates against this one.  Each
     distinct source is compiled once per call; a repeat that compiled is a
-    duplicate of its first occurrence.
+    duplicate of its first occurrence.  A batch of more than one candidate
+    shares one interpreter memo across its programs.
     """
     outcomes: list[CandidateOutcome] = []
+    # one program's own repeats (closed subtrees in fold bodies) save less than
+    # the memo's key pass costs, so a single candidate runs without one
+    memo = Memo() if len(candidates) > 1 else None
     compiled: dict[str, MergeProgram | str] = {}  # source -> program or compile error
     for raw in candidates:
         source = raw
@@ -142,7 +148,7 @@ def filter_candidates(
             continue
         seen_hashes.add(program.canonical_hash)
         try:
-            dev = score_program(program, taus, seed_model, probes, baseline_mse, budget)
+            dev = score_program(program, taus, seed_model, probes, baseline_mse, budget, memo)
         except BudgetExceeded:
             outcomes.append(CandidateOutcome(TIMEOUT, source=source, program=program))
             continue
@@ -153,6 +159,11 @@ def filter_candidates(
             continue
         outcomes.append(
             CandidateOutcome(SUCCESS, source=source, program=program, dev_score=dev)
+        )
+    if memo is not None:
+        log.info(
+            "interpreter memo: %d hits, %d misses, %d bytes stored",
+            memo.hits, memo.misses, memo.nbytes,
         )
     return outcomes
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mergeforge
 from mergeforge.benchmark import load_instance, make_instance, score
 from mergeforge.cli import main
 from mergeforge.config import BenchmarkConfig
@@ -94,6 +98,24 @@ def test_run_output_dir_override(tmp_path, capsys):
     capsys.readouterr()
     assert (override / "result.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("flags, shown", [([], False), (["-v"], True)])
+def test_verbose_flag_shows_the_interpreter_memo_line(tmp_path, flags, shown):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "seed": 2, "iterations": 1, "candidates_per_iteration": 10,
+        "benchmark": {"d": 16, "k": 3, "n_dev": 10, "n_test": 10},
+        "output_dir": str(tmp_path / "run"),
+    }))
+    src = str(Path(mergeforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergeforge.cli", *flags, "run", "--config", str(config_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ("INFO mergeforge.pipeline: interpreter memo: " in proc.stderr) == shown
 
 
 def test_usage_error_exit_code():

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import identity_grammar
 from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
+from mergeforge import driver
 from mergeforge.driver import run
 from mergeforge.dsl import compile_program
 from mergeforge.generator import GeneratorPolicy, Production, temperature
@@ -65,6 +68,21 @@ def test_s_best_is_the_running_max_of_success_scores(tmp_path):
     assert scores
     assert report.best is report.top_test[0][0]
     assert report.s_best == report.best.dev_score == max(scores)
+
+    # the run keeps a running top-n; it must equal ranking every success at the end
+    everything = [
+        ScoredAlgorithm(compile_program(c["source"]), c["score"], c["iteration"])
+        for c in candidates if c["category"] == "success"
+    ]
+    hashes = [a.program.canonical_hash for a in everything]
+    assert len(set(hashes)) < len(hashes)  # some programs succeed in several iterations
+    want = top_k_carryover(everything, config.top_n_for_test)
+    assert len(want) == config.top_n_for_test < len(everything)
+
+    def key(alg):
+        return (alg.program.canonical_hash, alg.program.source, alg.dev_score, alg.iteration)
+
+    assert [key(alg) for alg, _ in report.top_test] == [key(a) for a in want]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -150,6 +168,37 @@ def test_top_test_respects_limit_and_dedup(tmp_path):
     assert len(hashes) == len(set(hashes))
     dev_scores = [alg.dev_score for alg, _ in report.top_test]
     assert dev_scores == sorted(dev_scores, reverse=True)
+
+
+def test_unkept_programs_are_freed_before_the_next_filter_returns(tmp_path, monkeypatch):
+    config = _small_config(tmp_path, iterations=2, top_n_for_test=3)
+    out = Path(config.output_dir)
+    refs: dict[str, weakref.ref] = {}  # hash -> an iteration-1 success program
+    alive: dict[str, bool] = {}
+    real_filter = driver.filter_candidates
+
+    def spy(*args, iteration, **kwargs):
+        outcomes = real_filter(*args, iteration=iteration, **kwargs)
+        if iteration == 1:
+            refs.update(
+                (o.program.canonical_hash, weakref.ref(o.program))
+                for o in outcomes if o.category == "success"
+            )
+        else:
+            gc.collect()
+            alive.update((h, ref() is not None) for h, ref in refs.items())
+        return outcomes
+
+    monkeypatch.setattr(driver, "filter_candidates", spy)
+    run(config)
+
+    first = _read_jsonl(out / "iterations.jsonl")[0]
+    successes = [c for c in _read_jsonl(out / "candidates.jsonl")
+                 if c["iteration"] == 1 and c["category"] == "success"]
+    top = {c["hash"] for c in sorted(successes, key=lambda c: (-c["score"], c["source"]))[:3]}
+    kept = set(first["chosen_hashes"]) | top
+    assert set(alive) == {c["hash"] for c in successes} > kept
+    assert alive == {h: h in kept for h in alive}
 
 
 def test_result_json_baselines(tmp_path):
