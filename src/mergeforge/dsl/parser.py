@@ -11,7 +11,9 @@ table; bare identifiers must be fold binders in scope.  An infix operator
 becomes a Call whose op is its symbol, which the typechecker resolves.  Both
 the nesting of brackets and call arguments and the depth of the resulting AST
 are bounded by MAX_DEPTH, so no text, however deep, exhausts the stack here or
-in the passes that recurse over the AST.
+in the passes that recurse over the AST.  A text longer than MAX_SOURCE_CHARS
+is rejected before it is lexed, so no text, however long, costs more than a
+bounded amount of time and memory.
 
 The lexer splits a text with one ``findall`` and classifies each piece by its
 first character, so a token costs no Python-level regex call; the parser walks
@@ -39,6 +41,10 @@ from .ast import (
 
 
 MAX_DEPTH = 128
+# Longest program text parse accepts, in characters.  Candidate text may come
+# from a remote model, so its length is untrusted; the cap lies far above the
+# longest text a grammar run samples or the bench's untrusted texts contain.
+MAX_SOURCE_CHARS = 65_536
 
 
 class ParseError(ValueError):
@@ -136,6 +142,10 @@ _ARITY = {name: len(op.args) for name, op in OP_TABLE.items()}
 
 def parse(source: str) -> Node:
     """Parse program text into an untyped AST; raises ParseError with position."""
+    if len(source) > MAX_SOURCE_CHARS:
+        raise ParseError(
+            f"program text is {len(source)} characters, over the limit of {MAX_SOURCE_CHARS}", 1, 1
+        )
     kinds, texts, offsets = lex(source)
     locate = _locator(source)
     i = 0  # index of the next token
@@ -204,8 +214,12 @@ def parse(source: str) -> Node:
                 n = expect("number", "an integer index")
                 if not texts[n].isdigit():
                     raise error("model index must be an integer", n)
+                try:
+                    index = int(texts[n])
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise error("model index is too long", n) from None
                 expect("]")
-                return ModelIndex(int(texts[n]), pos=locate(offsets[j]))
+                return ModelIndex(index, pos=locate(offsets[j]))
             if name == "fold":
                 return fold(j)
             for pair in reversed(scopes):

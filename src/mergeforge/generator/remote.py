@@ -1,4 +1,8 @@
-"""Chat-completions HTTP client for sourcing candidates from a hosted model."""
+"""Chat-completions HTTP client for sourcing candidates from a hosted model.
+
+requests is imported only when a remote run sends its first request, so
+grammar runs and the other commands never load the HTTP stack.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass
-
-import requests
+from typing import TYPE_CHECKING
 
 from .prompt import PromptTemplate
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +67,8 @@ def _completion_text(resp: requests.Response) -> str:
 
 
 def _one_request(cfg: EndpointConfig, payload: dict) -> str:
+    import requests
+
     statuses: list[int | None] = []
     delay = cfg.backoff_s
     for attempt in range(cfg.max_retries + 1):

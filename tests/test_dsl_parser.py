@@ -28,7 +28,7 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
-from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, _height
+from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, _height
 from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
@@ -94,15 +94,28 @@ def test_nesting_up_to_max_depth_parses(build):
     typecheck(parse(build(MAX_DEPTH - 1)))
 
 
+# The deepest texts here stay under MAX_SOURCE_CHARS, so the depth bound is
+# what rejects them.
 @pytest.mark.parametrize("source", [
-    _nested_calls(MAX_DEPTH), _nested_calls(5000),
+    _nested_calls(MAX_DEPTH), _nested_calls(4000),
     _infix_chain(MAX_DEPTH), _infix_chain(5000),
     _parens(MAX_DEPTH), _parens(5000),
-    _chains_in_parens(60),
+    _chains_in_parens(50),
 ])
 def test_nesting_beyond_max_depth_is_parse_error(source):
     with pytest.raises(ParseError, match="nested deeper than 128 levels"):
         parse(source)
+
+
+def test_text_over_max_source_chars_is_rejected_before_lexing():
+    at_cap = "merge(models) = models[0]".ljust(MAX_SOURCE_CHARS)
+    assert parse(at_cap) == ModelIndex(index=0)
+    for source in (at_cap + " ", at_cap + "\u00e9", _nested_calls(5000)):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == (
+            f"1:1: program text is {len(source)} characters, over the limit of {MAX_SOURCE_CHARS}"
+        )
 
 
 def test_arity_mismatch():
@@ -595,8 +608,8 @@ def test_parse_matches_the_oracle(source):
 
 
 def _balanced(leaves):
-    if leaves == 1:
-        return "\nmodels[0]"
+    if leaves == 1:  # a short leaf keeps 4,096 of them under MAX_SOURCE_CHARS
+        return "\nmodels"
     half = leaves // 2
     return f"add({_balanced(half)}, {_balanced(leaves - half)})"
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from mergeforge.benchmark import make_instance, score
 from mergeforge.dsl import EvalBudget, compile_program, default_budget
+from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.generator import (
     GeneratorPolicy,
     default_grammar,
@@ -89,6 +91,23 @@ def test_runtime_failure_is_non_executable(instance):
     outcomes = _filter(instance, ["merge(models) = models[9]"])
     assert outcomes[0].category == NON_EXECUTABLE
     assert "out of range" in outcomes[0].reason
+
+
+def test_index_too_long_for_int_is_non_executable(instance):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    [outcome] = _filter(instance, [f"merge(models) = models[{digits}]"])
+    assert outcome.category == NON_EXECUTABLE
+    assert outcome.reason == "1:24: model index is too long"
+
+
+def test_text_over_max_source_chars_is_non_executable(instance):
+    at_cap = "merge(models) = models[0]".ljust(MAX_SOURCE_CHARS)
+    over = at_cap + "\n"
+    outcomes = _filter(instance, [at_cap, over])
+    assert [o.category for o in outcomes] == [SUCCESS, NON_EXECUTABLE]
+    assert outcomes[1].reason == (
+        f"1:1: program text is {MAX_SOURCE_CHARS + 1} characters, over the limit of {MAX_SOURCE_CHARS}"
+    )
 
 
 def test_overflowing_literal_compiles_and_is_non_executable(instance):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+import mergeforge
 from mergeforge.generator import (
     EndpointConfig,
     GenerationSourceError,
@@ -142,3 +148,28 @@ def test_auth_token_header(endpoint, monkeypatch):
     monkeypatch.setenv("MF_TEST_TOKEN", "sekrit")
     remote_generate(_config(server, auth_token_env="MF_TEST_TOKEN"), "p", 1.0, 1)
     assert server.requests[0]["auth"] == "Bearer sekrit"
+
+
+def test_grammar_run_and_reports_load_no_http_stack(tmp_path):
+    # pytest's own process may already hold these modules, so ask a fresh one.
+    script = textwrap.dedent(f"""
+        import sys
+        from mergeforge import BenchmarkConfig, RunConfig, run
+        from mergeforge.report import write_reports
+        config = RunConfig(
+            seed=3, iterations=2, candidates_per_iteration=20,
+            benchmark=BenchmarkConfig(d=16, k=3, n_dev=20, n_test=20),
+            output_dir={str(tmp_path / "run")!r},
+        )
+        run(config)
+        write_reports(config.output_dir)
+        print([m for m in ("requests", "urllib3", "http.client", "ssl") if m in sys.modules])
+    """)
+    src = str(Path(mergeforge.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
