@@ -187,10 +187,28 @@ def save_instance(instance: BenchmarkInstance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# Instance-file field -> the JSON value types it takes and their name; no number is a bool.
+_INSTANCE_FIELDS = {
+    **dict.fromkeys(("rng_seed", "d", "k", "n_dev", "n_test"), ((int,), "an integer")),
+    **dict.fromkeys(("component_noise", "overlap"), ((int, float), "a number")),
+    "digest": ((str,), "a string"),
+}
+
+
 def load_instance(path: str | Path) -> BenchmarkInstance:
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: an instance file must hold a JSON object")
     if payload.get("format") != INSTANCE_FORMAT:
         raise ValueError(f"{path}: not a {INSTANCE_FORMAT} file")
+    for name, (kinds, kind_name) in _INSTANCE_FIELDS.items():
+        if name not in payload:
+            raise ValueError(f"{path}: missing field {name!r}")
+        if type(payload[name]) not in kinds:
+            raise ValueError(f"{path}: {name} must be {kind_name}, got {payload[name]!r}")
     instance = make_instance(
         rng_seed=payload["rng_seed"],
         d=payload["d"],

@@ -213,7 +213,7 @@ def _iteration(
     pool = [alg for stats in history for alg in stats.chosen]
     pairs = []
     if len(scored) >= 2:
-        chosen, rejected, _, _ = select_preference_sets(scored, pool, config.refine)
+        chosen, rejected = select_preference_sets(scored, pool, config.refine)
         pairs = build_preferences(
             chosen, rejected, config.refine,
             np.random.default_rng((config.seed, _PREF_STREAM, t)),

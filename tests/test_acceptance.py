@@ -31,6 +31,7 @@ from mergeforge.pipeline import (
     build_preferences,
     category_counts,
     filter_candidates,
+    nearest_rank_thresholds,
     refine_policy,
     select_preference_sets,
 )
@@ -118,7 +119,8 @@ def test_acceptance_4_preference_construction(n):
             )
             for i, v in enumerate(values)
         ]
-        chosen, rejected, s_pw, s_pl = select_preference_sets(scored, [], cfg)
+        chosen, rejected = select_preference_sets(scored, [], cfg)
+        s_pw, s_pl = nearest_rank_thresholds(values, 3.0, 10.0)
         oracle_pw, oracle_pl = _oracle_preference_sets(values, 3.0, 10.0)
         assert s_pw == oracle_pw and s_pl == oracle_pl
         assert {id(a) for a in chosen} == {id(a) for a in scored if a.dev_score >= oracle_pw}

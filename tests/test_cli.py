@@ -140,6 +140,49 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["eval", "--program", str(missing), "--instance", str(missing)]) == 2
 
 
+def _eval_on_instance(tmp_path, text: str) -> tuple[int, Path]:
+    path = tmp_path / "bad_instance.json"
+    path.write_text(text)
+    program = tmp_path / "prog.merge"
+    program.write_text("merge(models) = models[0]\n")
+    return main(["eval", "--program", str(program), "--instance", str(path)]), path
+
+
+def test_instance_file_that_is_not_json_is_named(tmp_path, capsys):
+    code, path = _eval_on_instance(tmp_path, '{"format": ')
+    assert code == 2
+    assert f"error: {path}: invalid JSON (" in capsys.readouterr().err
+
+
+def test_instance_file_must_hold_an_object(tmp_path, capsys):
+    code, path = _eval_on_instance(tmp_path, json.dumps([1, 2, 3]))
+    assert code == 2
+    assert f"error: {path}: an instance file must hold a JSON object" in capsys.readouterr().err
+
+
+def test_instance_file_missing_field_is_named(instance_file, tmp_path, capsys):
+    payload = json.loads(instance_file.read_text())
+    del payload["rng_seed"]
+    code, path = _eval_on_instance(tmp_path, json.dumps(payload))
+    assert code == 2
+    assert f"error: {path}: missing field 'rng_seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,value,kind", [
+    ("n_dev", "100", "an integer"),
+    ("n_dev", 100.0, "an integer"),
+    ("rng_seed", True, "an integer"),
+    ("d", None, "an integer"),
+    ("overlap", "0.25", "a number"),
+])
+def test_instance_file_field_of_the_wrong_kind_is_named(instance_file, tmp_path, capsys, name, value, kind):
+    payload = json.loads(instance_file.read_text())
+    payload[name] = value
+    code, path = _eval_on_instance(tmp_path, json.dumps(payload))
+    assert code == 2
+    assert f"error: {path}: {name} must be {kind}, got {value!r}" in capsys.readouterr().err
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"iterations": 0}))

@@ -319,6 +319,27 @@ def test_memo_closed_subtree_in_a_fold_body_hits_on_every_element():
     assert _steps_charged(root, models, memo, 1000) == _steps_charged(root, models, None, 1000)
 
 
+@pytest.mark.parametrize("src,keys", [
+    # a closed subtree inside a fold body
+    ("fold(models, models[0], (acc, x) -> add(acc, scale(norm2(models[1]), x)))",
+     ["norm2(models[1])"]),
+    # an inner fold whose body reads the outer binder x is not closed
+    ("fold(models, models[0], (acc, x) -> fold(tail(models), acc, (a, b) -> add(a, scale(0.5, x))))",
+     ["tail(models)"]),
+    # an inner fold that shadows x reads only its own binders: closed
+    ("fold(models, models[0], (acc, x) -> add(x, fold(models, models[1], (a, x) -> emax(a, x))))",
+     ["fold(models,models[1],(a,x)->emax($a,$x))"]),
+    # the root is closed but never stored: a repeated program is a duplicate
+    ("scale(2.0, add(models[0], models[1]))", ["add(models[0],models[1])"]),
+    ("add(models[0], models[1])", []),
+])
+def test_memo_keys_are_the_exact_texts_of_closed_subtrees(src, keys):
+    models = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([2.0, 2.0])]
+    memo = Memo()
+    evaluate(compile_program(f"merge(models) = {src}").ast, models, BIG, memo)
+    assert sorted(memo.table) == sorted(keys)
+
+
 def test_memo_stops_storing_vectors_at_its_byte_cap():
     d = MEMO_MAX_BYTES // 8 // 2 + 1  # two such vectors exceed the cap
     models = [np.ones(d), np.full(d, 2.0)]

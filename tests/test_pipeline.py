@@ -78,6 +78,18 @@ def test_five_category_batch(instance):
     assert outcomes[2].reason is not None
 
 
+@pytest.mark.parametrize("n,memo_lines", [(1, 0), (2, 1)])
+def test_only_a_batch_of_several_candidates_uses_the_memo(instance, caplog, n, memo_lines):
+    # a single candidate's own repeats save less than the memo's key walk costs
+    batch = [
+        "merge(models) = add(norm2(models[1]) * models[0], norm2(models[1]) * models[2])",
+        "merge(models) = mean_stack(models)",
+    ][:n]
+    with caplog.at_level("INFO", logger="mergeforge.pipeline"):
+        assert [o.category for o in _filter(instance, batch)] == [SUCCESS] * n
+    assert sum("interpreter memo:" in r.getMessage() for r in caplog.records) == memo_lines
+
+
 def test_no_function_extracted_category(instance):
     outcomes = _filter(
         instance,
@@ -303,7 +315,7 @@ def test_hundred_scores_nearest_rank():
     s_pw, s_pl = nearest_rank_thresholds(values, 3.0, 10.0)
     assert s_pw == 98 and s_pl == 10
     scored = _scored_from_values(values)
-    chosen, rejected, _, _ = select_preference_sets(scored, [], RefineConfig(k=0))
+    chosen, rejected = select_preference_sets(scored, [], RefineConfig(k=0))
     assert {a.dev_score for a in chosen} == {98, 99, 100}
     assert {a.dev_score for a in rejected} == set(range(1, 11))
 
@@ -330,7 +342,7 @@ def test_tie_values_at_threshold_all_included():
 def test_all_equal_scores_yield_no_pairs(caplog):
     scored = _scored_from_values([5.0] * 10)
     cfg = RefineConfig(k=0)
-    chosen, rejected, _, _ = select_preference_sets(scored, [], cfg)
+    chosen, rejected = select_preference_sets(scored, [], cfg)
     with caplog.at_level("WARNING"):
         pairs = build_preferences(chosen, rejected, cfg, np.random.default_rng(0))
     assert pairs == []
@@ -347,7 +359,7 @@ def test_carryover_k_zero_takes_nothing():
     pool = _scored_from_values([95.0, 99.0, 80.0], iteration=1)
     assert top_k_carryover(pool, 0) == []
     scored = _scored_from_values(list(range(1, 101)), iteration=2)
-    chosen, _, _, _ = select_preference_sets(scored, pool, RefineConfig(k=0))
+    chosen, _ = select_preference_sets(scored, pool, RefineConfig(k=0))
     assert {a.dev_score for a in chosen} == {98.0, 99.0, 100.0}
 
 
@@ -359,14 +371,14 @@ def test_carryover_added_to_chosen():
         _alg("merge(models) = models[1]", 77.0, 1),
         _alg("merge(models) = models[2]", 60.0, 1),
     ]
-    chosen, _, _, _ = select_preference_sets(scored, pool, RefineConfig(k=3))
+    chosen, _ = select_preference_sets(scored, pool, RefineConfig(k=3))
     assert {a.dev_score for a in chosen} == {98.0, 99.0, 100.0, 99.5, 77.0, 60.0}
 
 
 def test_carryover_deduplicates_against_chosen_by_hash():
     scored = _scored_from_values([1.0, 2.0, 3.0, 100.0])
     dup = ScoredAlgorithm(scored[-1].program, 100.0, 1)
-    chosen, _, _, _ = select_preference_sets(scored, [dup], RefineConfig(k=3))
+    chosen, _ = select_preference_sets(scored, [dup], RefineConfig(k=3))
     assert len([a for a in chosen if a.program.canonical_hash == dup.program.canonical_hash]) == 1
 
 
@@ -375,7 +387,7 @@ def test_pair_validity_and_determinism():
     values = [float(v) for v in rng_values.integers(0, 100, size=60)]
     scored = _scored_from_values(values)
     cfg = RefineConfig()
-    chosen, rejected, _, _ = select_preference_sets(scored, [], cfg)
+    chosen, rejected = select_preference_sets(scored, [], cfg)
     pairs_a = build_preferences(chosen, rejected, cfg, np.random.default_rng(12))
     pairs_b = build_preferences(chosen, rejected, cfg, np.random.default_rng(12))
     assert pairs_a == pairs_b
@@ -393,7 +405,7 @@ def test_sample_count_per_chosen():
     values = list(range(1, 101))
     scored = _scored_from_values(values)
     cfg = RefineConfig(s=3, k=0)
-    chosen, rejected, _, _ = select_preference_sets(scored, [], cfg)
+    chosen, rejected = select_preference_sets(scored, [], cfg)
     pairs = build_preferences(chosen, rejected, cfg, np.random.default_rng(5))
     per_chosen = {}
     for pair in pairs:
