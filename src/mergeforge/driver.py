@@ -10,6 +10,9 @@ ever feeds back into generation.
 
 All randomness is derived from the run seed through tagged sub-streams keyed
 by (iteration, candidate index), so grammar-mode runs are bit-reproducible.
+The start states of an iteration's candidate streams are computed in
+vectorised batches (``seeding.pcg64_states``) and equal those of
+``default_rng((seed, 101, t, i))``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .pipeline import (
     top_k_carryover,
 )
 from .report import write_reports
+from .seeding import pcg64_states
 
 log = logging.getLogger(__name__)
 
@@ -163,13 +167,15 @@ def _baselines(instance: BenchmarkInstance) -> dict:
 
 def _generate(config: RunConfig, policy: GeneratorPolicy, temp: float, iteration: int) -> list[str]:
     if config.generator_mode == "grammar":
-        return [
-            sample_program(
-                policy, temp,
-                np.random.default_rng((config.seed, _GEN_STREAM, iteration, i)),
-            )
-            for i in range(config.candidates_per_iteration)
-        ]
+        # One generator, restarted at each candidate's own stream: the same
+        # draws as default_rng((seed, _GEN_STREAM, iteration, i)).
+        rng = np.random.Generator(np.random.PCG64(0))
+        texts = []
+        states = pcg64_states((config.seed, _GEN_STREAM, iteration), config.candidates_per_iteration)
+        for state in states:
+            rng.bit_generator.state = state
+            texts.append(sample_program(policy, temp, rng))
+        return texts
     prompt = default_prompt_template()
     return remote_generate(config.remote, prompt, temp, config.candidates_per_iteration)
 

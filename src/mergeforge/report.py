@@ -7,14 +7,27 @@ reports can be regenerated without re-running the search.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 from .dsl.ast import OP_TABLE
-from .dsl.parser import ParseError, lex
+from .dsl.parser import _ALTERNATIVES
 from .pipeline import CATEGORIES, SUCCESS
 
 HISTOGRAM_BIN_WIDTH = 5.0
+
+# Two C-level passes stand in for ``parser.lex``.  _LEXABLE matches exactly
+# the texts lex accepts: each step takes the piece lex's alternation would (a
+# lookahead is never re-entered, so no shorter or later alternative is tried)
+# and a text with a rejected character does not match.  On such a text, the
+# pieces _IDENTS skips (whitespace, arrows, symbols) start no comment, number
+# or identifier, so its identifier groups are lex's ident tokens.
+_PATTERNS = dict(_ALTERNATIVES)
+_LEXABLE = re.compile(r"(?:(?=(%s))\1)*" % "|".join(_PATTERNS.values()))
+_IDENTS = re.compile(
+    r"%s|%s|(%s)" % (_PATTERNS["comment"], _PATTERNS["number"], _PATTERNS["ident"])
+)
 
 
 class ReportError(RuntimeError):
@@ -25,13 +38,14 @@ def _load_jsonl(path: Path) -> list[dict]:
     if not path.exists():
         raise ReportError(f"missing log file: {path}")
     records = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ReportError(f"corrupt log file {path} at line {lineno}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:  # line by line: the whole text is never held
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ReportError(f"corrupt log file {path} at line {lineno}: {exc}") from exc
     return records
 
 
@@ -48,17 +62,14 @@ def strategy_token_counts(sources) -> Counter[str]:
     """Frequency of operation names across program sources.
 
     The desk analog of word-frequency analysis over generated strategies:
-    counts op-table names (plus ``fold``) in the token stream of each source.
-    Sources the lexer rejects are skipped.
+    counts op-table names (plus ``fold``) among the identifier tokens of each
+    source.  Sources the lexer rejects are skipped.
     """
     names = set(OP_TABLE) | {"fold"}
     counts: Counter[str] = Counter()
     for source in sources:
-        try:
-            texts = lex(source)[1]
-        except ParseError:
-            continue
-        counts.update(filter(names.__contains__, texts))
+        if _LEXABLE.fullmatch(source):
+            counts.update(filter(names.__contains__, _IDENTS.findall(source)))
     return counts
 
 

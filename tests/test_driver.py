@@ -8,11 +8,11 @@ import pytest
 
 from conftest import identity_grammar
 from mergeforge.benchmark import make_instance, score
-from mergeforge.config import BenchmarkConfig, RunConfig
+from mergeforge.config import BenchmarkConfig, RunConfig, full_scale_preset
 from mergeforge import driver
 from mergeforge.driver import run
 from mergeforge.dsl import compile_program
-from mergeforge.generator import GeneratorPolicy, Production, temperature
+from mergeforge.generator import GeneratorPolicy, Production, default_grammar, temperature
 from mergeforge.generator.policy import NT_VECTOR
 from mergeforge.pipeline import ScoredAlgorithm, top_k_carryover
 
@@ -336,6 +336,18 @@ def _run_content_digest(run_dir: Path) -> str:
     for name in ("strategy_tokens.csv", "filter_categories.csv"):
         h.update((run_dir / "report" / name).read_bytes())
     return h.hexdigest()
+
+
+def test_pinned_full_scale_first_iteration_texts():
+    # The 3,000 texts full_scale seed 7 samples in iteration 1, recorded while
+    # each candidate still built its own default_rng((seed, 101, t, i)).
+    config = full_scale_preset(seed=7)
+    policy = GeneratorPolicy.initial(default_grammar(config.benchmark.k), config.max_depth)
+    texts = driver._generate(config, policy, temperature(1, config.t1, config.beta), 1)
+    assert len(texts) == 3000
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "eb6b44cbd48f83e5ed676551b5581f4644cdb625a1ae52facfbb319ab76ba957"
+    )
 
 
 def test_pinned_run_digest(tmp_path):

@@ -56,6 +56,9 @@ def _oracle_token_counts(sources):
 _REPORT_CASES = [
     "1e5add", "# add\nadd(", "\tadd(\t fold(models),\n\t\tnorm2)", "add(\r\n tail)\r\n",
     "add(é)", "", "mean_stack # mean_stack é\nsum_stack", "add_x addx xadd 1add", "add!",
+    # lex rejects the ".", though a tiling free to backtrack would read "a" "1.5"
+    "a1.5 add", "x # add\n add", "١add", "añd add", "add->add", "1.e5 add", "1e+ add",
+    "add\u00a0add", "#\radd\nadd", "1.5.5 add",
 ]
 
 
@@ -65,14 +68,26 @@ def test_strategy_token_counts_match_the_oracle_on_hand_cases():
     assert strategy_token_counts(_REPORT_CASES) == _oracle_token_counts(_REPORT_CASES)
 
 
-_report_text = st.lists(st.sampled_from([
-    *OP_TABLE, "fold", "models", "(", ")", ",", " ", "\n", "\t", "1", "1e5", "é", "#", "!",
-    "_", "x",
-]), max_size=40).map("".join)
+# Pieces lex accepts (with comments, non-ASCII whitespace and digits), and
+# pieces that leave a rejected character unless a comment swallows them.
+_LEXABLE_PIECES = [
+    *OP_TABLE, "fold", "models", "(", ")", "[", "]", ",", "=", "+", "-", "*", "->", " ", "\n",
+    "\r", "\t", "\u00a0", "1", "1.5", "e", "E", "1e5", "1e-", "١", "#", "# add", "# é!", "_",
+    "x", "a1",
+]
+_REJECTED_PIECES = [".", ">", "é", "ñ", "!", "$", "\\"]
+
+
+def _report_text(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_report_text, st.text(max_size=40)), max_size=5))
+@given(st.lists(st.one_of(
+    _report_text(_LEXABLE_PIECES),
+    _report_text(_LEXABLE_PIECES + _REJECTED_PIECES),
+    st.text(max_size=40),
+), max_size=5))
 def test_strategy_token_counts_match_the_oracle(sources):
     assert strategy_token_counts(sources) == _oracle_token_counts(sources)
 
@@ -147,7 +162,11 @@ def test_missing_log_is_report_error(tmp_path):
 
 
 def test_corrupt_log_is_report_error(tmp_path):
-    (tmp_path / "candidates.jsonl").write_text('{"iteration": 1}\nnot json\n')
     (tmp_path / "iterations.jsonl").write_text("")
-    with pytest.raises(ReportError, match="line 2"):
-        write_reports(tmp_path)
+    for text, line in [
+        ('{"iteration": 1}\nnot json\n', 2),
+        ('{"iteration": 1}\r\n\r\n  \n{"iteration": 2}\nnot json', 5),  # blank lines count
+    ]:
+        (tmp_path / "candidates.jsonl").write_bytes(text.encode())
+        with pytest.raises(ReportError, match=f"line {line}:"):
+            write_reports(tmp_path)
