@@ -5,7 +5,6 @@ from .config import BenchmarkConfig, ConfigError, RunConfig, full_scale_preset, 
 from .core import (
     apply_merged,
     grid_search_task_arithmetic,
-    mean_fold_merge,
     task_arithmetic,
     task_vector,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "load_config",
     "apply_merged",
     "grid_search_task_arithmetic",
-    "mean_fold_merge",
     "task_arithmetic",
     "task_vector",
     "RunReport",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,55 @@ STREAMS = {
 }
 
 INSTANCE_FORMAT = "mergeforge-instance-v1"
+
+# Annotation -> the JSON value types it takes and their name; no number is a bool.
+_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def from_json(cls, payload, name: str):
+    """``cls(**payload)`` for the JSON object ``name``, once each ``int``, ``float`` or ``str``
+    field's value is of that kind; raises ConfigError for anything wrong with it."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {payload!r}")
+    annotations = {f.name: f.type for f in fields(cls)}  # strings here: postponed evaluation
+    for key, value in payload.items():
+        kind, _, optional = annotations.get(key, "").partition(" | ")
+        if kind in _KINDS and type(value) not in _KINDS[kind][0] and not (optional and value is None):
+            raise ConfigError(f"{key} must be {_KINDS[kind][1]}, got {value!r}")
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+@dataclass(frozen=True)
+class BenchmarkConfig:
+    """The sizes of an instance; constructing one is the check that they are buildable."""
+
+    d: int = 64
+    k: int = 3
+    component_noise: float = 0.05
+    n_dev: int = 100
+    n_test: int = 1000
+    overlap: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.d < 2 or self.k < 2:
+            raise ConfigError(f"need d >= 2 and k >= 2, got d={self.d}, k={self.k}")
+        if not self.component_noise >= 0:
+            raise ConfigError("component_noise must be >= 0")
+        if not 0 <= self.overlap < float("inf"):
+            raise ConfigError(f"overlap must be finite and >= 0, got {self.overlap}")
+        if self.n_dev < 1 or self.n_test < 1:
+            raise ConfigError("probe counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -98,30 +147,14 @@ def _block_masks(d: int, k: int, overlap: float) -> np.ndarray:
     return masks
 
 
-def check_sizes(d: int, k: int, component_noise: float, n_dev: int, n_test: int,
-                overlap: float) -> None:
-    """Raise ValueError unless the sizes describe a buildable instance."""
-    if d < 2 or k < 2:
-        raise ValueError(f"need d >= 2 and k >= 2, got d={d}, k={k}")
-    if not component_noise >= 0:
-        raise ValueError("component_noise must be >= 0")
-    if not 0 <= overlap < float("inf"):
-        raise ValueError(f"overlap must be finite and >= 0, got {overlap}")
-    if n_dev < 1 or n_test < 1:
-        raise ValueError("probe counts must be >= 1")
-
-
-def make_instance(
-    rng_seed: int,
-    d: int,
-    k: int,
-    component_noise: float,
-    probe_counts: tuple[int, int] = (100, 1000),
-    overlap: float = 0.25,
-) -> BenchmarkInstance:
-    """Deterministically build an instance from the seed and sizes."""
+def make_instance(rng_seed: int, d: int, k: int, component_noise: float,
+                  probe_counts: tuple[int, int] = (BenchmarkConfig.n_dev, BenchmarkConfig.n_test),
+                  overlap: float = BenchmarkConfig.overlap) -> BenchmarkInstance:
+    """Deterministically build an instance from the seed and sizes; raises ConfigError for bad ones."""
     n_dev, n_test = probe_counts
-    check_sizes(d, k, component_noise, n_dev, n_test, overlap)
+    BenchmarkConfig(d, k, component_noise, n_dev, n_test, overlap)
+    if rng_seed < 0:
+        raise ConfigError("rng_seed must be >= 0")
 
     def rng(stream: str) -> np.random.Generator:
         return np.random.default_rng((rng_seed, STREAMS[stream]))
@@ -170,32 +203,23 @@ def score(model: Vector, probes: ProbeSet, baseline_mse: float) -> float:
     return 100.0 * max(0.0, 1.0 - mse(model, probes) / baseline_mse)
 
 
+@dataclass(frozen=True)
+class _InstanceFile(BenchmarkConfig):  # every field an instance file holds but its format and streams
+    rng_seed: int = field(kw_only=True)
+    digest: str = field(kw_only=True)
+
+
 def save_instance(instance: BenchmarkInstance, path: str | Path) -> None:
     """Persist construction parameters plus a digest of the derived arrays."""
-    payload = {
-        "format": INSTANCE_FORMAT,
-        "rng_seed": instance.rng_seed,
-        "d": instance.d,
-        "k": instance.k,
-        "component_noise": instance.component_noise,
-        "overlap": instance.overlap,
-        "n_dev": len(instance.dev_probes),
-        "n_test": len(instance.test_probes),
-        "streams": STREAMS,
-        "digest": instance.content_digest(),
-    }
+    spec = _InstanceFile(instance.d, instance.k, instance.component_noise, len(instance.dev_probes),
+                         len(instance.test_probes), instance.overlap, rng_seed=instance.rng_seed,
+                         digest=instance.content_digest())
+    payload = {"format": INSTANCE_FORMAT, "streams": STREAMS, **asdict(spec)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# Instance-file field -> the JSON value types it takes and their name; no number is a bool.
-_INSTANCE_FIELDS = {
-    **dict.fromkeys(("rng_seed", "d", "k", "n_dev", "n_test"), ((int,), "an integer")),
-    **dict.fromkeys(("component_noise", "overlap"), ((int, float), "a number")),
-    "digest": ((str,), "a string"),
-}
-
-
 def load_instance(path: str | Path) -> BenchmarkInstance:
+    """Rebuild a saved instance; raises ValueError, naming the file, for one that is unusable."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -204,19 +228,16 @@ def load_instance(path: str | Path) -> BenchmarkInstance:
         raise ValueError(f"{path}: an instance file must hold a JSON object")
     if payload.get("format") != INSTANCE_FORMAT:
         raise ValueError(f"{path}: not a {INSTANCE_FORMAT} file")
-    for name, (kinds, kind_name) in _INSTANCE_FIELDS.items():
+    names = [f.name for f in fields(_InstanceFile)]
+    for name in names:
         if name not in payload:
             raise ValueError(f"{path}: missing field {name!r}")
-        if type(payload[name]) not in kinds:
-            raise ValueError(f"{path}: {name} must be {kind_name}, got {payload[name]!r}")
-    instance = make_instance(
-        rng_seed=payload["rng_seed"],
-        d=payload["d"],
-        k=payload["k"],
-        component_noise=payload["component_noise"],
-        probe_counts=(payload["n_dev"], payload["n_test"]),
-        overlap=payload["overlap"],
-    )
-    if instance.content_digest() != payload["digest"]:
+    try:  # not a ConfigError: the file, not the command line, is at fault
+        spec = from_json(_InstanceFile, {name: payload[name] for name in names}, "instance")
+        instance = make_instance(spec.rng_seed, spec.d, spec.k, spec.component_noise,
+                                 (spec.n_dev, spec.n_test), spec.overlap)
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if instance.content_digest() != spec.digest:
         raise ValueError(f"{path}: instance digest mismatch; file is stale or corrupt")
     return instance

@@ -42,7 +42,6 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    bench = BenchmarkConfig()
     parser = argparse.ArgumentParser(prog="mergeforge")
     parser.add_argument(
         "-v", dest="log_level", action="store_const", const=logging.INFO, default=logging.WARNING,
@@ -60,10 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mk.add_argument("--seed", type=int, required=True)
     p_mk.add_argument("--d", type=int, required=True)
     p_mk.add_argument("--k", type=int, required=True)
-    p_mk.add_argument("--noise", type=float, default=bench.component_noise)
-    p_mk.add_argument("--dev", type=int, default=bench.n_dev)
-    p_mk.add_argument("--test", type=int, default=bench.n_test)
-    p_mk.add_argument("--overlap", type=float, default=bench.overlap)
+    p_mk.add_argument("--noise", type=float, default=BenchmarkConfig.component_noise)
+    p_mk.add_argument("--dev", type=int, default=BenchmarkConfig.n_dev)
+    p_mk.add_argument("--test", type=int, default=BenchmarkConfig.n_test)
+    p_mk.add_argument("--overlap", type=float, default=BenchmarkConfig.overlap)
     p_mk.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="score one merge program on an instance")
@@ -102,10 +101,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_make_instance(args) -> int:
-    bench = BenchmarkConfig(args.d, args.k, args.noise, args.dev, args.test, args.overlap)
     instance = benchmark.make_instance(
-        rng_seed=args.seed, d=bench.d, k=bench.k, component_noise=bench.component_noise,
-        probe_counts=(bench.n_dev, bench.n_test), overlap=bench.overlap,
+        args.seed, args.d, args.k, args.noise, (args.dev, args.test), args.overlap
     )
     benchmark.save_instance(instance, args.out)
     print(f"wrote {args.out}")

@@ -3,33 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .benchmark import check_sizes
+from .benchmark import BenchmarkConfig, ConfigError, from_json
 from .generator import GeneratorPolicy, default_grammar, temperature
 from .generator.remote import EndpointConfig
 from .pipeline import RefineConfig
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    d: int = 64
-    k: int = 3
-    component_noise: float = 0.05
-    n_dev: int = 100
-    n_test: int = 1000
-    overlap: float = 0.25
-
-    def __post_init__(self) -> None:
-        try:
-            check_sizes(self.d, self.k, self.component_noise, self.n_dev, self.n_test, self.overlap)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -51,16 +31,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.candidates_per_iteration < 1:
-            raise ConfigError("candidates_per_iteration must be >= 1")
+        for name in ("iterations", "candidates_per_iteration", "top_n_for_test"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.generator_mode not in ("grammar", "remote"):
             raise ConfigError(f"unknown generator mode {self.generator_mode!r}")
         if self.generator_mode == "remote" and self.remote is None:
             raise ConfigError("remote mode requires a remote endpoint config")
-        if self.top_n_for_test < 1:
-            raise ConfigError("top_n_for_test must be >= 1")
         if self.budget_steps is not None and self.budget_steps < 1:
             raise ConfigError("budget_steps must be >= 1")
         try:
@@ -75,44 +52,20 @@ def full_scale_preset(**overrides) -> RunConfig:
     return replace(RunConfig(candidates_per_iteration=3000), **overrides)
 
 
-# Annotation -> the JSON value types it takes and their name; no number is a bool.
-_KINDS = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-}
-
-
-def _typed(obj):
-    """``obj``, once each field annotated ``int``, ``float`` or ``str`` holds a value of that kind."""
-    for f in fields(obj):  # annotations are strings here: postponed evaluation
-        value = getattr(obj, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        if kind in _KINDS and type(value) not in _KINDS[kind][0] and not (optional and value is None):
-            raise ConfigError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
-    return obj
-
-
-def _build(payload: dict) -> RunConfig:
-    known = dict(payload)
-    try:
-        refine = _typed(RefineConfig(**known.pop("refine", {})))
-        benchmark = _typed(BenchmarkConfig(**known.pop("benchmark", {})))
-        remote_raw = known.pop("remote", None)
-        remote = _typed(EndpointConfig(**remote_raw)) if remote_raw else None
-        return _typed(RunConfig(refine=refine, benchmark=benchmark, remote=remote, **known))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def load_config(path: str | Path) -> RunConfig:
+    """The run a JSON config file describes; raises ConfigError for any bad value."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return _build(payload)
+    return from_json(RunConfig, {
+        **payload,
+        "refine": from_json(RefineConfig, payload.get("refine", {}), "refine"),
+        "benchmark": from_json(BenchmarkConfig, payload.get("benchmark", {}), "benchmark"),
+        "remote": from_json(EndpointConfig, payload["remote"], "remote") if payload.get("remote") else None,
+    }, "config")
 
 
 def config_echo(config: RunConfig) -> dict:

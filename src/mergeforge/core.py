@@ -84,19 +84,3 @@ def grid_search_task_arithmetic(
             best_lambdas = combo
     assert best_lambdas is not None
     return best_lambdas, best_score
-
-
-def mean_fold_merge(taus: Sequence) -> Vector:
-    """Sequentially blend each vector's element mean into a running merge.
-
-    Starting from the first task vector, each later vector tau_i contributes
-    only the scalar mean of its elements, broadcast as a constant vector:
-    merged <- (merged + mean(tau_i) * ones) / 2.  A single input is returned
-    unchanged.
-    """
-    vecs = as_vectors(taus)
-    merged = vecs[0].copy()
-    for vec in vecs[1:]:
-        merged = 0.5 * (merged + float(vec.mean()))
-    return merged
-

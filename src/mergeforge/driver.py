@@ -258,14 +258,8 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
     out.mkdir(parents=True, exist_ok=True)
 
     bench = config.benchmark
-    instance = make_instance(
-        rng_seed=config.seed,
-        d=bench.d,
-        k=bench.k,
-        component_noise=bench.component_noise,
-        probe_counts=(bench.n_dev, bench.n_test),
-        overlap=bench.overlap,
-    )
+    instance = make_instance(config.seed, bench.d, bench.k, bench.component_noise,
+                             (bench.n_dev, bench.n_test), bench.overlap)
     save_instance(instance, out / "instance.json")
     (out / "config.json").write_text(json.dumps(config_echo(config), indent=2, sort_keys=True) + "\n")
 

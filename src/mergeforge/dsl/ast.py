@@ -21,7 +21,7 @@ class DslRuntimeError(Exception):
 
 @dataclass(frozen=True)
 class Op:
-    """One operation: its signature, its implementation and its symmetry.
+    """One operation: its signature, its implementation, its symmetry and its infix symbol.
 
     ``fn(d, *args)`` computes the raw result; ``d`` is the task-vector length.
     The interpreter checks that scalar and vector results are finite.
@@ -31,6 +31,7 @@ class Op:
     result: DslType
     fn: Callable
     commutative: bool = False
+    infix: str | None = None  # the symbol that resolves to this op on its argument types
 
 
 def _cos(d, a, b) -> float:
@@ -52,10 +53,10 @@ S, V, L = DslType.SCALAR, DslType.VECTOR, DslType.VECTOR_LIST
 # The op table: the whole callable surface of the language, in the order the
 # grammar lists its productions.  fold is a dedicated node, not a table op.
 OP_TABLE: dict[str, Op] = {
-    "add": Op((V, V), V, lambda d, a, b: a + b, commutative=True),
-    "sub": Op((V, V), V, lambda d, a, b: a - b),
-    "scale": Op((S, V), V, lambda d, s, v: s * v),
-    "hadamard": Op((V, V), V, lambda d, a, b: a * b, commutative=True),
+    "add": Op((V, V), V, lambda d, a, b: a + b, commutative=True, infix="+"),
+    "sub": Op((V, V), V, lambda d, a, b: a - b, infix="-"),
+    "scale": Op((S, V), V, lambda d, s, v: s * v, infix="*"),
+    "hadamard": Op((V, V), V, lambda d, a, b: a * b, commutative=True, infix="*"),
     "emax": Op((V, V), V, lambda d, a, b: np.maximum(a, b), commutative=True),
     "emin": Op((V, V), V, lambda d, a, b: np.minimum(a, b), commutative=True),
     "mean_elem": Op((V,), S, lambda d, v: float(np.add.reduce(v)) / len(v)),
@@ -72,9 +73,9 @@ OP_TABLE: dict[str, Op] = {
 
 # Scalar arithmetic has infix syntax only: these ops cannot be called by name.
 INFIX_OPS: dict[str, Op] = {
-    "s_add": Op((S, S), S, lambda d, a, b: a + b, commutative=True),
-    "s_sub": Op((S, S), S, lambda d, a, b: a - b),
-    "s_mul": Op((S, S), S, lambda d, a, b: a * b, commutative=True),
+    "s_add": Op((S, S), S, lambda d, a, b: a + b, commutative=True, infix="+"),
+    "s_sub": Op((S, S), S, lambda d, a, b: a - b, infix="-"),
+    "s_mul": Op((S, S), S, lambda d, a, b: a * b, commutative=True, infix="*"),
 }
 
 # Every op by name, for the passes that see typechecked ASTs.
@@ -83,15 +84,9 @@ OPS: dict[str, Op] = {**OP_TABLE, **INFIX_OPS}
 # Infix operators resolve to ops once the operand types are known; the
 # typechecker puts the operands of ``v * s`` in ``scale``'s (scalar, vector) order.
 INFIX: dict[tuple[str, DslType, DslType], str] = {
-    ("+", V, V): "add",
-    ("-", V, V): "sub",
-    ("*", V, V): "hadamard",
-    ("*", S, V): "scale",
-    ("*", V, S): "scale",
-    ("+", S, S): "s_add",
-    ("-", S, S): "s_sub",
-    ("*", S, S): "s_mul",
+    (op.infix, *op.args): name for name, op in OPS.items() if op.infix
 }
+INFIX["*", V, S] = "scale"  # the one symbol whose operands are swapped
 
 
 @dataclass
@@ -134,7 +129,7 @@ class Fold(Node):
 
 
 # Ops with infix syntax only, and the raw symbols of an untyped tree, print infix.
-_PRINT_INFIX = {name: sym for (sym, _, _), name in INFIX.items() if name in INFIX_OPS}
+_PRINT_INFIX = {name: op.infix for name, op in INFIX_OPS.items()}
 _PRINT_INFIX.update((sym, sym) for sym, _, _ in INFIX)
 
 

@@ -51,6 +51,9 @@ def default_budget(k: int, d: int) -> EvalBudget:
 class BudgetExceeded(Exception):
     """Evaluation ran out of node-evaluation steps."""
 
+    def __init__(self, max_steps: int):
+        super().__init__(f"evaluation exceeded its budget of {max_steps} steps")
+
 
 # Key characters plus vector bytes a Memo stores at most; past it, outcomes are
 # recomputed.  Keys are counted because a chain's key texts grow with the square
@@ -118,6 +121,7 @@ class _Machine:
     def __init__(self, models: list[np.ndarray], budget: EvalBudget, memo: Memo | None, keys: dict[int, str]):
         self.models = models
         self.d = models[0].shape[0]
+        self.budget = budget
         self.remaining = budget.max_steps
         self.memo = memo
         self.keys = keys
@@ -154,7 +158,7 @@ class _Machine:
         # the run without the memo would time out inside this subtree exactly when
         # fewer steps remain than it charged
         if self.remaining < steps:
-            raise BudgetExceeded()
+            raise BudgetExceeded(self.budget.max_steps)
         self.remaining -= steps
         if error is not None:
             raise DslRuntimeError(error)
@@ -162,7 +166,7 @@ class _Machine:
 
     def run(self, node: Node, env: dict[str, object]):
         if self.remaining < 1:
-            raise BudgetExceeded()
+            raise BudgetExceeded(self.budget.max_steps)
         self.remaining -= 1
         if isinstance(node, ScalarLit):
             return self.finite(float(node.value))

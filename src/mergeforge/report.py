@@ -11,6 +11,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from .benchmark import _KINDS
 from .dsl.ast import OP_TABLE
 from .dsl.parser import _ALTERNATIVES
 from .pipeline import CATEGORIES, SUCCESS
@@ -30,22 +31,56 @@ _IDENTS = re.compile(
 )
 
 
+# What the reports read of a record: (field, JSON value types, kind name).  A
+# candidate is read for more than its category only when it succeeded.
+_CATEGORY = (("category", *_KINDS["str"]),)
+_ITERATION = (("iteration", *_KINDS["int"]),)
+_SUCCESS = (*_CATEGORY, *_ITERATION, ("score", *_KINDS["float"]), ("source", *_KINDS["str"]))
+
+
 class ReportError(RuntimeError):
     pass
 
 
-def _load_jsonl(path: Path) -> list[dict]:
+def _fault(rec: dict, reads) -> str | None:
+    for name, kinds, kind_name in reads:
+        if type(rec.get(name)) not in kinds:
+            if name not in rec:
+                return f"missing field {name!r}"
+            return f"{name} must be {kind_name}, got {rec[name]!r}"
+    return None
+
+
+def _candidate_fault(rec: dict) -> str | None:
+    return _fault(rec, _SUCCESS if rec.get("category") == SUCCESS else _CATEGORY)
+
+
+def _iteration_fault(rec: dict) -> str | None:
+    counts = rec.get("counts")
+    if not (isinstance(counts, dict) and all(cat in counts for cat in CATEGORIES)):
+        return f"counts must be an object with a count for each of {', '.join(CATEGORIES)}"
+    return _fault(rec, _ITERATION)
+
+
+def _load_jsonl(path: Path, fault) -> list[dict]:
+    """A log's records; a line that is not JSON is reported before the first record ``fault`` finds wrong."""
     if not path.exists():
         raise ReportError(f"missing log file: {path}")
-    records = []
+    records, first_fault = [], None
     with open(path, encoding="utf-8") as fh:  # line by line: the whole text is never held
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ReportError(f"corrupt log file {path} at line {lineno}: {exc}") from exc
+            records.append(rec)
+            if first_fault is None:
+                problem = fault(rec) if isinstance(rec, dict) else "a record must be a JSON object"
+                first_fault = problem and f"corrupt log file {path} at line {lineno}: {problem}"
+    if first_fault:
+        raise ReportError(first_fault)
     return records
 
 
@@ -76,8 +111,8 @@ def strategy_token_counts(sources) -> Counter[str]:
 def write_reports(run_dir: str | Path) -> Path:
     """Emit CSV reports under <run_dir>/report from the run's JSONL logs."""
     run_dir = Path(run_dir)
-    candidates = _load_jsonl(run_dir / "candidates.jsonl")
-    iterations = _load_jsonl(run_dir / "iterations.jsonl")
+    candidates = _load_jsonl(run_dir / "candidates.jsonl", _candidate_fault)
+    iterations = _load_jsonl(run_dir / "iterations.jsonl", _iteration_fault)
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 

@@ -3,10 +3,13 @@
 Test modules import these by name (``from conftest import tokenize``).
 """
 
-from typing import NamedTuple
+from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from mergeforge.core import Vector, as_vectors
+from mergeforge.dsl import MergeProgram, compile_program
 from mergeforge.dsl.parser import _locator, lex
 from mergeforge.generator import GeneratorPolicy, Production
 from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, _eligible, _softmax
@@ -44,3 +47,33 @@ def production_probability(policy: GeneratorPolicy, nt: str, pid: str, temp: flo
         if p.pid == pid:
             return float(w)
     return 0.0
+
+
+CORPUS = Path(__file__).parent / "corpus"  # reference merge programs
+
+
+def corpus_names() -> list[str]:
+    return sorted(p.stem for p in CORPUS.glob("*.merge"))
+
+
+def load_corpus_source(name: str) -> str:
+    return (CORPUS / f"{name}.merge").read_text()
+
+
+def load_corpus_program(name: str) -> MergeProgram:
+    return compile_program(load_corpus_source(name), provenance=(0, "corpus"))
+
+
+def mean_fold_merge(taus: Sequence) -> Vector:
+    """Sequentially blend each vector's element mean into a running merge.
+
+    Starting from the first task vector, each later vector tau_i contributes
+    only the scalar mean of its elements, broadcast as a constant vector:
+    merged <- (merged + mean(tau_i) * ones) / 2.  A single input is returned
+    unchanged.  The corpus program ``mean_shift_fold`` computes the same merge.
+    """
+    vecs = as_vectors(taus)
+    merged = vecs[0].copy()
+    for vec in vecs[1:]:
+        merged = 0.5 * (merged + float(vec.mean()))
+    return merged

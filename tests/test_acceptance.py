@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import production_probability
+from conftest import load_corpus_program, mean_fold_merge, production_probability
 from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
-from mergeforge.core import apply_merged, grid_search_task_arithmetic, mean_fold_merge
+from mergeforge.core import apply_merged, grid_search_task_arithmetic
 from mergeforge.driver import run
 from mergeforge.dsl import EvalBudget, compile_program, evaluate
-from mergeforge.fixtures import load_corpus_program
 from mergeforge.generator import (
     GeneratorPolicy,
     default_grammar,

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import mergeforge
+from conftest import mean_fold_merge
 from mergeforge.benchmark import load_instance, make_instance, score
 from mergeforge.cli import main
 from mergeforge.config import BenchmarkConfig
-from mergeforge.core import apply_merged, mean_fold_merge
+from mergeforge.core import apply_merged
 from mergeforge.driver import TASK_ARITHMETIC_GRID
 from mergeforge.pipeline import CATEGORIES
 
@@ -183,6 +184,31 @@ def test_instance_file_field_of_the_wrong_kind_is_named(instance_file, tmp_path,
     assert f"error: {path}: {name} must be {kind}, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,value", [("d", 1), ("overlap", -1), ("rng_seed", -1)])
+def test_instance_file_out_of_range_is_named(instance_file, tmp_path, capsys, name, value):
+    payload = json.loads(instance_file.read_text())
+    payload[name] = value
+    code, path = _eval_on_instance(tmp_path, json.dumps(payload))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_eval_timeout_names_the_budget(instance_file, tmp_path, capsys):
+    program = tmp_path / "grow.merge"
+    program.write_text("merge(models) = fold(models, models[0], (acc, x) -> add(acc, add(acc, acc)))\n")
+    argv = ["eval", "--program", str(program), "--instance", str(instance_file), "--budget", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: evaluation exceeded its budget of 5 steps\n"
+
+
+def test_report_on_a_record_that_is_not_an_object_names_its_line(tmp_path, capsys):
+    (tmp_path / "candidates.jsonl").write_text("[1, 2]\n")
+    (tmp_path / "iterations.jsonl").write_text("")
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: corrupt log file {tmp_path / 'candidates.jsonl'} at line 1: a record must be a JSON object\n"
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"iterations": 0}))
@@ -247,6 +273,23 @@ def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"seed": "a"}, "seed must be an integer, got 'a'"),
+    ({"t1": "x"}, "t1 must be a number, got 'x'"),
+    ({"benchmark": {"d": "16"}}, "d must be an integer, got '16'"),
+    ({"generator_mode": "remote", "remote": {"url": "http://127.0.0.1:9", "model": "m", "timeout_s": "x"}},
+     "timeout_s must be a number, got 'x'"),
+    ({"refine": []}, "refine must be a JSON object, got []"),
+    ({"benchmark": None}, "benchmark must be a JSON object, got None"),
+])
+def test_bad_config_kind_names_its_field(tmp_path, capsys, bad, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**bad, "output_dir": str(tmp_path / "run")}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_non_integer_count_names_its_field(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"benchmark": {"d": 16, "k": 2.5}}))
@@ -283,6 +326,13 @@ def test_bad_instance_sizes_are_usage_errors(tmp_path, capsys, sizes):
     out = tmp_path / "instance.json"
     assert main(["make-instance", "--seed", "5", *sizes, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_negative_make_instance_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert main(["make-instance", "--seed", "-1", "--d", "24", "--k", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: rng_seed must be >= 0\n"
     assert not out.exists()
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mean_fold_merge
 from mergeforge.core import (
     DimensionError,
     apply_merged,
     grid_search_task_arithmetic,
-    mean_fold_merge,
     task_arithmetic,
     task_vector,
 )

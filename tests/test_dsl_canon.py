@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import corpus_names, load_corpus_source
 from mergeforge.dsl import EvalBudget, compile_program, evaluate
 from mergeforge.dsl.ast import OP_TABLE, Call, Fold
-from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
 

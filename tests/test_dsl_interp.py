@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mergeforge.core import mean_fold_merge, task_arithmetic
+from conftest import load_corpus_program, mean_fold_merge
+from mergeforge.core import task_arithmetic
 from mergeforge.dsl import (
     OP_TABLE,
     BudgetExceeded,
@@ -15,7 +16,6 @@ from mergeforge.dsl import (
     evaluate,
 )
 from mergeforge.dsl.interp import MEMO_MAX_BYTES
-from mergeforge.fixtures import load_corpus_program
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
 BIG = EvalBudget(100_000)

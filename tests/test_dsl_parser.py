@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Token, tokenize
+from conftest import Token, corpus_names, load_corpus_source, tokenize
 from mergeforge.dsl import (
     DslTypeError,
     ParseError,
@@ -29,7 +29,6 @@ from mergeforge.dsl.ast import (
     Var,
 )
 from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, _height
-from mergeforge.fixtures import corpus_names, load_corpus_source
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
 MEAN_FOLD_SRC = (

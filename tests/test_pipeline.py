@@ -274,8 +274,8 @@ def test_evaluate_candidates_identity_matches_direct_scoring(instance):
 
 
 def test_evaluate_candidates_fixture_matches_core(instance):
-    from mergeforge.core import apply_merged, mean_fold_merge
-    from mergeforge.fixtures import load_corpus_program
+    from conftest import load_corpus_program, mean_fold_merge
+    from mergeforge.core import apply_merged
 
     program = load_corpus_program("mean_shift_fold")
     merged = apply_merged(instance.seed_model, mean_fold_merge(instance.task_vectors()))

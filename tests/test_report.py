@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from conftest import tokenize
 from mergeforge.config import BenchmarkConfig, RunConfig
 from mergeforge.dsl import OP_TABLE, ParseError
 from mergeforge.driver import run
+from mergeforge.pipeline import CATEGORIES
 from mergeforge.report import ReportError, histogram_bins, strategy_token_counts, write_reports
 
 
@@ -170,3 +172,30 @@ def test_corrupt_log_is_report_error(tmp_path):
         (tmp_path / "candidates.jsonl").write_bytes(text.encode())
         with pytest.raises(ReportError, match=f"line {line}:"):
             write_reports(tmp_path)
+
+    success = {"category": "success", "iteration": 1, "score": 50.0, "source": "merge(models) = models[0]"}
+    iteration = {"iteration": 1, "counts": dict.fromkeys(CATEGORIES, 0)}
+    for name, records, line, problem in [
+        ("candidates.jsonl", [success, {"iteration": 1}], 2, "missing field 'category'"),
+        ("candidates.jsonl", [[1, 2]], 1, "a record must be a JSON object"),
+        ("candidates.jsonl", [{"category": 5}], 1, "category must be a string, got 5"),
+        ("candidates.jsonl", [{**success, "source": 5}], 1, "source must be a string, got 5"),
+        ("candidates.jsonl", [{**success, "score": "50"}], 1, "score must be a number, got '50'"),
+        ("candidates.jsonl", [{**success, "iteration": True}], 1, "iteration must be an integer, got True"),
+        ("candidates.jsonl", [success, {k: v for k, v in success.items() if k != "source"}], 2,
+         "missing field 'source'"),
+        ("iterations.jsonl", [iteration, [1, 2]], 2, "a record must be a JSON object"),
+        ("iterations.jsonl", [{"counts": iteration["counts"]}], 1, "missing field 'iteration'"),
+        ("iterations.jsonl", [{"iteration": 1, "counts": {"success": 0}}], 1,
+         "counts must be an object with a count for each of"),
+    ]:
+        logs = {"candidates.jsonl": [success], "iterations.jsonl": [iteration], name: records}
+        for log, recs in logs.items():
+            (tmp_path / log).write_text("".join(json.dumps(r) + "\n" for r in recs))
+        want = f"corrupt log file {tmp_path / name} at line {line}: {problem}"
+        with pytest.raises(ReportError, match=re.escape(want)):
+            write_reports(tmp_path)
+    # records other than successes are read for their category only
+    (tmp_path / "candidates.jsonl").write_text(json.dumps({"category": "duplicate"}) + "\n")
+    (tmp_path / "iterations.jsonl").write_text(json.dumps(iteration) + "\n")
+    write_reports(tmp_path)
