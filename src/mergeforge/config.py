@@ -60,11 +60,12 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    remote = payload.get("remote")  # only a missing or null endpoint means none
     return from_json(RunConfig, {
         **payload,
         "refine": from_json(RefineConfig, payload.get("refine", {}), "refine"),
         "benchmark": from_json(BenchmarkConfig, payload.get("benchmark", {}), "benchmark"),
-        "remote": from_json(EndpointConfig, payload["remote"], "remote") if payload.get("remote") else None,
+        "remote": None if remote is None else from_json(EndpointConfig, remote, "remote"),
     }, "config")
 
 

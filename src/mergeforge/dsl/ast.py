@@ -112,6 +112,8 @@ class ModelIndex(Node):
 @dataclass
 class Var(Node):
     name: str = ""
+    depth: int = field(kw_only=True)  # its binder's fold, counted outward from 0, the innermost
+    slot: int = field(kw_only=True)  # 0 for that fold's accumulator, 1 for its element
 
 
 @dataclass

@@ -32,7 +32,7 @@ def _lit(value: float) -> str:
     return f"lit:{float(value)!r}"
 
 
-def _normalize(node: Node, binders: list[tuple[str, str]]) -> str:
+def _normalize(node: Node) -> str:
     if isinstance(node, ScalarLit):
         return _lit(node.value)
     if isinstance(node, ModelsRef):
@@ -40,13 +40,10 @@ def _normalize(node: Node, binders: list[tuple[str, str]]) -> str:
     if isinstance(node, ModelIndex):
         return f"(model {node.index})"
     if isinstance(node, Var):
-        for depth, pair in enumerate(reversed(binders)):
-            if node.name in pair:
-                return f"(var {depth} {pair.index(node.name)})"
-        raise ValueError(f"unbound variable {node.name!r} during canonicalization")
+        return f"(var {node.depth} {node.slot})"
     if isinstance(node, Call):
         spec = OPS[node.op]
-        args = [_normalize(a, binders) for a in node.args]
+        args = [_normalize(a) for a in node.args]
         if spec.result == DslType.SCALAR and all(a.startswith("lit:") for a in args):
             # The raw op (scalar ops ignore d), not the interpreter: a literal
             # that overflows to inf compiles and fails when the program runs.
@@ -55,14 +52,14 @@ def _normalize(node: Node, binders: list[tuple[str, str]]) -> str:
             args.sort()
         return f"({node.op} {' '.join(args)})"
     if isinstance(node, Fold):
-        list_c = _normalize(node.list_expr, binders)
-        init_c = _normalize(node.init_expr, binders)
-        body_c = _normalize(node.body, binders + [node.binders])
+        list_c = _normalize(node.list_expr)
+        init_c = _normalize(node.init_expr)
+        body_c = _normalize(node.body)
         return f"(fold {list_c} {init_c} {body_c})"
     raise ValueError(f"unknown node {type(node).__name__}")
 
 
 def canonical_hash(root: Node) -> str:
     """128-bit hex digest of the canonical text of a typechecked program."""
-    data = _normalize(root, []).encode("utf-8")
+    data = _normalize(root).encode("utf-8")
     return hashlib.blake2b(data, digest_size=16).hexdigest()

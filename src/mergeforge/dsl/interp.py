@@ -14,6 +14,7 @@ and timeout is the one the program would give without the memo.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,7 +84,7 @@ class Memo:
         self.table[key] = (value, error, steps)
 
 
-def _closed_keys(node: Node, keys: dict[int, str], binders: list[tuple[str, str]]) -> tuple[str, int]:
+def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
     """Exact text of ``node`` and how many enclosing binder pairs it reads; keys closed ones by id."""
     if isinstance(node, ScalarLit):
         return repr(node.value), 0
@@ -91,27 +92,24 @@ def _closed_keys(node: Node, keys: dict[int, str], binders: list[tuple[str, str]
         return "models", 0
     if isinstance(node, ModelIndex):
         return f"models[{node.index}]", 0
-    if isinstance(node, Var):  # innermost binder first, as in canon._normalize
-        for depth, pair in enumerate(reversed(binders)):
-            if node.name in pair:
-                return "$" + node.name, depth + 1
-        return "$" + node.name, len(binders) + 1  # unbound: never closed
+    if isinstance(node, Var):
+        return "$" + node.name, node.depth + 1
     if isinstance(node, Call):
         texts, reads = [], 0
         for arg in node.args:
-            text, arg_reads = _closed_keys(arg, keys, binders)
+            text, arg_reads = _closed_keys(arg, keys)
             texts.append(text)
             if arg_reads > reads:  # not max(), which made this walk ~20 % slower
                 reads = arg_reads
         key = f"{node.op}({','.join(texts)})"
     elif isinstance(node, Fold):
-        list_key, list_reads = _closed_keys(node.list_expr, keys, binders)
-        init_key, init_reads = _closed_keys(node.init_expr, keys, binders)
-        body_key, body_reads = _closed_keys(node.body, keys, binders + [node.binders])
+        list_key, list_reads = _closed_keys(node.list_expr, keys)
+        init_key, init_reads = _closed_keys(node.init_expr, keys)
+        body_key, body_reads = _closed_keys(node.body, keys)
         key = f"fold({list_key},{init_key},({','.join(node.binders)})->{body_key})"
         reads = max(list_reads, init_reads, body_reads - 1)
     else:
-        return "?", len(binders) + 1  # never closed: the machine reports the unknown node
+        return "?", sys.maxsize  # never closed: the machine reports the unknown node
     if not reads:
         keys[id(node)] = key
     return key, reads
@@ -137,7 +135,7 @@ class _Machine:
             raise DslRuntimeError("non-finite intermediate value")
         return value
 
-    def eval(self, node: Node, env: dict[str, object]):
+    def eval(self, node: Node, env: Sequence[tuple]):
         key = self.keys.get(id(node))
         if key is None:
             return self.run(node, env)
@@ -164,7 +162,8 @@ class _Machine:
             raise DslRuntimeError(error)
         return value
 
-    def run(self, node: Node, env: dict[str, object]):
+    def run(self, node: Node, env: Sequence[tuple]):
+        """Evaluate ``node``; ``env`` holds the (acc, item) pair of each enclosing fold, innermost first."""
         if self.remaining < 1:
             raise BudgetExceeded(self.budget.max_steps)
         self.remaining -= 1
@@ -179,7 +178,7 @@ class _Machine:
                 )
             return self.models[node.index]
         if isinstance(node, Var):
-            return env[node.name]
+            return env[node.depth][node.slot]
         if isinstance(node, Call):
             args = [self.eval(a, env) for a in node.args]
             spec = OPS[node.op]
@@ -188,11 +187,9 @@ class _Machine:
         if isinstance(node, Fold):
             items = self.eval(node.list_expr, env)
             acc = self.eval(node.init_expr, env)
-            a, b = node.binders
+            inner = [None, *env]  # one list per fold: each body run ends before the next pair
             for item in items:
-                inner = dict(env)
-                inner[a] = acc
-                inner[b] = item
+                inner[0] = (acc, item)
                 acc = self.eval(node.body, inner)
             return acc
         raise DslRuntimeError(f"unknown node {type(node).__name__}")
@@ -209,11 +206,11 @@ def evaluate(root: Node, models: Sequence, budget: EvalBudget, memo: Memo | None
     """
     keys: dict[int, str] = {}
     if memo is not None:
-        _closed_keys(root, keys, [])
+        _closed_keys(root, keys)
     machine = _Machine(as_vectors(models), budget, memo, keys)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow shows up as a non-finite check failure, not a warning
-        result = machine.run(root, {})  # never looked up: a repeated whole program is a duplicate
+        result = machine.run(root, ())  # never looked up: a repeated whole program is a duplicate
     if not isinstance(result, np.ndarray):
         raise DslRuntimeError("program produced a non-vector result")
     return np.asarray(result, dtype=np.float64)

@@ -7,8 +7,9 @@
     fold    := "fold" "(" expr "," expr "," "(" ident "," ident ")" "->" expr ")"
 
 `#` starts a comment running to end of line.  Call names are fixed by the op
-table; bare identifiers must be fold binders in scope.  An infix operator
-becomes a Call whose op is its symbol, which the typechecker resolves.  Both
+table; a bare identifier must be a fold binder in scope, and its Var records
+that binder's (depth, slot) for the later passes.  An infix operator becomes
+a Call whose op is its symbol, which the typechecker resolves.  Both
 the nesting of brackets and call arguments and the depth of the resulting AST
 are bounded by MAX_DEPTH, so no text, however deep, exhausts the stack here or
 in the passes that recurse over the AST.  A text longer than MAX_SOURCE_CHARS
@@ -222,9 +223,9 @@ def parse(source: str) -> Node:
                 return ModelIndex(index, pos=locate(offsets[j]))
             if name == "fold":
                 return fold(j)
-            for pair in reversed(scopes):
+            for out, pair in enumerate(reversed(scopes)):  # innermost binder first
                 if name in pair:
-                    return Var(name, pos=locate(offsets[j]))
+                    return Var(name, depth=out, slot=pair.index(name), pos=locate(offsets[j]))
             raise error(f"unknown identifier {name!r}", j)
         if kind == "number":
             return ScalarLit(float(texts[j]), pos=locate(offsets[j]))

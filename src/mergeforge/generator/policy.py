@@ -178,8 +178,9 @@ def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: 
         return ModelsRef()
     if prod.kind == "lit":
         return ScalarLit(value=float(prod.payload))
-    if prod.kind == "var":
-        return Var(name=BINDERS[int(prod.payload)])
+    if prod.kind == "var":  # folds never nest in fold bodies, so the binder is the innermost
+        slot = int(prod.payload)
+        return Var(name=BINDERS[slot], depth=0, slot=slot)
     if prod.kind == "call":
         args = tuple(
             _derive(policy, temp, a, depth + 1, in_body, rng) for a in prod.args
@@ -206,14 +207,13 @@ def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:
     nested folds, or ops missing from a restricted grammar.
     """
     counts: Counter = Counter()
-    _rederive(policy, root, NT_VECTOR, (), counts)
+    _rederive(policy, root, NT_VECTOR, False, counts)
     return counts
 
 
-def _rederive(policy: GeneratorPolicy, node: Node, nt: str,
-              binders: tuple[str, ...], counts: Counter) -> None:
-    """Count ``node``'s productions; ``binders`` is non-empty only in a fold body."""
-    children: tuple = ()  # (child node, the binders in scope there) pairs
+def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool, counts: Counter) -> None:
+    """Count ``node``'s productions; ``in_body`` says whether it lies in a fold body."""
+    children: tuple = ()  # (child node, whether it lies in a fold body) pairs
     if isinstance(node, ModelIndex):
         key = ("model", node.index)
     elif isinstance(node, ModelsRef):
@@ -221,19 +221,19 @@ def _rederive(policy: GeneratorPolicy, node: Node, nt: str,
     elif isinstance(node, ScalarLit):
         key = ("lit", float(node.value))
     elif isinstance(node, Var):
-        if node.name not in binders:
+        if not in_body:
             raise UnderivableProgram(f"variable {node.name!r} outside a fold body")
-        key = ("var", binders.index(node.name))
+        key = ("var", node.slot)
     elif isinstance(node, Call):
         if node.op not in OP_TABLE:
             raise UnderivableProgram("scalar infix arithmetic has no production")
         key = ("call", node.op)
-        children = tuple((arg, binders) for arg in node.args)
+        children = tuple((arg, in_body) for arg in node.args)
     elif isinstance(node, Fold):
-        if binders:
+        if in_body:
             raise UnderivableProgram("nested fold has no production")
         key = ("fold", None)
-        children = ((node.list_expr, ()), (node.init_expr, ()), (node.body, node.binders))
+        children = ((node.list_expr, False), (node.init_expr, False), (node.body, True))
     else:
         raise UnderivableProgram(f"unknown node {type(node).__name__}")
     prod = next((p for p in policy.grammar[nt] if (p.kind, p.payload) == key), None)
@@ -241,5 +241,5 @@ def _rederive(policy: GeneratorPolicy, node: Node, nt: str,
         where = "the palette" if key[0] == "lit" else "the grammar"
         raise UnderivableProgram(f"{key[0]} {key[1]!r} is outside {where}")
     counts[prod.pid] += 1
-    for arg_nt, (arg, arg_binders) in zip(prod.args, children):
-        _rederive(policy, arg, arg_nt, arg_binders, counts)
+    for arg_nt, (arg, arg_in_body) in zip(prod.args, children):
+        _rederive(policy, arg, arg_nt, arg_in_body, counts)

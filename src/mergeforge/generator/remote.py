@@ -95,7 +95,7 @@ def _one_request(cfg: EndpointConfig, payload: dict) -> str:
 
 def remote_generate(
     cfg: EndpointConfig,
-    prompt: PromptTemplate | str,
+    prompt: PromptTemplate,
     temp: float,
     n: int,
 ) -> list[str]:
@@ -106,10 +106,9 @@ def remote_generate(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    text = prompt.text if isinstance(prompt, PromptTemplate) else str(prompt)
     payload = {
         "model": cfg.model,
-        "messages": [{"role": "user", "content": text}],
+        "messages": [{"role": "user", "content": prompt.text}],
         "temperature": float(temp),
         "n": 1,
     }

@@ -7,6 +7,7 @@ reports can be regenerated without re-running the search.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -52,7 +53,11 @@ def _fault(rec: dict, reads) -> str | None:
 
 
 def _candidate_fault(rec: dict) -> str | None:
-    return _fault(rec, _SUCCESS if rec.get("category") == SUCCESS else _CATEGORY)
+    success = rec.get("category") == SUCCESS
+    fault = _fault(rec, _SUCCESS if success else _CATEGORY)
+    if success and fault is None and not math.isfinite(rec["score"]):  # json reads NaN, Infinity
+        return "score must be a finite number"
+    return fault
 
 
 def _iteration_fault(rec: dict) -> str | None:

@@ -290,6 +290,27 @@ def test_bad_config_kind_names_its_field(tmp_path, capsys, bad, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("remote,code,message", [
+    (None, 0, ""),  # like a missing key: no endpoint
+    ({}, 1, "missing 2 required positional arguments: 'url' and 'model'"),
+    ([], 1, "remote must be a JSON object, got []"),
+    (0, 1, "remote must be a JSON object, got 0"),
+    (False, 1, "remote must be a JSON object, got False"),
+    ([1], 1, "remote must be a JSON object, got [1]"),
+])
+def test_only_a_null_remote_means_no_endpoint(tmp_path, capsys, remote, code, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "iterations": 1, "candidates_per_iteration": 5,
+        "benchmark": {"d": 16, "k": 3, "n_dev": 10, "n_test": 10},
+        "output_dir": str(tmp_path / "run"), "remote": remote,
+    }))
+    assert main(["run", "--config", str(config_path)]) == code
+    err = capsys.readouterr().err
+    assert (err.startswith("error: ") and err.endswith(f"{message}\n")) if message else err == ""
+    assert (tmp_path / "run").exists() == (code == 0)
+
+
 def test_non_integer_count_names_its_field(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"benchmark": {"d": 16, "k": 2.5}}))

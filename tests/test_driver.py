@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,9 @@ from mergeforge.dsl import compile_program
 from mergeforge.generator import GeneratorPolicy, Production, default_grammar, temperature
 from mergeforge.generator.policy import NT_VECTOR
 from mergeforge.pipeline import ScoredAlgorithm, top_k_carryover
+
+# The benchmark's span wrappers, loaded from the file: bench/ is not a package.
+_SPANS_FILE = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def _small_config(tmp_path, **overrides):
@@ -100,6 +105,19 @@ def test_rerun_is_byte_identical(tmp_path):
         a = (Path(config_a.output_dir) / name).read_bytes()
         b = (Path(config_b.output_dir) / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_grammar_run_calls_every_traced_layer(tmp_path):
+    # A traced benchmark run fails when a wrapped name is never called; this
+    # catches a grammar path that bypasses parse, typecheck or the hash here.
+    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS_FILE)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    recorder = spans.Recorder()
+    with spans.wrapped(recorder) as absent:
+        assert absent == {}
+        run(_small_config(tmp_path))
+    assert spans.uncalled(Counter(recorder.names), spans.RUN_SPANS) == []
 
 
 def test_temperature_log_matches_schedule(tmp_path):

@@ -106,7 +106,7 @@ def _rename(node, renames):
     from mergeforge.dsl.ast import Var
 
     if isinstance(node, Var):
-        return Var(name=renames.get(node.name, node.name))
+        return Var(name=renames.get(node.name, node.name), depth=node.depth, slot=node.slot)
     if isinstance(node, Call):
         return Call(op=node.op, args=tuple(_rename(a, renames) for a in node.args))
     if isinstance(node, Fold):

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from conftest import Token, corpus_names, load_corpus_source, tokenize
 from mergeforge.dsl import (
     DslTypeError,
+    EvalBudget,
+    Memo,
     ParseError,
     canonical_hash,
     compile_program,
+    evaluate,
     parse,
     pretty,
     typecheck,
@@ -28,6 +31,7 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
+from mergeforge.dsl.canon import _normalize as canonical_text
 from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, _height
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
@@ -125,6 +129,34 @@ def test_arity_mismatch():
 def test_binder_not_visible_outside_fold():
     with pytest.raises(ParseError, match="unknown identifier"):
         parse("merge(models) = add(fold(models, models[0], (a, b) -> a), b)")
+
+
+def test_inner_fold_that_swaps_the_outer_binder_names():
+    # The inner pair (x, acc) names its accumulator x and its element acc; its
+    # seed acc still reads the outer accumulator.  Each pass reads the parser's
+    # resolution, so the wrong binder would change the canonical text and result.
+    program = compile_program(
+        "merge(models) = fold(models, models[0], (acc, x) -> "
+        "fold(tail(models), acc, (x, acc) -> add(acc, scale(0.5, x))))"
+    )
+    assert canonical_text(program.ast) == (
+        "(fold (models) (model 0) (fold (tail (models)) (var 0 0) "
+        "(add (scale lit:0.5 (var 0 0)) (var 0 1))))"
+    )
+    models = [np.array([8.0, 0.0]), np.array([0.0, 8.0]), np.array([8.0, 8.0])]
+    # each outer step maps a to models[2] + 0.5 * models[1] + 0.25 * a, from models[0]
+    expected = np.array([10.625, 15.75])
+    budget = EvalBudget(1000)
+    assert np.array_equal(evaluate(program.ast, models, budget), expected)
+    memo = Memo()
+    assert np.array_equal(evaluate(program.ast, models, budget, memo), expected)
+    assert list(memo.table) == ["tail(models)"]  # one miss, then a hit per outer step
+    assert (memo.misses, memo.hits) == (1, 2)
+
+
+def test_a_variable_must_be_built_with_its_binder():
+    with pytest.raises(TypeError, match="depth"):
+        Var(name="x")
 
 
 def test_duplicate_binders_rejected():
@@ -392,9 +424,9 @@ class _OracleParser:
                     *pos,
                 )
             return Call(op=name, args=tuple(args), pos=pos)
-        for pair in reversed(self.scopes):
+        for depth, pair in enumerate(reversed(self.scopes)):
             if name in pair:
-                return Var(name=name, pos=pos)
+                return Var(name=name, depth=depth, slot=pair.index(name), pos=pos)
         raise ParseError(f"unknown identifier {name!r}", *pos)
 
     def parse_args(self):
@@ -560,7 +592,7 @@ def _vector_expr(depth, binders=()):
         st.tuples(vec, st.just("*"), scalar).map(_infix),
         vec.map(lambda f: ["(", *f, ")"]),
         pair.flatmap(lambda p: st.tuples(
-            st.just(["models"]), vec, st.just(p[0]), st.just(p[1]), _vector_expr(depth - 1, p),
+            st.just(["models"]), vec, st.just(p[0]), st.just(p[1]), _vector_expr(depth - 1, (*p, *binders)),
         )).map(_fold),
     )
 
@@ -586,6 +618,21 @@ def _program_text(draw):
 
 
 @st.composite
+def _nested_fold_text(draw):
+    """Folds nested in fold bodies, each binder pair drawn from three names: an
+    inner pair shadows some outer names, and a body reads binders of any enclosing fold."""
+
+    def fold(levels, scope):
+        first, second, _ = draw(st.permutations(["acc", "x", "b"]))
+        inner = [first, second, *scope]
+        body = fold(levels - 1, inner) if levels > 1 else [draw(st.sampled_from(inner))]
+        body = ["add", "(", *body, ",", draw(st.sampled_from(inner)), ")"]
+        return _fold((["models"], [draw(st.sampled_from(["models[0]", *scope]))], first, second, body))
+
+    return " ".join(_HEAD + fold(draw(st.integers(1, 3)), []))
+
+
+@st.composite
 def _deep_text(draw):
     n = draw(st.integers(120, 200))
     inner = draw(st.sampled_from(["add(", "(", "scale(0.5, "]))
@@ -601,7 +648,7 @@ def test_parse_matches_the_oracle_on_hand_cases(source):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_program_text(), _program_text(), _program_text(), _deep_text()))
+@given(st.one_of(_program_text(), _program_text(), _program_text(), _nested_fold_text(), _deep_text()))
 def test_parse_matches_the_oracle(source):
     assert _parsed(parse, source) == _parsed(_oracle_parse, source)
 

@@ -276,7 +276,7 @@ def test_variable_outside_a_fold_body_is_underivable():
     from mergeforge.dsl.ast import Call, ModelIndex, Var
 
     policy = GeneratorPolicy.initial(default_grammar(3))
-    root = Call(op="add", args=(ModelIndex(index=0), Var(name="acc")))
+    root = Call(op="add", args=(ModelIndex(index=0), Var(name="acc", depth=0, slot=0)))
     with pytest.raises(UnderivableProgram, match="outside a fold body"):
         derivation_counts(policy, root)
 
@@ -425,7 +425,7 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
     if prod.kind == "lit":
         return ScalarLit(value=float(prod.payload))
     if prod.kind == "var":
-        return Var(name=BINDERS[int(prod.payload)])
+        return Var(name=BINDERS[int(prod.payload)], depth=0, slot=int(prod.payload))
     if prod.kind == "call":
         return Call(op=prod.payload, args=tuple(
             _oracle_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args

@@ -104,7 +104,7 @@ def test_fixed_completion_returned_n_times(endpoint):
 def test_retries_after_transient_failures(endpoint, caplog):
     server = endpoint(script=[500, 500])
     with caplog.at_level("INFO", logger="mergeforge.generator.remote"):
-        out = remote_generate(_config(server), "p", 1.0, 1)
+        out = remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
     assert out == ["merge(models) = models[0]"]
     assert len(server.requests) == 3  # two failures, then success
     assert "after 2 retries" in caplog.text
@@ -113,40 +113,40 @@ def test_retries_after_transient_failures(endpoint, caplog):
 def test_retries_exhausted_reports_statuses(endpoint):
     server = endpoint(script=[500, 500, 503, 503, 503])
     with pytest.raises(GenerationSourceError) as exc:
-        remote_generate(_config(server, max_retries=2), "p", 1.0, 1)
+        remote_generate(_config(server, max_retries=2), PromptTemplate("p"), 1.0, 1)
     assert exc.value.statuses == [500, 500, 503]
 
 
 def test_non_retryable_status_fails_fast(endpoint):
     server = endpoint(script=[401])
     with pytest.raises(GenerationSourceError):
-        remote_generate(_config(server), "p", 1.0, 1)
+        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
     assert len(server.requests) == 1
 
 
 def test_malformed_body_is_protocol_error(endpoint):
     server = endpoint(script=[-1])
     with pytest.raises(ProtocolError):
-        remote_generate(_config(server), "p", 1.0, 1)
+        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
 
 
 def test_non_json_body_is_protocol_error(endpoint):
     server = endpoint(script=[-2])
     with pytest.raises(ProtocolError, match="JSONDecodeError"):
-        remote_generate(_config(server), "p", 1.0, 1)
+        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
     assert len(server.requests) == 1
 
 
 def test_zero_requests_rejected(endpoint):
     server = endpoint()
     with pytest.raises(ValueError):
-        remote_generate(_config(server), "p", 1.0, 0)
+        remote_generate(_config(server), PromptTemplate("p"), 1.0, 0)
 
 
 def test_auth_token_header(endpoint, monkeypatch):
     server = endpoint()
     monkeypatch.setenv("MF_TEST_TOKEN", "sekrit")
-    remote_generate(_config(server, auth_token_env="MF_TEST_TOKEN"), "p", 1.0, 1)
+    remote_generate(_config(server, auth_token_env="MF_TEST_TOKEN"), PromptTemplate("p"), 1.0, 1)
     assert server.requests[0]["auth"] == "Bearer sekrit"
 
 

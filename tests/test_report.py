@@ -199,3 +199,17 @@ def test_corrupt_log_is_report_error(tmp_path):
     (tmp_path / "candidates.jsonl").write_text(json.dumps({"category": "duplicate"}) + "\n")
     (tmp_path / "iterations.jsonl").write_text(json.dumps(iteration) + "\n")
     write_reports(tmp_path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_score_is_report_error(tmp_path, token):
+    # json reads these tokens as floats; they cannot be binned
+    (tmp_path / "candidates.jsonl").write_text(
+        f'{{"category": "success", "iteration": 1, "score": {token}, "source": "merge(models) = models[0]"}}\n'
+    )
+    (tmp_path / "iterations.jsonl").write_text(
+        json.dumps({"iteration": 1, "counts": dict.fromkeys(CATEGORIES, 0)}) + "\n"
+    )
+    want = f"corrupt log file {tmp_path / 'candidates.jsonl'} at line 1: score must be a finite number"
+    with pytest.raises(ReportError, match=re.escape(want)):
+        write_reports(tmp_path)
