@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +48,14 @@ def from_json(cls, payload, name: str):
         raise ConfigError(f"{name} must be a JSON object, got {payload!r}")
     annotations = {f.name: f.type for f in fields(cls)}  # strings here: postponed evaluation
     for key, value in payload.items():
-        kind, _, optional = annotations.get(key, "").partition(" | ")
+        if key not in annotations:
+            raise ConfigError(f"{name} has no field {key!r}")
+        kind, _, optional = annotations[key].partition(" | ")
         if kind in _KINDS and type(value) not in _KINDS[kind][0] and not (optional and value is None):
             raise ConfigError(f"{key} must be {_KINDS[kind][1]}, got {value!r}")
+    for f in fields(cls):
+        if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{name} is missing the field {f.name!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:

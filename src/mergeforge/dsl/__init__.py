@@ -1,4 +1,4 @@
-from .ast import OP_TABLE, DslType, Node, pretty
+from .ast import OP_TABLE, DslType, Node
 from .canon import canonical_hash
 from .interp import BudgetExceeded, DslRuntimeError, EvalBudget, Memo, default_budget, evaluate
 from .parser import ParseError, parse
@@ -9,7 +9,6 @@ __all__ = [
     "OP_TABLE",
     "DslType",
     "Node",
-    "pretty",
     "canonical_hash",
     "BudgetExceeded",
     "DslRuntimeError",

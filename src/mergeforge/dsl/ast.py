@@ -128,36 +128,3 @@ class Fold(Node):
     init_expr: Node = None  # type: ignore[assignment]
     binders: tuple[str, str] = ("acc", "x")
     body: Node = None  # type: ignore[assignment]
-
-
-# Ops with infix syntax only, and the raw symbols of an untyped tree, print infix.
-_PRINT_INFIX = {name: op.infix for name, op in INFIX_OPS.items()}
-_PRINT_INFIX.update((sym, sym) for sym, _, _ in INFIX)
-
-
-def pretty_expr(node: Node) -> str:
-    if isinstance(node, ScalarLit):
-        return repr(float(node.value))
-    if isinstance(node, ModelsRef):
-        return "models"
-    if isinstance(node, ModelIndex):
-        return f"models[{node.index}]"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        args = [pretty_expr(a) for a in node.args]
-        if node.op in _PRINT_INFIX:
-            return f"({args[0]} {_PRINT_INFIX[node.op]} {args[1]})"
-        return f"{node.op}({', '.join(args)})"
-    if isinstance(node, Fold):
-        a, b = node.binders
-        return (
-            f"fold({pretty_expr(node.list_expr)}, {pretty_expr(node.init_expr)}, "
-            f"({a}, {b}) -> {pretty_expr(node.body)})"
-        )
-    raise TypeError(f"unknown node {node!r}")
-
-
-def pretty(root: Node) -> str:
-    """Render a program body back to concrete syntax."""
-    return f"merge(models) = {pretty_expr(root)}"

@@ -1,8 +1,9 @@
 """Production-weighted typed grammar: the refinable candidate-program source.
 
-Sampling runs a top-down typed derivation.  At every choice point the
-eligible productions are weighted by softmax(logit / T); at the depth limit
-only terminal productions remain eligible, so derivations always finish and
+Sampling runs a top-down typed derivation that spells its source text as it
+goes, so no AST exists until the pipeline parses that text.  At every choice
+point the eligible productions are weighted by softmax(logit / T); at the depth
+limit only terminal productions remain eligible, so derivations always finish and
 every sampled program parses and typechecks by construction.  Each grammar
 slot's eligible productions and cdf are computed once per policy and
 temperature, and a choice draws the index ``Generator.choice(n, p=p)`` would.
@@ -30,7 +31,6 @@ from ..dsl.ast import (
     Node,
     ScalarLit,
     Var,
-    pretty,
 )
 from ..dsl.parser import MAX_DEPTH
 
@@ -124,6 +124,9 @@ class GeneratorPolicy:
         for nt, prods in self.grammar.items():
             if not prods:
                 raise ValueError(f"nonterminal {nt} has no productions")
+            for p in prods:  # the sampler spells a call op(...), which only table ops parse as
+                if p.kind == "call" and p.payload not in OP_TABLE:
+                    raise ValueError(f"production {p.pid} calls {p.payload!r}, which is not a table op")
             for in_body in (False, True):
                 if not _eligible(prods, True, in_body):
                     raise ValueError(
@@ -167,36 +170,35 @@ def _softmax(logits: np.ndarray, temp: float) -> np.ndarray:
 
 
 def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: bool,
-            rng: np.random.Generator) -> Node:
+            rng: np.random.Generator) -> str:
+    """The source text of one derivation of ``nt``, spelled as the parser reads it."""
     # Generator.choice(n, p=probs) draws the cdf's searchsorted(side="right")
     # index of one rng.random(); bisect_right finds the same index.
     eligible, cdf = policy.slot(temp, nt, depth, in_body)
     prod = eligible[bisect_right(cdf, rng.random())]
-    if prod.kind == "model":
-        return ModelIndex(index=int(prod.payload))
-    if prod.kind == "models":
-        return ModelsRef()
-    if prod.kind == "lit":
-        return ScalarLit(value=float(prod.payload))
-    if prod.kind == "var":  # folds never nest in fold bodies, so the binder is the innermost
-        slot = int(prod.payload)
-        return Var(name=BINDERS[slot], depth=0, slot=slot)
-    if prod.kind == "call":
-        args = tuple(
-            _derive(policy, temp, a, depth + 1, in_body, rng) for a in prod.args
-        )
-        return Call(op=str(prod.payload), args=args)
-    if prod.kind == "fold":
+    kind = prod.kind
+    if kind == "call":
+        args = [_derive(policy, temp, a, depth + 1, in_body, rng) for a in prod.args]
+        return f"{prod.payload}({', '.join(args)})"
+    if kind == "model":
+        return f"models[{int(prod.payload)}]"
+    if kind == "lit":
+        return repr(float(prod.payload))
+    if kind == "var":  # folds never nest in fold bodies, so the binder is the innermost
+        return BINDERS[int(prod.payload)]
+    if kind == "models":
+        return "models"
+    if kind == "fold":
         list_expr = _derive(policy, temp, prod.args[0], depth + 1, False, rng)
         init_expr = _derive(policy, temp, prod.args[1], depth + 1, False, rng)
         body = _derive(policy, temp, prod.args[2], depth + 1, True, rng)
-        return Fold(list_expr=list_expr, init_expr=init_expr, binders=BINDERS, body=body)
-    raise AssertionError(f"unknown production kind {prod.kind}")
+        return f"fold({list_expr}, {init_expr}, ({BINDERS[0]}, {BINDERS[1]}) -> {body})"
+    raise AssertionError(f"unknown production kind {kind}")
 
 
 def sample_program(policy: GeneratorPolicy, temp: float, rng: np.random.Generator) -> str:
     """Sample one program as source text; always parses and typechecks."""
-    return pretty(_derive(policy, float(temp), NT_VECTOR, 0, False, rng))
+    return "merge(models) = " + _derive(policy, float(temp), NT_VECTOR, 0, False, rng)
 
 
 def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:

@@ -281,6 +281,8 @@ def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
      "timeout_s must be a number, got 'x'"),
     ({"refine": []}, "refine must be a JSON object, got []"),
     ({"benchmark": None}, "benchmark must be a JSON object, got None"),
+    ({"remote": {}}, "remote is missing the field 'url'"),
+    ({"unknown_field": 1}, "config has no field 'unknown_field'"),
 ])
 def test_bad_config_kind_names_its_field(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"
@@ -292,7 +294,7 @@ def test_bad_config_kind_names_its_field(tmp_path, capsys, bad, message):
 
 @pytest.mark.parametrize("remote,code,message", [
     (None, 0, ""),  # like a missing key: no endpoint
-    ({}, 1, "missing 2 required positional arguments: 'url' and 'model'"),
+    ({}, 1, "is missing the field 'url'"),
     ([], 1, "remote must be a JSON object, got []"),
     (0, 1, "remote must be a JSON object, got 0"),
     (False, 1, "remote must be a JSON object, got False"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corpus_names, load_corpus_source
+from conftest import corpus_names, load_corpus_source, pretty
 from mergeforge.dsl import EvalBudget, compile_program, evaluate
 from mergeforge.dsl.ast import OP_TABLE, Call, Fold
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
@@ -120,7 +120,7 @@ def _rename(node, renames):
 def test_hash_equality_implies_equal_semantics():
     # Sampled programs vs an equivalence-preserving scramble of themselves:
     # hashes agree, and so do outputs on 50 random model sets.
-    from mergeforge.dsl import canonical_hash, parse, pretty, typecheck
+    from mergeforge.dsl import canonical_hash, parse, typecheck
 
     policy = GeneratorPolicy.initial(default_grammar(3))
     rng = np.random.default_rng(77)

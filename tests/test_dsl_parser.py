@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Token, corpus_names, load_corpus_source, tokenize
+from conftest import Token, corpus_names, load_corpus_source, pretty, tokenize
 from mergeforge.dsl import (
     DslTypeError,
     EvalBudget,
@@ -18,7 +18,6 @@ from mergeforge.dsl import (
     compile_program,
     evaluate,
     parse,
-    pretty,
     typecheck,
 )
 from mergeforge.dsl.ast import (

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_grammar, production_probability
+from conftest import identity_grammar, pretty, production_probability
 from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
 from mergeforge.dsl.parser import MAX_DEPTH, ParseError
 from mergeforge.generator import (
@@ -206,6 +206,16 @@ def test_policy_validation_requires_terminals():
         Production(pid="L->tail", kind="call", payload="tail", args=(NT_LIST,))
     ]
     with pytest.raises(ValueError, match="terminal"):
+        GeneratorPolicy.initial(grammar)
+
+
+def test_policy_validation_rejects_calls_outside_the_op_table():
+    # scalar arithmetic is infix only, so a sampled s_add(...) would not parse
+    grammar = identity_grammar()
+    grammar[NT_SCALAR] = grammar[NT_SCALAR] + [
+        Production(pid="S->s_add", kind="call", payload="s_add", args=(NT_SCALAR, NT_SCALAR))
+    ]
+    with pytest.raises(ValueError, match="S->s_add calls 's_add', which is not a table op"):
         GeneratorPolicy.initial(grammar)
 
 
@@ -438,7 +448,8 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
     )
 
 
-_N_PRODUCTIONS = sum(len(prods) for prods in default_grammar(3).values())
+# enough logits for a grammar with up to five models; zip drops those a smaller one lacks
+_N_PRODUCTIONS = sum(len(prods) for prods in default_grammar(5).values())
 _POLICY_DRAWS = {
     "logits": st.lists(st.floats(-10.0, 10.0), min_size=_N_PRODUCTIONS, max_size=_N_PRODUCTIONS),
     "temp": st.floats(0.05, 3.0, exclude_min=True),
@@ -448,11 +459,10 @@ _POLICY_DRAWS = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_POLICY_DRAWS)
-def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, seed):
-    from mergeforge.dsl import pretty
-
-    policy = GeneratorPolicy.initial(default_grammar(3), max_depth=max_depth)
+@given(**_POLICY_DRAWS, k=st.integers(2, 5))
+def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, seed, k):
+    # the sampler spells its text as it derives; the oracle builds an AST and prints it
+    policy = GeneratorPolicy.initial(default_grammar(k), max_depth=max_depth)
     policy = policy.with_logits(dict(zip(policy.logits, logits)))
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
@@ -464,8 +474,6 @@ def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, s
 @settings(max_examples=60, deadline=None)
 @given(**_POLICY_DRAWS)
 def test_derivation_counts_are_the_productions_drawn(logits, temp, max_depth, seed):
-    from mergeforge.dsl import pretty
-
     policy = GeneratorPolicy.initial(default_grammar(3), max_depth=max_depth)
     policy = policy.with_logits(dict(zip(policy.logits, logits)))
     rng = np.random.default_rng(seed)
