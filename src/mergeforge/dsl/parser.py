@@ -13,8 +13,9 @@ a Call whose op is its symbol, which the typechecker resolves.  Both
 the nesting of brackets and call arguments and the depth of the resulting AST
 are bounded by MAX_DEPTH, so no text, however deep, exhausts the stack here or
 in the passes that recurse over the AST.  A text longer than MAX_SOURCE_CHARS
-is rejected before it is lexed, so no text, however long, costs more than a
-bounded amount of time and memory.
+is rejected before it is lexed, and one nested too deep after lexing only the
+prefix the parser reads, though a rejected character anywhere in it is still
+reported first; so no text costs more than a bounded time and memory.
 
 The lexer splits a text with one ``findall`` and classifies each piece by its
 first character, so a token costs no Python-level regex call; the parser walks
@@ -28,6 +29,8 @@ from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Callable
+
+import numpy as np
 
 from .ast import (
     OP_TABLE,
@@ -85,12 +88,19 @@ def _kind(piece: str) -> str | None:
 # ASCII piece fixes its kind.  Other first characters are left to _kind.
 _FIRST_KIND = {c: k for c in map(chr, range(128)) if (k := _kind(c)) is not None}
 
+# What _lex_end admits: these characters only (no "#", so each "(" is a token),
+# each ">" in a "->", and each "." after a digit run that starts a token and
+# before a digit, found in the reversed text so that the search jumps to dots.
+_PLAIN_RE = re.compile(r"[^A-Za-z0-9_ \t\n\r\x0b\x0c()\[\],=+\-*.>]")
+_REVERSED_NUMBER_DOT_RE = re.compile(r"\.(?<=[0-9]\.)[0-9]+(?![\w.]|[+-][eE])")
+_BRACKET_STEP = np.array([(c == 40) - (c == 41) for c in range(128)], np.int8)  # by ASCII code
 
-def _locator(source: str) -> Callable[[int], tuple[int, int]]:
-    """Map an offset in ``source`` to its (line, col), both from 1."""
-    if "\n" not in source:
+
+def _locator(source: str, end: int) -> Callable[[int], tuple[int, int]]:
+    """Map an offset in ``source[:end]`` to its (line, col), both from 1."""
+    if source.find("\n", 0, end) < 0:
         return lambda offset: (1, offset + 1)
-    starts = [0, *(m.end() for m in re.finditer("\n", source))]
+    starts = [0, *(m.end() for m in re.compile("\n").finditer(source, 0, end))]
 
     def locate(offset: int) -> tuple[int, int]:
         line = bisect_right(starts, offset)
@@ -99,9 +109,9 @@ def _locator(source: str) -> Callable[[int], tuple[int, int]]:
     return locate
 
 
-def lex(source: str) -> tuple[list[str], list[str], list[int]]:
-    """Kinds, texts and offsets of the tokens of ``source``, ending in eof."""
-    pieces = _PIECE_RE.findall(source)
+def lex(source: str, end: int) -> tuple[list[str], list[str], list[int]]:
+    """Kinds, texts and offsets of the tokens of ``source[:end]``, ending in eof."""
+    pieces = _PIECE_RE.findall(source, 0, end)
     offsets = list(accumulate(map(len, pieces), initial=0))
     kinds = list(map(_FIRST_KIND.get, map(itemgetter(0), pieces)))
     j = -1
@@ -114,15 +124,30 @@ def lex(source: str) -> tuple[list[str], list[str], list[int]]:
                 kind = kinds[j] = _kind(pieces[j])
                 if kind is None:
                     raise ParseError(
-                        f"unexpected character {pieces[j]!r}", *_locator(source)(offsets[j])
+                        f"unexpected character {pieces[j]!r}", *_locator(source, end)(offsets[j])
                     )
     texts = list(compress(pieces, kinds))
     offsets = list(compress(offsets, kinds))
     kinds = list(filter(None, kinds))
     kinds.append("eof")
     texts.append("")
-    offsets.append(len(source))
+    offsets.append(end)
     return kinds, texts, offsets
+
+
+def _lex_end(source: str) -> int:
+    """Just past the "(" that first opens MAX_DEPTH + 2 brackets, if the text
+    provably has one and lexes in full, else its end.  Were the parser to read
+    that "(", each bracket then open but it and a binder pair's fold would hold
+    an expression it entered: it would have nested MAX_DEPTH + 1 deep and failed
+    first.  So it reads no token past that "(" of the whole text."""
+    if (source.count("(") <= MAX_DEPTH + 1 or _PLAIN_RE.search(source)
+            or source.count(">") != source.count("->")
+            or source.count(".") != len(_REVERSED_NUMBER_DOT_RE.findall(source[::-1]))):
+        return len(source)
+    depth = np.cumsum(_BRACKET_STEP[np.frombuffer(source.encode(), np.uint8)], dtype=np.int32)
+    hits = np.flatnonzero(depth == MAX_DEPTH + 2)
+    return int(hits[0]) + 1 if hits.size else len(source)
 
 
 def _height(root: Node) -> int:
@@ -147,8 +172,8 @@ def parse(source: str) -> Node:
         raise ParseError(
             f"program text is {len(source)} characters, over the limit of {MAX_SOURCE_CHARS}", 1, 1
         )
-    kinds, texts, offsets = lex(source)
-    locate = _locator(source)
+    kinds, texts, offsets = lex(source, _lex_end(source))
+    locate = _locator(source, offsets[-1])  # eof's offset, where lexing stopped
     i = 0  # index of the next token
     depth = 0  # nesting of brackets and call arguments
     infix = False  # whether an infix operator was parsed

@@ -25,8 +25,8 @@ class Token(NamedTuple):
 
 def tokenize(source: str) -> list[Token]:
     """The tokens of ``source`` as the parser reads them, ending in eof."""
-    kinds, texts, offsets = lex(source)
-    locate = _locator(source)
+    kinds, texts, offsets = lex(source, len(source))
+    locate = _locator(source, len(source))
     return [Token(kind, text, *locate(off)) for kind, text, off in zip(kinds, texts, offsets)]
 
 

@@ -1,7 +1,12 @@
 import dataclasses
 import functools
 import gc
+import hashlib
+import importlib.util
+import sys
 import time
+import timeit
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +36,8 @@ from mergeforge.dsl.ast import (
     Var,
 )
 from mergeforge.dsl.canon import _normalize as canonical_text
-from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, _height
-from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
+from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, _height, _lex_end
+from mergeforge.generator import GeneratorPolicy, default_grammar, extract_program, sample_program
 
 MEAN_FOLD_SRC = (
     "merge(models) = fold(tail(models), models[0], "
@@ -531,6 +536,28 @@ _PARSER_CASES = [
     "merge(models) = models[0]" + "\n + models[1]" * 130,
 ]
 
+# Texts of MAX_SOURCE_CHARS characters: groups of 129 "(" and a ")", and "(" only.
+_CRAFTED = {"groups": (("(" * 129 + ")") * 505)[:MAX_SOURCE_CHARS], "opens": "(" * MAX_SOURCE_CHARS}
+
+# Texts with many brackets, each with whether parse may lex it only up to the
+# bracket that opens MAX_DEPTH + 2 levels.
+_CUT_CASES = [
+    (_nest(200, " + fold(models, scale(0.5, models[0]), (acc, x) -> acc)"), True),
+    (_nest(200, " x1.5"), False), (_nest(200, " 1e5.5"), False), (_nest(200, " + 1e+5.5"), False),
+    (_nest(200, " a > b"), False), (_nest(200, " \u00e9"), False),
+    (_nest(200, " + \u0663.5"), False), (_nest(200, "\u00a0"), False),
+    ("# (((\n" + _nest(200), False),
+    ("# " + "(" * 200 + "\nmerge(models) = add(models[0], models[1])", False),
+    ("merge(models) = frob(" + _nest(200)[len("merge(models) = "):] + ")", True),
+    ("merge(model) = " + _nest(200)[len("merge(models) = "):], True),
+    ("merge(models) = " + "(" * 128 + "fold(models, models[0], (acc, x) -> acc)" + ")" * 128, True),
+    ("merge(models) = " + "(" * 127 + "fold(models, models[0], (acc, x) -> acc)" + ")" * 127, False),
+    ("merge(models) = " + "add(" * 64 + "fold(models, (" * 33 + "models[0]", True),
+    ("merge(models) =\r\n" + "add(\r\n" * 200 + "models[0]" + ", models[1])\r\n" * 200, True),
+    *((text, True) for text in _CRAFTED.values()),
+]
+_PARSER_CASES += [source for source, _ in _CUT_CASES]
+
 _LEAVES = [
     "models[0]", "models[0]", "models[2]", "models", "models", "0.5", "0.5", "-1.5", "1e-3",
     "\u0663", "acc", "x", "models[1.5]", "models[\u0663]", "frob",
@@ -631,14 +658,23 @@ def _nested_fold_text(draw):
     return " ".join(_HEAD + fold(draw(st.integers(1, 3)), []))
 
 
+_DEEP_LEVELS = {
+    "add(": ", models[1])", "(": ")", "scale(0.5, ": ")",
+    "fold(models, models[0], (acc, x) -> ": ")", "fold(models, (": "), models[0], (a, b) -> a)",
+}
+
+
 @st.composite
 def _deep_text(draw):
-    n = draw(st.integers(120, 200))
-    inner = draw(st.sampled_from(["add(", "(", "scale(0.5, "]))
-    close = {"add(": ", models[1])", "(": ")", "scale(0.5, ": ")"}[inner]
-    sep = draw(st.sampled_from(["", " ", "\n"]))
-    tail = draw(st.sampled_from(["", " # end", " \u00e9", " + models[2]", ")"]))
-    return "merge(models) = " + (inner + sep) * n + "models[0]" + close * n + tail
+    n = draw(st.integers(120, 260))
+    inner = draw(st.sampled_from(sorted(_DEEP_LEVELS)))
+    sep = draw(st.sampled_from(["", " ", "\n", "\r\n"]))
+    head = draw(st.sampled_from(["", "# (((\n", "\n"]))
+    tail = draw(st.sampled_from([
+        "", " # end", " \u00e9", " + models[2]", ")", " x1.5", " 1e5.5", " a > b", " + \u0663.5",
+        "\u00a0", " - 0.5", " + fold(models, models[0], (acc, x) -> acc)",
+    ]))
+    return head + "merge(models) = " + (inner + sep) * n + "models[0]" + _DEEP_LEVELS[inner] * n + tail
 
 
 @pytest.mark.parametrize("source", _PARSER_CASES, ids=[f"case{i}" for i in range(len(_PARSER_CASES))])
@@ -650,6 +686,52 @@ def test_parse_matches_the_oracle_on_hand_cases(source):
 @given(st.one_of(_program_text(), _program_text(), _program_text(), _nested_fold_text(), _deep_text()))
 def test_parse_matches_the_oracle(source):
     assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+
+
+@pytest.mark.parametrize("source, cut", _CUT_CASES, ids=[f"cut{i}" for i in range(len(_CUT_CASES))])
+def test_lex_end_cuts_only_text_proved_too_deep(source, cut):
+    end = _lex_end(source)
+    assert (end < len(source)) == cut
+    if cut:
+        assert source[end - 1] == "(" and source.count("(", 0, end) - source.count(")", 0, end) == MAX_DEPTH + 2
+
+
+@pytest.mark.parametrize("source", _CRAFTED.values(), ids=list(_CRAFTED))
+def test_lex_end_costs_linear_time(source):
+    # A backtracking search for the deep bracket took 0.09 s on the groups
+    # text, where these checks take about 1 ms.
+    assert min(timeit.repeat(lambda: _lex_end(source), number=1, repeat=3)) < 0.05
+
+
+_TEXTGEN_FILE = Path(__file__).resolve().parents[1] / "bench" / "textgen.py"
+# One sha256 over the compile outcome of every extracted deep, long,
+# syntax_error and scalar_result text of textgen seeds 0-39, recorded when
+# parse still lexed every text to its end.
+_UNTRUSTED_OUTCOMES_SHA256 = "f421290105b8b9ac89d3a20f400b2627317b4ae57d7dce54882891d6e4f8f70e"
+
+
+def test_untrusted_text_outcomes_are_pinned(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_textgen", _TEXTGEN_FILE)
+    textgen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, textgen)  # its dataclass looks the module up
+    spec.loader.exec_module(textgen)
+    digest = hashlib.sha256()
+    for seed in range(40):
+        for text in textgen.generate(seed, 3000):
+            if text.kind not in ("deep", "long", "syntax_error", "scalar_result"):
+                continue
+            source = extract_program(text.text)
+            if source is None:
+                outcome = "none"
+            else:
+                # the deep texts, and only they, are lexed in part
+                assert (_lex_end(source) < len(source)) == (text.kind == "deep")
+                try:
+                    outcome = compile_program(source).canonical_hash
+                except (ParseError, DslTypeError) as exc:  # the message starts with line:col
+                    outcome = f"{type(exc).__name__}: {exc}"
+            digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == _UNTRUSTED_OUTCOMES_SHA256
 
 
 def _balanced(leaves):
