@@ -29,12 +29,20 @@ STREAMS = {
 
 INSTANCE_FORMAT = "mergeforge-instance-v1"
 
-# Annotation -> the JSON value types it takes and their name; no number is a bool.
+_FLOAT_INT_LIMIT = 2**1024 - 2**970  # the least int on which float() overflows
+
+# Annotation -> a test of a JSON value and the name of its kind; no number is a bool.
 _KINDS = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) is float or type(v) is int and abs(v) < _FLOAT_INT_LIMIT, "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
 }
+
+
+# What reading a JSON text can raise: JSONDecodeError, UnicodeDecodeError and an
+# int longer than sys.get_int_max_str_digits() are ValueErrors, and nesting
+# deeper than the recursion limit is a RecursionError.
+JSON_ERRORS = (ValueError, RecursionError)
 
 
 class ConfigError(ValueError):
@@ -51,7 +59,7 @@ def from_json(cls, payload, name: str):
         if key not in annotations:
             raise ConfigError(f"{name} has no field {key!r}")
         kind, _, optional = annotations[key].partition(" | ")
-        if kind in _KINDS and type(value) not in _KINDS[kind][0] and not (optional and value is None):
+        if kind in _KINDS and not _KINDS[kind][0](value) and not (optional and value is None):
             raise ConfigError(f"{key} must be {_KINDS[kind][1]}, got {value!r}")
     for f in fields(cls):
         if f.name not in payload and f.default is MISSING and f.default_factory is MISSING:
@@ -227,18 +235,15 @@ def load_instance(path: str | Path) -> BenchmarkInstance:
     """Rebuild a saved instance; raises ValueError, naming the file, for one that is unusable."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except JSON_ERRORS as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: an instance file must hold a JSON object")
     if payload.get("format") != INSTANCE_FORMAT:
         raise ValueError(f"{path}: not a {INSTANCE_FORMAT} file")
-    names = [f.name for f in fields(_InstanceFile)]
-    for name in names:
-        if name not in payload:
-            raise ValueError(f"{path}: missing field {name!r}")
+    present = {f.name: payload[f.name] for f in fields(_InstanceFile) if f.name in payload}
     try:  # not a ConfigError: the file, not the command line, is at fault
-        spec = from_json(_InstanceFile, {name: payload[name] for name in names}, "instance")
+        spec = from_json(_InstanceFile, present, "instance")
         instance = make_instance(spec.rng_seed, spec.d, spec.k, spec.component_noise,
                                  (spec.n_dev, spec.n_test), spec.overlap)
     except ConfigError as exc:

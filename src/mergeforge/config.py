@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .benchmark import BenchmarkConfig, ConfigError, from_json
+from .benchmark import JSON_ERRORS, BenchmarkConfig, ConfigError, from_json
 from .generator import GeneratorPolicy, default_grammar, temperature
 from .generator.remote import EndpointConfig
 from .pipeline import RefineConfig
@@ -56,7 +56,7 @@ def load_config(path: str | Path) -> RunConfig:
     """The run a JSON config file describes; raises ConfigError for any bad value."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except JSON_ERRORS as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

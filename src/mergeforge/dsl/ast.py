@@ -96,7 +96,7 @@ class Node:
 
 @dataclass
 class ScalarLit(Node):
-    value: float = 0.0
+    value: float
 
 
 @dataclass
@@ -106,25 +106,23 @@ class ModelsRef(Node):
 
 @dataclass
 class ModelIndex(Node):
-    index: int = 0
+    index: int
 
 
 @dataclass
 class Var(Node):
-    name: str = ""
-    depth: int = field(kw_only=True)  # its binder's fold, counted outward from 0, the innermost
-    slot: int = field(kw_only=True)  # 0 for that fold's accumulator, 1 for its element
+    depth: int  # its binder's fold, counted outward from 0, the innermost
+    slot: int  # 0 for that fold's accumulator, 1 for its element
 
 
 @dataclass
 class Call(Node):
-    op: str = ""  # an infix symbol ("+", "-", "*") until typechecked
-    args: tuple[Node, ...] = ()
+    op: str  # an infix symbol ("+", "-", "*") until typechecked
+    args: tuple[Node, ...]
 
 
 @dataclass
 class Fold(Node):
-    list_expr: Node = None  # type: ignore[assignment]
-    init_expr: Node = None  # type: ignore[assignment]
-    binders: tuple[str, str] = ("acc", "x")
-    body: Node = None  # type: ignore[assignment]
+    list_expr: Node
+    init_expr: Node
+    body: Node

@@ -1,7 +1,7 @@
 """Canonical text and hashing for duplicate detection.
 
-The canonical text of a typechecked program is built once, bottom up: fold
-binders become de Bruijn slots, scalar subexpressions built purely from
+The canonical text of a typechecked program is built once, bottom up: a fold
+variable is its binder's (depth, slot), scalar subexpressions built purely from
 literals are folded to a single literal, and the args of commutative ops are
 sorted as text.  Two programs that differ only in whitespace, comments, binder
 names, argument order of commutative ops, infix versus named syntax, or
@@ -19,7 +19,6 @@ from .ast import (
     OPS,
     Call,
     DslType,
-    Fold,
     ModelIndex,
     ModelsRef,
     Node,
@@ -51,12 +50,10 @@ def _normalize(node: Node) -> str:
         if spec.commutative:
             args.sort()
         return f"({node.op} {' '.join(args)})"
-    if isinstance(node, Fold):
-        list_c = _normalize(node.list_expr)
-        init_c = _normalize(node.init_expr)
-        body_c = _normalize(node.body)
-        return f"(fold {list_c} {init_c} {body_c})"
-    raise ValueError(f"unknown node {type(node).__name__}")
+    list_c = _normalize(node.list_expr)  # a Fold
+    init_c = _normalize(node.init_expr)
+    body_c = _normalize(node.body)
+    return f"(fold {list_c} {init_c} {body_c})"
 
 
 def canonical_hash(root: Node) -> str:

@@ -14,7 +14,6 @@ and timeout is the one the program would give without the memo.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ from .ast import (
     Call,
     DslRuntimeError,
     DslType,
-    Fold,
     ModelIndex,
     ModelsRef,
     Node,
@@ -63,7 +61,7 @@ MEMO_MAX_BYTES = 8 * 2**20
 
 
 class Memo:
-    """Outcomes of closed subtrees, keyed by their exact text, for one set of task vectors.
+    """Outcomes of closed subtrees, keyed by their text, for one set of task vectors.
 
     An entry is ``(value, None, steps)`` or ``(None, error text, steps)``,
     where ``steps`` is what evaluating the subtree charged.  Stored values are
@@ -85,7 +83,8 @@ class Memo:
 
 
 def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
-    """Exact text of ``node`` and how many enclosing binder pairs it reads; keys closed ones by id."""
+    """Text of ``node``, a variable spelled ``$depth.slot``, and how many enclosing
+    binder pairs it reads; keys closed ones by id."""
     if isinstance(node, ScalarLit):
         return repr(node.value), 0
     if isinstance(node, ModelsRef):
@@ -93,7 +92,7 @@ def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
     if isinstance(node, ModelIndex):
         return f"models[{node.index}]", 0
     if isinstance(node, Var):
-        return "$" + node.name, node.depth + 1
+        return f"${node.depth}.{node.slot}", node.depth + 1
     if isinstance(node, Call):
         texts, reads = [], 0
         for arg in node.args:
@@ -102,14 +101,12 @@ def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
             if arg_reads > reads:  # not max(), which made this walk ~20 % slower
                 reads = arg_reads
         key = f"{node.op}({','.join(texts)})"
-    elif isinstance(node, Fold):
+    else:  # a Fold
         list_key, list_reads = _closed_keys(node.list_expr, keys)
         init_key, init_reads = _closed_keys(node.init_expr, keys)
         body_key, body_reads = _closed_keys(node.body, keys)
-        key = f"fold({list_key},{init_key},({','.join(node.binders)})->{body_key})"
+        key = f"fold({list_key},{init_key},{body_key})"
         reads = max(list_reads, init_reads, body_reads - 1)
-    else:
-        return "?", sys.maxsize  # never closed: the machine reports the unknown node
     if not reads:
         keys[id(node)] = key
     return key, reads
@@ -184,15 +181,13 @@ class _Machine:
             spec = OPS[node.op]
             value = spec.fn(self.d, *args)
             return value if spec.result is DslType.VECTOR_LIST else self.finite(value)
-        if isinstance(node, Fold):
-            items = self.eval(node.list_expr, env)
-            acc = self.eval(node.init_expr, env)
-            inner = [None, *env]  # one list per fold: each body run ends before the next pair
-            for item in items:
-                inner[0] = (acc, item)
-                acc = self.eval(node.body, inner)
-            return acc
-        raise DslRuntimeError(f"unknown node {type(node).__name__}")
+        items = self.eval(node.list_expr, env)  # a Fold
+        acc = self.eval(node.init_expr, env)
+        inner = [None, *env]  # one list per fold: each body run ends before the next pair
+        for item in items:
+            inner[0] = (acc, item)
+            acc = self.eval(node.body, inner)
+        return acc
 
 
 def evaluate(root: Node, models: Sequence, budget: EvalBudget, memo: Memo | None = None) -> np.ndarray:

@@ -8,8 +8,8 @@
 
 `#` starts a comment running to end of line.  Call names are fixed by the op
 table; a bare identifier must be a fold binder in scope, and its Var records
-that binder's (depth, slot) for the later passes.  An infix operator becomes
-a Call whose op is its symbol, which the typechecker resolves.  Both
+only that binder's (depth, slot): the AST keeps no binder names.  An infix
+operator becomes a Call whose op is its symbol, which the typechecker resolves.  Both
 the nesting of brackets and call arguments and the depth of the resulting AST
 are bounded by MAX_DEPTH, so no text, however deep, exhausts the stack here or
 in the passes that recurse over the AST.  A text longer than MAX_SOURCE_CHARS
@@ -250,7 +250,7 @@ def parse(source: str) -> Node:
                 return fold(j)
             for out, pair in enumerate(reversed(scopes)):  # innermost binder first
                 if name in pair:
-                    return Var(name, depth=out, slot=pair.index(name), pos=locate(offsets[j]))
+                    return Var(out, pair.index(name), pos=locate(offsets[j]))
             raise error(f"unknown identifier {name!r}", j)
         if kind == "number":
             return ScalarLit(float(texts[j]), pos=locate(offsets[j]))
@@ -277,18 +277,11 @@ def parse(source: str) -> Node:
             raise error("fold binders must be distinct", second)
         expect(")")
         expect("arrow", "'->'")
-        binders = (first, texts[second])
-        scopes.append(binders)
+        scopes.append((first, texts[second]))
         body = expr()
         scopes.pop()
         expect(")")
-        return Fold(
-            list_expr=list_expr,
-            init_expr=init_expr,
-            binders=binders,
-            body=body,
-            pos=locate(offsets[j]),
-        )
+        return Fold(list_expr, init_expr, body, pos=locate(offsets[j]))
 
     try:
         if texts[expect("ident", "'merge'")] != "merge":

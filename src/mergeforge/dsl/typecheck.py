@@ -7,7 +7,6 @@ from .ast import (
     OPS,
     Call,
     DslType,
-    Fold,
     ModelIndex,
     ModelsRef,
     Node,
@@ -49,18 +48,16 @@ def _check(node: Node) -> DslType:
                     f"{node.op} expects {expected.value}, got {got.value}", arg.pos
                 )
         return spec.result
-    if isinstance(node, Fold):
-        lt = _check(node.list_expr)
-        if lt != DslType.VECTOR_LIST:
-            raise DslTypeError(f"fold expects a vector list, got {lt.value}", node.list_expr.pos)
-        it = _check(node.init_expr)
-        if it != DslType.VECTOR:
-            raise DslTypeError(f"fold seed must be a vector, got {it.value}", node.init_expr.pos)
-        bt = _check(node.body)
-        if bt != DslType.VECTOR:
-            raise DslTypeError(f"fold body must produce a vector, got {bt.value}", node.body.pos)
-        return DslType.VECTOR
-    raise DslTypeError(f"unknown node {type(node).__name__}", getattr(node, "pos", (0, 0)))
+    lt = _check(node.list_expr)  # a Fold
+    if lt != DslType.VECTOR_LIST:
+        raise DslTypeError(f"fold expects a vector list, got {lt.value}", node.list_expr.pos)
+    it = _check(node.init_expr)
+    if it != DslType.VECTOR:
+        raise DslTypeError(f"fold seed must be a vector, got {it.value}", node.init_expr.pos)
+    bt = _check(node.body)
+    if bt != DslType.VECTOR:
+        raise DslTypeError(f"fold body must produce a vector, got {bt.value}", node.body.pos)
+    return DslType.VECTOR
 
 
 def typecheck(root: Node) -> Node:

@@ -25,7 +25,6 @@ from ..dsl.ast import (
     OP_TABLE,
     Call,
     DslType,
-    Fold,
     ModelIndex,
     ModelsRef,
     Node,
@@ -224,20 +223,18 @@ def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool, count
         key = ("lit", float(node.value))
     elif isinstance(node, Var):
         if not in_body:
-            raise UnderivableProgram(f"variable {node.name!r} outside a fold body")
+            raise UnderivableProgram("variable outside a fold body")
         key = ("var", node.slot)
     elif isinstance(node, Call):
         if node.op not in OP_TABLE:
             raise UnderivableProgram("scalar infix arithmetic has no production")
         key = ("call", node.op)
         children = tuple((arg, in_body) for arg in node.args)
-    elif isinstance(node, Fold):
+    else:  # a Fold
         if in_body:
             raise UnderivableProgram("nested fold has no production")
         key = ("fold", None)
         children = ((node.list_expr, False), (node.init_expr, False), (node.body, True))
-    else:
-        raise UnderivableProgram(f"unknown node {type(node).__name__}")
     prod = next((p for p in policy.grammar[nt] if (p.kind, p.payload) == key), None)
     if prod is None:
         where = "the palette" if key[0] == "lit" else "the grammar"

@@ -60,9 +60,9 @@ def _headers(cfg: EndpointConfig) -> dict[str, str]:
 
 
 def _completion_text(resp: requests.Response) -> str:
-    try:  # a body that is not JSON raises requests' JSONDecodeError, a ValueError
+    try:  # a body that is not JSON raises a ValueError (requests' JSONDecodeError) or RecursionError
         return str(resp.json()["choices"][0]["message"]["content"])
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise ProtocolError(f"response is not chat-completions JSON: {exc!r}") from exc
 
 

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from .benchmark import _KINDS
+from .benchmark import JSON_ERRORS, _KINDS
 from .dsl.ast import OP_TABLE
 from .dsl.parser import _ALTERNATIVES
 from .pipeline import CATEGORIES, SUCCESS
@@ -32,7 +32,7 @@ _IDENTS = re.compile(
 )
 
 
-# What the reports read of a record: (field, JSON value types, kind name).  A
+# What the reports read of a record: (field, test of its value, kind name).  A
 # candidate is read for more than its category only when it succeeded.
 _CATEGORY = (("category", *_KINDS["str"]),)
 _ITERATION = (("iteration", *_KINDS["int"]),)
@@ -44,8 +44,8 @@ class ReportError(RuntimeError):
 
 
 def _fault(rec: dict, reads) -> str | None:
-    for name, kinds, kind_name in reads:
-        if type(rec.get(name)) not in kinds:
+    for name, is_kind, kind_name in reads:
+        if not is_kind(rec.get(name)):
             if name not in rec:
                 return f"missing field {name!r}"
             return f"{name} must be {kind_name}, got {rec[name]!r}"
@@ -72,13 +72,17 @@ def _load_jsonl(path: Path, fault) -> list[dict]:
     if not path.exists():
         raise ReportError(f"missing log file: {path}")
     records, first_fault = [], None
-    with open(path, encoding="utf-8") as fh:  # line by line: the whole text is never held
+    # line by line: the whole text is never held; a byte that is not UTF-8 is
+    # escaped, so that the strict decode of its line below names the line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except JSON_ERRORS as exc:
                 raise ReportError(f"corrupt log file {path} at line {lineno}: {exc}") from exc
             records.append(rec)
             if first_fault is None:

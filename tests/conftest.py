@@ -35,7 +35,13 @@ _PRINT_INFIX = {name: op.infix for name, op in INFIX_OPS.items()}
 _PRINT_INFIX.update((sym, sym) for sym, _, _ in INFIX)
 
 
-def pretty_expr(node: Node) -> str:
+def _binder(level: int, slot: int) -> str:
+    """The name pretty gives a fold's binder: ``acc``/``x`` for the outermost fold, then ``acc1``/``x1``..."""
+    return ("acc", "x")[slot] + (str(level) if level else "")
+
+
+def pretty_expr(node: Node, level: int = 0) -> str:
+    """``node``'s text, where ``level`` folds enclose it."""
     if isinstance(node, ScalarLit):
         return repr(float(node.value))
     if isinstance(node, ModelsRef):
@@ -43,17 +49,16 @@ def pretty_expr(node: Node) -> str:
     if isinstance(node, ModelIndex):
         return f"models[{node.index}]"
     if isinstance(node, Var):
-        return node.name
+        return _binder(level - 1 - node.depth, node.slot)
     if isinstance(node, Call):
-        args = [pretty_expr(a) for a in node.args]
+        args = [pretty_expr(a, level) for a in node.args]
         if node.op in _PRINT_INFIX:
             return f"({args[0]} {_PRINT_INFIX[node.op]} {args[1]})"
         return f"{node.op}({', '.join(args)})"
     if isinstance(node, Fold):
-        a, b = node.binders
         return (
-            f"fold({pretty_expr(node.list_expr)}, {pretty_expr(node.init_expr)}, "
-            f"({a}, {b}) -> {pretty_expr(node.body)})"
+            f"fold({pretty_expr(node.list_expr, level)}, {pretty_expr(node.init_expr, level)}, "
+            f"({_binder(level, 0)}, {_binder(level, 1)}) -> {pretty_expr(node.body, level + 1)})"
         )
     raise TypeError(f"unknown node {node!r}")
 

@@ -141,9 +141,9 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["eval", "--program", str(missing), "--instance", str(missing)]) == 2
 
 
-def _eval_on_instance(tmp_path, text: str) -> tuple[int, Path]:
+def _eval_on_instance(tmp_path, text: str | bytes) -> tuple[int, Path]:
     path = tmp_path / "bad_instance.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     program = tmp_path / "prog.merge"
     program.write_text("merge(models) = models[0]\n")
     return main(["eval", "--program", str(program), "--instance", str(path)]), path
@@ -151,6 +151,18 @@ def _eval_on_instance(tmp_path, text: str) -> tuple[int, Path]:
 
 def test_instance_file_that_is_not_json_is_named(tmp_path, capsys):
     code, path = _eval_on_instance(tmp_path, '{"format": ')
+    assert code == 2
+    assert f"error: {path}: invalid JSON (" in capsys.readouterr().err
+
+
+# a byte that is not UTF-8, nesting past the recursion limit, an int past the digit limit
+_UNREADABLE_JSON = [b'{"format": "\xff"}', b"[" * 200_000, b'{"d": ' + b"1" * 5000 + b"}"]
+_UNREADABLE_IDS = ["not_utf8", "too_deep", "too_many_digits"]
+
+
+@pytest.mark.parametrize("data", _UNREADABLE_JSON, ids=_UNREADABLE_IDS)
+def test_instance_file_that_is_not_readable_json_is_named(tmp_path, capsys, data):
+    code, path = _eval_on_instance(tmp_path, data)
     assert code == 2
     assert f"error: {path}: invalid JSON (" in capsys.readouterr().err
 
@@ -166,7 +178,7 @@ def test_instance_file_missing_field_is_named(instance_file, tmp_path, capsys):
     del payload["rng_seed"]
     code, path = _eval_on_instance(tmp_path, json.dumps(payload))
     assert code == 2
-    assert f"error: {path}: missing field 'rng_seed'" in capsys.readouterr().err
+    assert f"error: {path}: instance is missing the field 'rng_seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,value,kind", [
@@ -175,6 +187,7 @@ def test_instance_file_missing_field_is_named(instance_file, tmp_path, capsys):
     ("rng_seed", True, "an integer"),
     ("d", None, "an integer"),
     ("overlap", "0.25", "a number"),
+    pytest.param("component_noise", 10**400, "a number", id="huge_component_noise"),  # no float holds it
 ])
 def test_instance_file_field_of_the_wrong_kind_is_named(instance_file, tmp_path, capsys, name, value, kind):
     payload = json.loads(instance_file.read_text())
@@ -207,6 +220,14 @@ def test_report_on_a_record_that_is_not_an_object_names_its_line(tmp_path, capsy
     assert main(["report", "--run", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: corrupt log file {tmp_path / 'candidates.jsonl'} at line 1: a record must be a JSON object\n"
+
+
+@pytest.mark.parametrize("data", _UNREADABLE_JSON, ids=_UNREADABLE_IDS)
+def test_config_that_is_not_readable_json_is_named(tmp_path, capsys, data):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(data)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config_path}: invalid JSON (")
 
 
 def test_bad_config_is_usage_error(tmp_path, capsys):
@@ -283,6 +304,12 @@ def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     ({"benchmark": None}, "benchmark must be a JSON object, got None"),
     ({"remote": {}}, "remote is missing the field 'url'"),
     ({"unknown_field": 1}, "config has no field 'unknown_field'"),
+    # ints that no float can hold
+    pytest.param({"t1": 10**400}, f"t1 must be a number, got {10**400}", id="huge_t1"),
+    pytest.param({"beta": -10**400}, f"beta must be a number, got {-10**400}", id="huge_beta"),
+    pytest.param({"refine": {"eta": 10**400}}, f"eta must be a number, got {10**400}", id="huge_eta"),
+    pytest.param({"benchmark": {"component_noise": 10**400}},
+                 f"component_noise must be a number, got {10**400}", id="huge_component_noise"),
 ])
 def test_bad_config_kind_names_its_field(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"

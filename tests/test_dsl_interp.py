@@ -288,23 +288,25 @@ def test_memo_hit_with_too_few_steps_left_times_out():
     assert _outcome(second, models, charged, memo) == _outcome(second, models, charged, None)
 
 
-@pytest.mark.parametrize("folds", [
-    # alpha-renamed copies of one fold
-    ["(acc, x) -> emax(acc, scale(0.5, x))", "(a, b) -> emax(a, scale(0.5, b))",
-     "(x, acc) -> emax(x, scale(0.5, acc))"],
+@pytest.mark.parametrize("folds", [  # fold texts, then how many memo entries they share
+    # alpha-renamed copies of one fold: one entry
+    (["(acc, x) -> emax(acc, scale(0.5, x))", "(a, b) -> emax(a, scale(0.5, b))",
+      "(x, acc) -> emax(x, scale(0.5, acc))"], 1),
     # one body text under swapped binders: two different folds
-    ["(acc, x) -> emax(acc, scale(0.5, x))", "(x, acc) -> emax(acc, scale(0.5, x))"],
-    # an inner fold that reads the outer binder is not closed
-    ["(acc, x) -> fold(models, models[2], (a, b) -> add(a, scale(0.5, x)))",
-     "(acc, x) -> fold(tail(models), acc, (a, b) -> emin(a, b))"],
+    (["(acc, x) -> emax(acc, scale(0.5, x))", "(x, acc) -> emax(acc, scale(0.5, x))"], 2),
+    # an inner fold that reads the outer binder is not closed: only the outer folds are keyed
+    (["(acc, x) -> fold(models, models[2], (a, b) -> add(a, scale(0.5, x)))",
+      "(acc, x) -> fold(tail(models), acc, (a, b) -> emin(a, b))"], 2),
 ])
 def test_memo_closed_folds_under_renamed_and_shadowing_binders(folds):
+    texts, entries = folds
     models = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([2.0, 2.0])]
     memo = Memo()
-    for fold in folds:
+    for fold in texts:
         root = compile_program(f"merge(models) = sub(fold(models, models[0], {fold}), models[1])").ast
         assert _outcome(root, models, 1000, memo) == _outcome(root, models, 1000, None)
         assert _steps_charged(root, models, memo, 1000) == _steps_charged(root, models, None, 1000)
+    assert sum(key.startswith("fold(") for key in memo.table) == entries
 
 
 def test_memo_closed_subtree_in_a_fold_body_hits_on_every_element():
@@ -328,7 +330,7 @@ def test_memo_closed_subtree_in_a_fold_body_hits_on_every_element():
      ["tail(models)"]),
     # an inner fold that shadows x reads only its own binders: closed
     ("fold(models, models[0], (acc, x) -> add(x, fold(models, models[1], (a, x) -> emax(a, x))))",
-     ["fold(models,models[1],(a,x)->emax($a,$x))"]),
+     ["fold(models,models[1],emax($0.0,$0.1))"]),
     # the root is closed but never stored: a repeated program is a duplicate
     ("scale(2.0, add(models[0], models[1]))", ["add(models[0],models[1])"]),
     ("add(models[0], models[1])", []),

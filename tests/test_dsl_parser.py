@@ -159,8 +159,8 @@ def test_inner_fold_that_swaps_the_outer_binder_names():
 
 
 def test_a_variable_must_be_built_with_its_binder():
-    with pytest.raises(TypeError, match="depth"):
-        Var(name="x")
+    with pytest.raises(TypeError, match="depth.*slot"):
+        Var()
 
 
 def test_duplicate_binders_rejected():
@@ -430,7 +430,7 @@ class _OracleParser:
             return Call(op=name, args=tuple(args), pos=pos)
         for depth, pair in enumerate(reversed(self.scopes)):
             if name in pair:
-                return Var(name=name, depth=depth, slot=pair.index(name), pos=pos)
+                return Var(depth=depth, slot=pair.index(name), pos=pos)
         raise ParseError(f"unknown identifier {name!r}", *pos)
 
     def parse_args(self):
@@ -462,13 +462,7 @@ class _OracleParser:
         finally:
             self.scopes.pop()
         self.expect(")")
-        return Fold(
-            list_expr=list_expr,
-            init_expr=init_expr,
-            binders=(first.text, second.text),
-            body=body,
-            pos=pos,
-        )
+        return Fold(list_expr=list_expr, init_expr=init_expr, body=body, pos=pos)
 
 
 def _oracle_parse(source):

@@ -286,7 +286,7 @@ def test_variable_outside_a_fold_body_is_underivable():
     from mergeforge.dsl.ast import Call, ModelIndex, Var
 
     policy = GeneratorPolicy.initial(default_grammar(3))
-    root = Call(op="add", args=(ModelIndex(index=0), Var(name="acc", depth=0, slot=0)))
+    root = Call(op="add", args=(ModelIndex(index=0), Var(depth=0, slot=0)))
     with pytest.raises(UnderivableProgram, match="outside a fold body"):
         derivation_counts(policy, root)
 
@@ -416,7 +416,6 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
     Counts the pid of every production drawn in ``drawn``.
     """
     from mergeforge.dsl.ast import Call, Fold, ModelIndex, ModelsRef, ScalarLit, Var
-    from mergeforge.generator import BINDERS
 
     eligible = [
         p for p in policy.grammar[nt]
@@ -435,7 +434,7 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
     if prod.kind == "lit":
         return ScalarLit(value=float(prod.payload))
     if prod.kind == "var":
-        return Var(name=BINDERS[int(prod.payload)], depth=0, slot=int(prod.payload))
+        return Var(depth=0, slot=int(prod.payload))
     if prod.kind == "call":
         return Call(op=prod.payload, args=tuple(
             _oracle_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args
@@ -443,7 +442,6 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
     return Fold(
         list_expr=_oracle_derive(policy, temp, prod.args[0], depth + 1, False, rng, drawn),
         init_expr=_oracle_derive(policy, temp, prod.args[1], depth + 1, False, rng, drawn),
-        binders=BINDERS,
         body=_oracle_derive(policy, temp, prod.args[2], depth + 1, True, rng, drawn),
     )
 

@@ -43,6 +43,9 @@ class _MockEndpoint:
                 elif status == -2:  # 200 body that is not JSON
                     payload = b"<html>gateway says hello</html>"
                     status = 200
+                elif status == -3:  # 200 body nested past the recursion limit
+                    payload = b"[" * 200_000
+                    status = 200
                 else:
                     payload = json.dumps({
                         "choices": [{"message": {"content": outer.completion}}]
@@ -133,6 +136,13 @@ def test_malformed_body_is_protocol_error(endpoint):
 def test_non_json_body_is_protocol_error(endpoint):
     server = endpoint(script=[-2])
     with pytest.raises(ProtocolError, match="JSONDecodeError"):
+        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
+    assert len(server.requests) == 1
+
+
+def test_too_deep_json_body_is_protocol_error(endpoint):
+    server = endpoint(script=[-3])
+    with pytest.raises(ProtocolError, match="RecursionError"):
         remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
     assert len(server.requests) == 1
 

@@ -166,11 +166,18 @@ def test_missing_log_is_report_error(tmp_path):
 def test_corrupt_log_is_report_error(tmp_path):
     (tmp_path / "iterations.jsonl").write_text("")
     for text, line in [
-        ('{"iteration": 1}\nnot json\n', 2),
-        ('{"iteration": 1}\r\n\r\n  \n{"iteration": 2}\nnot json', 5),  # blank lines count
+        (b'{"iteration": 1}\nnot json\n', 2),
+        (b'{"iteration": 1}\r\n\r\n  \n{"iteration": 2}\nnot json', 5),  # blank lines count
+        # a byte that is not UTF-8, in a string or not; nesting past the
+        # recursion limit; an int past the digit limit
+        (b'{"iteration": 1}\n{"category": "\xff"}\n', 2),
+        (b'{"iteration": 1}\n\n{"category": \xff}\n', 3),
+        (b'{"iteration": 1}\n' + b"[" * 200_000, 2),
+        (b'{"iteration": 1}\n[' + b"1" * 5000 + b"]", 2),
     ]:
-        (tmp_path / "candidates.jsonl").write_bytes(text.encode())
-        with pytest.raises(ReportError, match=f"line {line}:"):
+        (tmp_path / "candidates.jsonl").write_bytes(text)
+        want = f"corrupt log file {tmp_path / 'candidates.jsonl'} at line {line}: "
+        with pytest.raises(ReportError, match=re.escape(want)):
             write_reports(tmp_path)
 
     success = {"category": "success", "iteration": 1, "score": 50.0, "source": "merge(models) = models[0]"}
@@ -181,6 +188,7 @@ def test_corrupt_log_is_report_error(tmp_path):
         ("candidates.jsonl", [{"category": 5}], 1, "category must be a string, got 5"),
         ("candidates.jsonl", [{**success, "source": 5}], 1, "source must be a string, got 5"),
         ("candidates.jsonl", [{**success, "score": "50"}], 1, "score must be a number, got '50'"),
+        ("candidates.jsonl", [{**success, "score": 10**400}], 1, f"score must be a number, got {10**400}"),
         ("candidates.jsonl", [{**success, "iteration": True}], 1, "iteration must be an integer, got True"),
         ("candidates.jsonl", [success, {k: v for k, v in success.items() if k != "source"}], 2,
          "missing field 'source'"),
