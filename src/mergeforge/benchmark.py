@@ -234,7 +234,7 @@ def save_instance(instance: BenchmarkInstance, path: str | Path) -> None:
 def load_instance(path: str | Path) -> BenchmarkInstance:
     """Rebuild a saved instance; raises ValueError, naming the file, for one that is unusable."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except JSON_ERRORS as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):

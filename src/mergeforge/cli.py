@@ -111,7 +111,11 @@ def _cmd_make_instance(args) -> int:
 
 def _cmd_eval(args) -> int:
     instance = benchmark.load_instance(args.instance)
-    program = compile_program(Path(args.program).read_text())
+    try:
+        text = Path(args.program).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.program}: {exc}") from exc
+    program = compile_program(text)
     budget = EvalBudget(args.budget) if args.budget is not None else default_budget(instance.k, instance.d)
     if args.probes == "dev":
         probes, baseline = instance.dev_probes, instance.dev_baseline_mse

@@ -55,7 +55,7 @@ def full_scale_preset(**overrides) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """The run a JSON config file describes; raises ConfigError for any bad value."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except JSON_ERRORS as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):

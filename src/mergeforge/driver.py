@@ -29,9 +29,9 @@ from .config import RunConfig, config_echo
 from .core import apply_merged, grid_search_task_arithmetic, task_arithmetic
 from .dsl import EvalBudget, default_budget
 from .generator import (
+    PROMPT_ID,
     GeneratorPolicy,
     default_grammar,
-    default_prompt_template,
     remote_generate,
     sample_program,
     temperature,
@@ -106,7 +106,7 @@ def _candidate_record(iteration: int, index: int, outcome: CandidateOutcome) -> 
 def _pair_record(pair: PreferencePair) -> dict:
     """A pair in the shape a preference-optimization trainer ingests."""
     return {
-        "prompt_id": pair.prompt_id,
+        "prompt_id": PROMPT_ID,
         "chosen_source": pair.chosen.program.source,
         "rejected_source": pair.rejected.program.source,
         "chosen_score": pair.chosen.dev_score,
@@ -176,8 +176,7 @@ def _generate(config: RunConfig, policy: GeneratorPolicy, temp: float, iteration
             rng.bit_generator.state = state
             texts.append(sample_program(policy, temp, rng))
         return texts
-    prompt = default_prompt_template()
-    return remote_generate(config.remote, prompt, temp, config.candidates_per_iteration)
+    return remote_generate(config.remote, temp, config.candidates_per_iteration)
 
 
 def _iteration(
@@ -223,7 +222,6 @@ def _iteration(
         pairs = build_preferences(
             chosen, rejected, config.refine,
             np.random.default_rng((config.seed, _PREF_STREAM, t)),
-            prompt_id=default_prompt_template().prompt_id,
         )
     else:
         chosen = ranked(scored)

@@ -9,7 +9,7 @@ from .policy import (
     derivation_counts,
     sample_program,
 )
-from .prompt import PromptTemplate, default_prompt_template
+from .prompt import PROMPT, PROMPT_ID
 from .remote import EndpointConfig, GenerationSourceError, ProtocolError, remote_generate
 from .schedule import temperature
 
@@ -23,8 +23,8 @@ __all__ = [
     "default_grammar",
     "derivation_counts",
     "sample_program",
-    "PromptTemplate",
-    "default_prompt_template",
+    "PROMPT",
+    "PROMPT_ID",
     "EndpointConfig",
     "GenerationSourceError",
     "ProtocolError",

@@ -3,19 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from importlib import resources
 
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    text: str
-
-    @property
-    def prompt_id(self) -> str:
-        return "prompt-" + hashlib.sha256(self.text.encode("utf-8")).hexdigest()[:12]
-
-
-def default_prompt_template() -> PromptTemplate:
-    text = resources.files("mergeforge.data").joinpath("prompt_template.txt").read_text()
-    return PromptTemplate(text=text)
+PROMPT = resources.files("mergeforge.data").joinpath("prompt_template.txt").read_text(encoding="utf-8")
+PROMPT_ID = "prompt-" + hashlib.sha256(PROMPT.encode("utf-8")).hexdigest()[:12]

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .prompt import PromptTemplate
+from .prompt import PROMPT
 
 if TYPE_CHECKING:
     import requests
@@ -93,13 +93,8 @@ def _one_request(cfg: EndpointConfig, payload: dict) -> str:
     raise GenerationSourceError("retries exhausted", statuses)
 
 
-def remote_generate(
-    cfg: EndpointConfig,
-    prompt: PromptTemplate,
-    temp: float,
-    n: int,
-) -> list[str]:
-    """Issue ``n`` sampling requests at the given temperature, in order.
+def remote_generate(cfg: EndpointConfig, temp: float, n: int) -> list[str]:
+    """Issue ``n`` requests for the fixed prompt at the given temperature, in order.
 
     Each request retries transient failures (connection errors, 429/5xx) with
     exponential backoff up to ``cfg.max_retries``.
@@ -108,7 +103,7 @@ def remote_generate(
         raise ValueError("n must be >= 1")
     payload = {
         "model": cfg.model,
-        "messages": [{"role": "user", "content": prompt.text}],
+        "messages": [{"role": "user", "content": PROMPT}],
         "temperature": float(temp),
         "n": 1,
     }

@@ -61,7 +61,6 @@ class ScoredAlgorithm:
 
 @dataclass(frozen=True)
 class PreferencePair:
-    prompt_id: str
     chosen: ScoredAlgorithm
     rejected: ScoredAlgorithm
 
@@ -237,7 +236,6 @@ def build_preferences(
     rejected: Sequence[ScoredAlgorithm],
     cfg: RefineConfig,
     rng: np.random.Generator,
-    prompt_id: str = "prompt-fixed",
 ) -> list[PreferencePair]:
     """Pair each chosen program with up to ``cfg.s`` sampled rejected programs.
 
@@ -259,7 +257,7 @@ def build_preferences(
                 continue
             if not winner.dev_score > loser.dev_score:
                 continue
-            pairs.append(PreferencePair(prompt_id=prompt_id, chosen=winner, rejected=loser))
+            pairs.append(PreferencePair(chosen=winner, rejected=loser))
     if not pairs:
         log.warning("no usable preference pairs (degenerate scores or duplicates)")
     return pairs

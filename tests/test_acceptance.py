@@ -216,7 +216,7 @@ def test_acceptance_7_policy_refinement_direction():
     policy = GeneratorPolicy.initial(default_grammar(3))
     chosen = ScoredAlgorithm(compile_program("merge(models) = mean_stack(models)"), 90.0, 1)
     rejected = ScoredAlgorithm(compile_program("merge(models) = models[0]"), 5.0, 1)
-    pairs = [PreferencePair("prompt-fixed", chosen, rejected)] * 30
+    pairs = [PreferencePair(chosen, rejected)] * 30
     refined = refine_policy(policy, pairs, eta=1.0)
 
     # exact sign of the update rule

@@ -32,22 +32,25 @@ def test_make_instance_round_trip(instance_file):
     assert instance.d == 24 and instance.k == 3
 
 
-def test_eval_matches_library(instance_file, tmp_path, capsys):
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_eval_matches_library(instance_file, tmp_path, capsys, split):
     program_path = tmp_path / "prog.merge"
     program_path.write_text(
         "# reference fold\n"
         "merge(models) = fold(tail(models), models[0], "
         "(acc, x) -> scale(0.5, add(acc, ones(mean_elem(x)))))\n"
     )
-    code = main(["eval", "--program", str(program_path), "--instance", str(instance_file)])
+    argv = ["eval", "--program", str(program_path), "--instance", str(instance_file)]
+    code = main([*argv, "--probes", split])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
 
     instance = load_instance(instance_file)
     merged = apply_merged(instance.seed_model, mean_fold_merge(instance.task_vectors()))
-    want = score(merged, instance.dev_probes, instance.dev_baseline_mse)
+    probes = getattr(instance, f"{split}_probes")
+    want = score(merged, probes, getattr(instance, f"{split}_baseline_mse"))
     assert payload["score"] == pytest.approx(want, abs=1e-12)
-    assert payload["probes"] == "dev"
+    assert payload["probes"] == split
 
 
 def test_baseline_task_arithmetic(instance_file, capsys):
@@ -83,8 +86,12 @@ def test_run_and_report(tmp_path, capsys):
     header = categories_csv.read_text().splitlines()[0]
     assert header == "iteration," + ",".join(CATEGORIES)
 
-    # regenerate reports from logs alone
+    # regenerating the reports from the logs alone gives the run's own bytes
+    report_dir = run_dir / "report"
+    before = {p.name: p.read_bytes() for p in report_dir.glob("*.csv")}
+    assert len(before) == 3
     assert main(["report", "--run", str(run_dir)]) == 0
+    assert {p.name: p.read_bytes() for p in report_dir.glob("*.csv")} == before
 
 
 def test_run_output_dir_override(tmp_path, capsys):
@@ -139,6 +146,13 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["report", "--run", str(tmp_path)]) == 2
     assert main(["eval", "--program", str(missing), "--instance", str(missing)]) == 2
+
+
+def test_program_file_that_is_not_utf8_is_named(instance_file, tmp_path, capsys):
+    program = tmp_path / "prog.merge"
+    program.write_bytes(b"merge(models) = models[0]  # \xff\n")
+    assert main(["eval", "--program", str(program), "--instance", str(instance_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {program}: 'utf-8' codec can't decode byte 0xff")
 
 
 def _eval_on_instance(tmp_path, text: str | bytes) -> tuple[int, Path]:
@@ -279,6 +293,9 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
       for endpoint in ({"timeout_s": 0}, {"timeout_s": -1.0}, {"timeout_s": float("nan")},
                   {"timeout_s": float("inf")}, {"backoff_s": -1}, {"backoff_s": float("nan")},
                   {"max_retries": -1}, {"max_retries": 1.5}, {"auth_token_env": 5}, {"url": 5})),
+    {"generator_mode": "bogus"},
+    {"generator_mode": "remote"},  # no endpoint
+    {"budget_steps": 0},
 ])
 def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     config = {

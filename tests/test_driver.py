@@ -286,7 +286,7 @@ def test_remote_mode_run(tmp_path, monkeypatch):
         "```\nmerge(models) = mean_stack(models)\n```",
     ]
 
-    def fake_remote(cfg, prompt, temp, n):
+    def fake_remote(cfg, temp, n):
         assert n == 3
         return completions
 
@@ -314,7 +314,7 @@ def test_remote_failure_aborts_with_partial_logs(tmp_path, monkeypatch):
 
     calls = {"n": 0}
 
-    def flaky_remote(cfg, prompt, temp, n):
+    def flaky_remote(cfg, temp, n):
         calls["n"] += 1
         if calls["n"] == 2:
             raise GenerationSourceError("retries exhausted", [500])

@@ -228,6 +228,20 @@ def test_scalar_plus_vector_rejected():
         compile_program("merge(models) = 0.5 + models[0]")
 
 
+@pytest.mark.parametrize("source,message", [
+    ("merge(models) = fold(models[0], models[0], (acc, x) -> acc)",
+     "1:22: fold expects a vector list, got vector"),
+    ("merge(models) = fold(models, 0.5, (acc, x) -> acc)",
+     "1:30: fold seed must be a vector, got scalar"),
+    ("merge(models) = fold(models, models[0], (acc, x) -> mean_elem(x))",
+     "1:53: fold body must produce a vector, got scalar"),
+], ids=["list", "seed", "body"])
+def test_fold_operand_of_the_wrong_type_is_named(source, message):
+    with pytest.raises(DslTypeError) as exc:
+        typecheck(parse(source))
+    assert str(exc.value) == message
+
+
 # -- pretty-print round trip ----------------------------------------------
 
 SCALAR_INFIX_SRC = "merge(models) = scale(mean_elem(models[0]) + 0.1, models[0])"

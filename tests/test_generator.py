@@ -14,11 +14,11 @@ from conftest import identity_grammar, pretty, production_probability
 from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
 from mergeforge.dsl.parser import MAX_DEPTH, ParseError
 from mergeforge.generator import (
+    PROMPT,
     GeneratorPolicy,
     Production,
     UnderivableProgram,
     default_grammar,
-    default_prompt_template,
     derivation_counts,
     extract_program,
     sample_program,
@@ -381,7 +381,7 @@ def _listed_ops(text, start):
 
 
 @pytest.mark.parametrize("text,start", [
-    (default_prompt_template().text, "Available operations:"),
+    (PROMPT, "Available operations:"),
     ((Path(__file__).parents[1] / "README.md").read_text(), "program := merge(models) = <expr>"),
 ], ids=["prompt_template", "readme"])
 def test_documented_ops_match_the_op_table(text, start):

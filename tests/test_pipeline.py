@@ -398,7 +398,6 @@ def test_pair_validity_and_determinism():
         assert pair.chosen.program.canonical_hash != pair.rejected.program.canonical_hash
         assert pair.chosen.program.canonical_hash in member_hashes
         assert pair.rejected.program.canonical_hash in member_hashes
-        assert pair.prompt_id == "prompt-fixed"
 
 
 def test_sample_count_per_chosen():
@@ -438,7 +437,6 @@ def test_refine_config_validation():
 
 def _pair(chosen_src, rejected_src):
     return PreferencePair(
-        prompt_id="prompt-fixed",
         chosen=_alg(chosen_src, 90.0),
         rejected=_alg(rejected_src, 5.0),
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 import textwrap
@@ -11,10 +12,10 @@ import pytest
 
 import mergeforge
 from mergeforge.generator import (
+    PROMPT,
     EndpointConfig,
     GenerationSourceError,
     ProtocolError,
-    PromptTemplate,
     remote_generate,
 )
 
@@ -94,20 +95,20 @@ def _config(server, **overrides):
 
 def test_fixed_completion_returned_n_times(endpoint):
     server = endpoint()
-    out = remote_generate(_config(server), PromptTemplate("write a program"), 0.9, 4)
+    out = remote_generate(_config(server), 0.9, 4)
     assert out == ["merge(models) = models[0]"] * 4
     assert len(server.requests) == 4
     body = server.requests[0]["body"]
     assert body["model"] == "test-model"
     assert body["temperature"] == 0.9
-    assert body["messages"][0]["content"] == "write a program"
+    assert body["messages"][0]["content"] == PROMPT
     assert "n" in body
 
 
 def test_retries_after_transient_failures(endpoint, caplog):
     server = endpoint(script=[500, 500])
     with caplog.at_level("INFO", logger="mergeforge.generator.remote"):
-        out = remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
+        out = remote_generate(_config(server), 1.0, 1)
     assert out == ["merge(models) = models[0]"]
     assert len(server.requests) == 3  # two failures, then success
     assert "after 2 retries" in caplog.text
@@ -116,47 +117,57 @@ def test_retries_after_transient_failures(endpoint, caplog):
 def test_retries_exhausted_reports_statuses(endpoint):
     server = endpoint(script=[500, 500, 503, 503, 503])
     with pytest.raises(GenerationSourceError) as exc:
-        remote_generate(_config(server, max_retries=2), PromptTemplate("p"), 1.0, 1)
+        remote_generate(_config(server, max_retries=2), 1.0, 1)
     assert exc.value.statuses == [500, 500, 503]
+
+
+def test_refused_connection_is_retried_then_reported():
+    with socket.socket() as sock:  # bound and released: nothing listens on the port
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cfg = EndpointConfig(url=f"http://127.0.0.1:{port}/", model="m", max_retries=2, backoff_s=0.01)
+    with pytest.raises(GenerationSourceError) as exc:
+        remote_generate(cfg, 1.0, 1)
+    assert exc.value.statuses == [None, None, None]
 
 
 def test_non_retryable_status_fails_fast(endpoint):
     server = endpoint(script=[401])
     with pytest.raises(GenerationSourceError):
-        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
+        remote_generate(_config(server), 1.0, 1)
     assert len(server.requests) == 1
 
 
 def test_malformed_body_is_protocol_error(endpoint):
     server = endpoint(script=[-1])
     with pytest.raises(ProtocolError):
-        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
+        remote_generate(_config(server), 1.0, 1)
 
 
 def test_non_json_body_is_protocol_error(endpoint):
     server = endpoint(script=[-2])
     with pytest.raises(ProtocolError, match="JSONDecodeError"):
-        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
+        remote_generate(_config(server), 1.0, 1)
     assert len(server.requests) == 1
 
 
 def test_too_deep_json_body_is_protocol_error(endpoint):
     server = endpoint(script=[-3])
     with pytest.raises(ProtocolError, match="RecursionError"):
-        remote_generate(_config(server), PromptTemplate("p"), 1.0, 1)
+        remote_generate(_config(server), 1.0, 1)
     assert len(server.requests) == 1
 
 
 def test_zero_requests_rejected(endpoint):
     server = endpoint()
     with pytest.raises(ValueError):
-        remote_generate(_config(server), PromptTemplate("p"), 1.0, 0)
+        remote_generate(_config(server), 1.0, 0)
 
 
 def test_auth_token_header(endpoint, monkeypatch):
     server = endpoint()
     monkeypatch.setenv("MF_TEST_TOKEN", "sekrit")
-    remote_generate(_config(server, auth_token_env="MF_TEST_TOKEN"), PromptTemplate("p"), 1.0, 1)
+    remote_generate(_config(server, auth_token_env="MF_TEST_TOKEN"), 1.0, 1)
     assert server.requests[0]["auth"] == "Bearer sekrit"
 
 
