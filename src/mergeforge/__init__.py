@@ -9,7 +9,7 @@ from .core import (
     task_vector,
 )
 from .driver import RunReport, run
-from .dsl import EvalBudget, MergeProgram, compile_program, default_budget, evaluate
+from .dsl import MergeProgram, compile_program, default_budget, evaluate
 from .generator import GeneratorPolicy, default_grammar, sample_program, temperature
 from .pipeline import (
     CATEGORIES,
@@ -42,7 +42,6 @@ __all__ = [
     "task_vector",
     "RunReport",
     "run",
-    "EvalBudget",
     "MergeProgram",
     "compile_program",
     "default_budget",

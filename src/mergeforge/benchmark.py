@@ -107,9 +107,6 @@ class ProbeSet:
         if not np.isfinite(self.xs).all():
             raise ValueError("probe inputs must be finite")
 
-    def __len__(self) -> int:
-        return self.xs.shape[0]
-
 
 @dataclass(frozen=True)
 class BenchmarkInstance:
@@ -119,10 +116,7 @@ class BenchmarkInstance:
     masks: np.ndarray  # (K, d) bool
     dev_probes: ProbeSet
     test_probes: ProbeSet
-    d: int
-    k: int
-    component_noise: float
-    overlap: float
+    config: BenchmarkConfig
     rng_seed: int
     dev_baseline_mse: float = field(init=False)
     test_baseline_mse: float = field(init=False)
@@ -165,7 +159,7 @@ def make_instance(rng_seed: int, d: int, k: int, component_noise: float,
                   overlap: float = BenchmarkConfig.overlap) -> BenchmarkInstance:
     """Deterministically build an instance from the seed and sizes; raises ConfigError for bad ones."""
     n_dev, n_test = probe_counts
-    BenchmarkConfig(d, k, component_noise, n_dev, n_test, overlap)
+    config = BenchmarkConfig(d, k, component_noise, n_dev, n_test, overlap)
     if rng_seed < 0:
         raise ConfigError("rng_seed must be >= 0")
 
@@ -192,10 +186,7 @@ def make_instance(rng_seed: int, d: int, k: int, component_noise: float,
         masks=masks,
         dev_probes=ProbeSet(dev_xs, dev_xs @ target),
         test_probes=ProbeSet(test_xs, test_xs @ target),
-        d=d,
-        k=k,
-        component_noise=component_noise,
-        overlap=overlap,
+        config=config,
         rng_seed=rng_seed,
     )
 
@@ -224,8 +215,7 @@ class _InstanceFile(BenchmarkConfig):  # every field an instance file holds but 
 
 def save_instance(instance: BenchmarkInstance, path: str | Path) -> None:
     """Persist construction parameters plus a digest of the derived arrays."""
-    spec = _InstanceFile(instance.d, instance.k, instance.component_noise, len(instance.dev_probes),
-                         len(instance.test_probes), instance.overlap, rng_seed=instance.rng_seed,
+    spec = _InstanceFile(**asdict(instance.config), rng_seed=instance.rng_seed,
                          digest=instance.content_digest())
     payload = {"format": INSTANCE_FORMAT, "streams": STREAMS, **asdict(spec)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -246,7 +236,7 @@ def load_instance(path: str | Path) -> BenchmarkInstance:
         spec = from_json(_InstanceFile, present, "instance")
         instance = make_instance(spec.rng_seed, spec.d, spec.k, spec.component_noise,
                                  (spec.n_dev, spec.n_test), spec.overlap)
-    except ConfigError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy refuses some sizes BenchmarkConfig accepts
         raise ValueError(f"{path}: {exc}") from None
     if instance.content_digest() != spec.digest:
         raise ValueError(f"{path}: instance digest mismatch; file is stale or corrupt")

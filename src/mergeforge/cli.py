@@ -16,7 +16,7 @@ from pathlib import Path
 from . import benchmark
 from .config import BenchmarkConfig, ConfigError, load_config
 from .driver import TASK_ARITHMETIC_GRID, run as run_search, task_arithmetic_baseline
-from .dsl import EvalBudget, compile_program, default_budget
+from .dsl import compile_program, default_budget
 from .pipeline import score_program
 from .report import write_reports
 
@@ -116,13 +116,13 @@ def _cmd_eval(args) -> int:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{args.program}: {exc}") from exc
     program = compile_program(text)
-    budget = EvalBudget(args.budget) if args.budget is not None else default_budget(instance.k, instance.d)
+    max_steps = args.budget or default_budget(instance.config.k, instance.config.d)
     if args.probes == "dev":
         probes, baseline = instance.dev_probes, instance.dev_baseline_mse
     else:
         probes, baseline = instance.test_probes, instance.test_baseline_mse
     value = score_program(
-        program, instance.task_vectors(), instance.seed_model, probes, baseline, budget,
+        program, instance.task_vectors(), instance.seed_model, probes, baseline, max_steps,
     )
     print(json.dumps({
         "hash": program.canonical_hash,

@@ -21,7 +21,7 @@ class RunConfig:
     beta: float = 0.2
     generator_mode: str = "grammar"  # "grammar" | "remote"
     max_depth: int = 8
-    budget_steps: int | None = None  # None: 10_000 * k * d
+    budget_steps: int | None = None  # None: dsl.default_budget(k, d)
     top_n_for_test: int = 15
     refine: RefineConfig = field(default_factory=RefineConfig)
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)

@@ -27,7 +27,7 @@ import numpy as np
 from .benchmark import BenchmarkInstance, make_instance, save_instance, score as probe_score
 from .config import RunConfig, config_echo
 from .core import apply_merged, grid_search_task_arithmetic, task_arithmetic
-from .dsl import EvalBudget, default_budget
+from .dsl import default_budget
 from .generator import (
     PROMPT_ID,
     GeneratorPolicy,
@@ -187,7 +187,7 @@ def _iteration(
     top: list[ScoredAlgorithm],
     instance: BenchmarkInstance,
     taus: list[np.ndarray],
-    budget: EvalBudget,
+    max_steps: int,
     out: Path,
 ) -> tuple[GeneratorPolicy, list[ScoredAlgorithm]]:
     """Run iteration ``t`` and log it; returns the refined policy and the new top-n.
@@ -200,7 +200,7 @@ def _iteration(
     outcomes = filter_candidates(
         candidates,
         set(),  # duplicate detection is per-iteration
-        budget,
+        max_steps,
         taus,
         instance.seed_model,
         instance.dev_probes,
@@ -261,10 +261,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
     save_instance(instance, out / "instance.json")
     (out / "config.json").write_text(json.dumps(config_echo(config), indent=2, sort_keys=True) + "\n")
 
-    budget = (
-        EvalBudget(config.budget_steps) if config.budget_steps is not None
-        else default_budget(bench.k, bench.d)
-    )
+    max_steps = config.budget_steps or default_budget(bench.k, bench.d)
     taus = instance.task_vectors()
     policy = initial_policy or GeneratorPolicy.initial(default_grammar(bench.k), config.max_depth)
     history: list[IterationStats] = []
@@ -274,7 +271,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
         (out / name).write_text("")
 
     for t in range(1, config.iterations + 1):
-        policy, top = _iteration(t, config, policy, history, top, instance, taus, budget, out)
+        policy, top = _iteration(t, config, policy, history, top, instance, taus, max_steps, out)
 
     if not top:
         log.warning("no successful programs in this run")
@@ -283,7 +280,7 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
             alg,
             score_program(
                 alg.program, taus, instance.seed_model,
-                instance.test_probes, instance.test_baseline_mse, budget,
+                instance.test_probes, instance.test_baseline_mse, max_steps,
             ),
         )
         for alg in top

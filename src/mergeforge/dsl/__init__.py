@@ -1,6 +1,6 @@
 from .ast import OP_TABLE, DslType, Node
 from .canon import canonical_hash
-from .interp import BudgetExceeded, DslRuntimeError, EvalBudget, Memo, default_budget, evaluate
+from .interp import BudgetExceeded, DslRuntimeError, Memo, default_budget, evaluate
 from .parser import ParseError, parse
 from .program import MergeProgram, compile_program
 from .typecheck import DslTypeError, typecheck
@@ -12,7 +12,6 @@ __all__ = [
     "canonical_hash",
     "BudgetExceeded",
     "DslRuntimeError",
-    "EvalBudget",
     "Memo",
     "default_budget",
     "evaluate",

@@ -14,7 +14,6 @@ and timeout is the one the program would give without the memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,18 +32,9 @@ from .ast import (
 )
 
 
-@dataclass(frozen=True)
-class EvalBudget:
-    max_steps: int
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-
-def default_budget(k: int, d: int) -> EvalBudget:
+def default_budget(k: int, d: int) -> int:
     # Generous for any sane program; tiny hand-built loops can still trip it.
-    return EvalBudget(max_steps=10_000 * k * d)
+    return 10_000 * k * d
 
 
 class BudgetExceeded(Exception):
@@ -113,11 +103,11 @@ def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
 
 
 class _Machine:
-    def __init__(self, models: list[np.ndarray], budget: EvalBudget, memo: Memo | None, keys: dict[int, str]):
+    def __init__(self, models: list[np.ndarray], max_steps: int, memo: Memo | None, keys: dict[int, str]):
         self.models = models
         self.d = models[0].shape[0]
-        self.budget = budget
-        self.remaining = budget.max_steps
+        self.max_steps = max_steps
+        self.remaining = max_steps
         self.memo = memo
         self.keys = keys
         if not keys:  # nothing to look up: save a call per node
@@ -153,7 +143,7 @@ class _Machine:
         # the run without the memo would time out inside this subtree exactly when
         # fewer steps remain than it charged
         if self.remaining < steps:
-            raise BudgetExceeded(self.budget.max_steps)
+            raise BudgetExceeded(self.max_steps)
         self.remaining -= steps
         if error is not None:
             raise DslRuntimeError(error)
@@ -162,7 +152,7 @@ class _Machine:
     def run(self, node: Node, env: Sequence[tuple]):
         """Evaluate ``node``; ``env`` holds the (acc, item) pair of each enclosing fold, innermost first."""
         if self.remaining < 1:
-            raise BudgetExceeded(self.budget.max_steps)
+            raise BudgetExceeded(self.max_steps)
         self.remaining -= 1
         if isinstance(node, ScalarLit):
             return self.finite(float(node.value))
@@ -190,7 +180,7 @@ class _Machine:
         return acc
 
 
-def evaluate(root: Node, models: Sequence, budget: EvalBudget, memo: Memo | None = None) -> np.ndarray:
+def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = None) -> np.ndarray:
     """Run a typechecked program on K task vectors of equal dimension.
 
     With ``memo``, closed subtrees seen by earlier calls replay their stored
@@ -202,7 +192,7 @@ def evaluate(root: Node, models: Sequence, budget: EvalBudget, memo: Memo | None
     keys: dict[int, str] = {}
     if memo is not None:
         _closed_keys(root, keys)
-    machine = _Machine(as_vectors(models), budget, memo, keys)
+    machine = _Machine(as_vectors(models), max_steps, memo, keys)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow shows up as a non-finite check failure, not a warning
         result = machine.run(root, ())  # never looked up: a repeated whole program is a duplicate

@@ -21,7 +21,6 @@ from .dsl import (
     BudgetExceeded,
     DslRuntimeError,
     DslTypeError,
-    EvalBudget,
     Memo,
     MergeProgram,
     ParseError,
@@ -90,18 +89,18 @@ def score_program(
     seed_model: np.ndarray,
     probes: ProbeSet,
     baseline_mse: float,
-    budget: EvalBudget,
+    max_steps: int,
     memo: Memo | None = None,
 ) -> float:
     """Merged tau -> merged model -> probe score, for one program."""
-    tau = evaluate(program.ast, taus, budget, memo)
+    tau = evaluate(program.ast, taus, max_steps, memo)
     return probe_score(apply_merged(seed_model, tau), probes, baseline_mse)
 
 
 def filter_candidates(
     candidates: Sequence[str],
     seen_hashes: set[str],
-    budget: EvalBudget,
+    max_steps: int,
     taus: Sequence[np.ndarray],
     seed_model: np.ndarray,
     probes: ProbeSet,
@@ -148,7 +147,7 @@ def filter_candidates(
             continue
         seen_hashes.add(program.canonical_hash)
         try:
-            dev = score_program(program, taus, seed_model, probes, baseline_mse, budget, memo)
+            dev = score_program(program, taus, seed_model, probes, baseline_mse, max_steps, memo)
         except BudgetExceeded:
             outcomes.append(CandidateOutcome(TIMEOUT, source=source, program=program))
             continue

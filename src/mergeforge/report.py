@@ -64,6 +64,10 @@ def _iteration_fault(rec: dict) -> str | None:
     counts = rec.get("counts")
     if not (isinstance(counts, dict) and all(cat in counts for cat in CATEGORIES)):
         return f"counts must be an object with a count for each of {', '.join(CATEGORIES)}"
+    is_int, kind_name = _KINDS["int"]
+    for cat in CATEGORIES:
+        if not is_int(counts[cat]):
+            return f"counts.{cat} must be {kind_name}, got {counts[cat]!r}"
     return _fault(rec, _ITERATION)
 
 

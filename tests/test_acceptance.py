@@ -15,7 +15,7 @@ from mergeforge.benchmark import make_instance, score
 from mergeforge.config import BenchmarkConfig, RunConfig
 from mergeforge.core import apply_merged, grid_search_task_arithmetic
 from mergeforge.driver import run
-from mergeforge.dsl import EvalBudget, compile_program, evaluate
+from mergeforge.dsl import compile_program, evaluate
 from mergeforge.generator import (
     GeneratorPolicy,
     default_grammar,
@@ -58,7 +58,7 @@ def test_acceptance_2_mean_fold_oracle_equivalence():
     for _ in range(100):
         k, d = int(rng.integers(1, 7)), int(rng.integers(2, 33))
         taus = [rng.normal(size=d) for _ in range(k)]
-        dsl_out = evaluate(fixture.ast, taus, EvalBudget(100_000))
+        dsl_out = evaluate(fixture.ast, taus, 100_000)
         ref_out = mean_fold_merge(taus)
         worst = max(worst, float(np.max(np.abs(dsl_out - ref_out))))
     assert worst <= 1e-12
@@ -145,7 +145,7 @@ def test_acceptance_5_filter_taxonomy():
         f"```\nmerge(models) = {deep}\n```",
     ]
     outcomes = filter_candidates(
-        crafted, set(), EvalBudget(60), taus,
+        crafted, set(), 60, taus,
         instance.seed_model, instance.dev_probes, instance.dev_baseline_mse,
         extract_from_raw=True,
     )
@@ -166,7 +166,7 @@ def test_acceptance_5_filter_taxonomy():
         else:
             fuzz.append(f"```\nmerge(models) = {deep}\n```")
     outcomes = filter_candidates(
-        fuzz, set(), EvalBudget(70), taus,
+        fuzz, set(), 70, taus,
         instance.seed_model, instance.dev_probes, instance.dev_baseline_mse,
         extract_from_raw=True,
     )

@@ -29,7 +29,7 @@ def test_disjoint_masks_sum_to_full_delta():
     taus = inst.task_vectors()
     assert np.allclose(sum(taus), inst.target - inst.seed_model, atol=0)
     coverage = inst.masks.sum(axis=0)
-    assert np.array_equal(coverage, np.ones(inst.d))
+    assert np.array_equal(coverage, np.ones(inst.config.d))
 
 
 def test_huge_overlap_covers_everything_without_a_huge_allocation():
@@ -97,7 +97,7 @@ def test_score_invariant_under_probe_reordering():
     from mergeforge.benchmark import ProbeSet
 
     inst = make_instance(5, d=16, k=2, component_noise=0.05, probe_counts=(10, 10))
-    perm = np.random.default_rng(0).permutation(len(inst.dev_probes))
+    perm = np.random.default_rng(0).permutation(inst.config.n_dev)
     shuffled = ProbeSet(inst.dev_probes.xs[perm], inst.dev_probes.ys[perm])
     model = inst.candidates[0]
     assert score(model, shuffled, inst.dev_baseline_mse) == pytest.approx(

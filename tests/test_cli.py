@@ -29,7 +29,7 @@ def instance_file(tmp_path):
 
 def test_make_instance_round_trip(instance_file):
     instance = load_instance(instance_file)
-    assert instance.d == 24 and instance.k == 3
+    assert instance.config.d == 24 and instance.config.k == 3
 
 
 @pytest.mark.parametrize("split", ["dev", "test"])
@@ -211,7 +211,9 @@ def test_instance_file_field_of_the_wrong_kind_is_named(instance_file, tmp_path,
     assert f"error: {path}: {name} must be {kind}, got {value!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name,value", [("d", 1), ("overlap", -1), ("rng_seed", -1)])
+@pytest.mark.parametrize("name,value", [
+    ("d", 1), ("overlap", -1), ("rng_seed", -1), ("d", 10**15), ("d", 10**20), ("n_test", 10**15),
+])
 def test_instance_file_out_of_range_is_named(instance_file, tmp_path, capsys, name, value):
     payload = json.loads(instance_file.read_text())
     payload[name] = value

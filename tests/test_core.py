@@ -13,7 +13,7 @@ from mergeforge.core import (
     task_arithmetic,
     task_vector,
 )
-from mergeforge.dsl import EvalBudget, compile_program, evaluate
+from mergeforge.dsl import compile_program, evaluate
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -187,7 +187,7 @@ _ON_VECTORS = {
     "task_arithmetic": lambda vs: task_arithmetic(vs, [0.5] * len(vs)),
     "grid_search_task_arithmetic": lambda vs: grid_search_task_arithmetic(vs, [0.5], lambda t: 0.0),
     "mean_fold_merge": mean_fold_merge,
-    "evaluate": lambda vs: evaluate(_IDENTITY, vs, EvalBudget(100)),
+    "evaluate": lambda vs: evaluate(_IDENTITY, vs, 100),
 }
 
 

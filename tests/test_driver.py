@@ -154,6 +154,21 @@ def test_candidate_log_partitions_batch(tmp_path):
         assert sum(it["counts"].values()) == config.candidates_per_iteration
 
 
+def test_budget_steps_reaches_the_interpreter(tmp_path):
+    def categories(**overrides):
+        config = _small_config(tmp_path, seed=1, iterations=1, candidates_per_iteration=60,
+                               benchmark=BenchmarkConfig(d=16, k=3, n_dev=10, n_test=10), **overrides)
+        run(config)
+        return _read_jsonl(Path(config.output_dir) / "candidates.jsonl")
+
+    assert not any(r["category"] == "timeout" for r in categories())
+    records = categories(budget_steps=1)
+    assert any(r["category"] == "timeout" for r in records)
+    # one step evaluates one node: only a lone models[i] can finish
+    successes = {r["source"] for r in records if r["category"] == "success"}
+    assert successes and successes <= {f"merge(models) = models[{i}]" for i in range(3)}
+
+
 def test_success_scores_match_report_totals(tmp_path):
     config = _small_config(tmp_path)
     run(config)

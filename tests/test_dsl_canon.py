@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import corpus_names, load_corpus_source, pretty
-from mergeforge.dsl import EvalBudget, compile_program, evaluate
+from mergeforge.dsl import compile_program, evaluate
 from mergeforge.dsl.ast import OP_TABLE, Call, Fold
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
@@ -118,7 +118,7 @@ def test_hash_equality_implies_equal_semantics():
         assert canonical_hash(scrambled) == original.canonical_hash
         for _ in range(50):
             models = [rng.normal(size=6) for _ in range(3)]
-            budget = EvalBudget(50_000)
+            budget = 50_000
             try:
                 a = evaluate(original.ast, models, budget)
             except Exception as exc:

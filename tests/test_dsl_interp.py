@@ -9,7 +9,6 @@ from mergeforge.dsl import (
     OP_TABLE,
     BudgetExceeded,
     DslRuntimeError,
-    EvalBudget,
     Memo,
     compile_program,
     default_budget,
@@ -18,7 +17,7 @@ from mergeforge.dsl import (
 from mergeforge.dsl.interp import MEMO_MAX_BYTES
 from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
 
-BIG = EvalBudget(100_000)
+BIG = 100_000
 
 
 def run(src, models, budget=BIG):
@@ -59,11 +58,11 @@ def test_index_out_of_range():
 
 def test_budget_one_with_two_nodes_times_out():
     with pytest.raises(BudgetExceeded):
-        run("merge(models) = add(models[0], models[1])", [np.ones(2)] * 2, EvalBudget(1))
+        run("merge(models) = add(models[0], models[1])", [np.ones(2)] * 2, 1)
 
 
 def test_budget_one_single_node_succeeds():
-    out = run("merge(models) = models[0]", [np.ones(2)] * 2, EvalBudget(1))
+    out = run("merge(models) = models[0]", [np.ones(2)] * 2, 1)
     assert np.array_equal(out, [1.0, 1.0])
 
 
@@ -77,14 +76,14 @@ def test_budget_monotonicity():
     floor = None
     for steps in range(1, 200):
         try:
-            baseline = evaluate(program.ast, models, EvalBudget(steps))
+            baseline = evaluate(program.ast, models, steps)
             floor = steps
             break
         except BudgetExceeded:
             continue
     assert floor is not None
     for extra in (1, 7, 1000):
-        again = evaluate(program.ast, models, EvalBudget(floor + extra))
+        again = evaluate(program.ast, models, floor + extra)
         assert np.array_equal(again, baseline)
 
 
@@ -173,12 +172,12 @@ def test_vector_times_scalar_evaluates_the_scalar_first():
 
 
 def test_default_budget_scales_with_problem_size():
-    assert default_budget(3, 64).max_steps == 10_000 * 3 * 64
+    assert default_budget(3, 64) == 10_000 * 3 * 64
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        EvalBudget(0)
+def test_zero_budget_times_out_at_the_first_node():
+    with pytest.raises(BudgetExceeded, match="budget of 0 steps"):
+        run("merge(models) = models[0]", [np.ones(2)] * 2, 0)
 
 
 def test_mismatched_model_shapes_rejected():
@@ -216,7 +215,7 @@ def test_reductions_are_bit_identical_to_their_reference_forms(d):
 
 def _outcome(root, models, steps, memo):
     try:
-        return evaluate(root, models, EvalBudget(steps), memo).tobytes()
+        return evaluate(root, models, steps, memo).tobytes()
     except BudgetExceeded:
         return "timeout"
     except DslRuntimeError as exc:

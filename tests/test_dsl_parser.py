@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from conftest import Token, corpus_names, load_corpus_source, pretty, tokenize
 from mergeforge.dsl import (
     DslTypeError,
-    EvalBudget,
     Memo,
     ParseError,
     canonical_hash,
@@ -150,7 +149,7 @@ def test_inner_fold_that_swaps_the_outer_binder_names():
     models = [np.array([8.0, 0.0]), np.array([0.0, 8.0]), np.array([8.0, 8.0])]
     # each outer step maps a to models[2] + 0.5 * models[1] + 0.25 * a, from models[0]
     expected = np.array([10.625, 15.75])
-    budget = EvalBudget(1000)
+    budget = 1000
     assert np.array_equal(evaluate(program.ast, models, budget), expected)
     memo = Memo()
     assert np.array_equal(evaluate(program.ast, models, budget, memo), expected)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeforge.benchmark import make_instance, score
-from mergeforge.dsl import EvalBudget, compile_program, default_budget
+from mergeforge.dsl import compile_program, default_budget
 from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.generator import (
     GeneratorPolicy,
@@ -42,7 +42,7 @@ def instance():
 
 
 def _filter(instance, candidates, budget=None, **kwargs):
-    budget = budget or default_budget(instance.k, instance.d)
+    budget = budget or default_budget(instance.config.k, instance.config.d)
     return filter_candidates(
         candidates,
         kwargs.pop("seen", set()),
@@ -70,7 +70,7 @@ def test_five_category_batch(instance):
         _deep_program(),                              # budget buster
         "merge(models) = mean_stack(models)",         # valid
     ]
-    outcomes = _filter(instance, batch, budget=EvalBudget(60))
+    outcomes = _filter(instance, batch, budget=60)
     assert [o.category for o in outcomes] == [
         SUCCESS, DUPLICATE, NON_EXECUTABLE, TIMEOUT, SUCCESS,
     ]
@@ -156,7 +156,7 @@ _untrusted_text = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(texts=st.lists(_untrusted_text, max_size=4))
 def test_arbitrary_text_lands_in_exactly_one_category(instance, texts):
-    outcomes = _filter(instance, texts, budget=EvalBudget(2000), extract_from_raw=True)
+    outcomes = _filter(instance, texts, budget=2000, extract_from_raw=True)
     assert len(outcomes) == len(texts)
     assert all(o.category in CATEGORIES for o in outcomes)
 
@@ -166,7 +166,7 @@ def test_empty_batch(instance):
 
 
 def test_category_counts_partition_fuzzed_batch(instance):
-    policy = GeneratorPolicy.initial(default_grammar(instance.k))
+    policy = GeneratorPolicy.initial(default_grammar(instance.config.k))
     rng = np.random.default_rng(5)
     batch = []
     for i in range(1000):
@@ -182,7 +182,7 @@ def test_category_counts_partition_fuzzed_batch(instance):
             batch.append(f"```\n{_deep_program(60)}\n```")
         else:
             batch.append(batch[-1] if batch else "x")
-    outcomes = _filter(instance, batch, budget=EvalBudget(80), extract_from_raw=True)
+    outcomes = _filter(instance, batch, budget=80, extract_from_raw=True)
     counts = category_counts(outcomes)
     assert sum(counts.values()) == 1000
     assert set(counts) == set(CATEGORIES)
@@ -209,7 +209,7 @@ def test_typecheck_failures_do_not_poison_duplicates(instance):
 _SEEN_BEFORE = "merge(models) = mean_stack(models)"
 _MEMO_PROGRAMS = [
     "merge(models) = add(models[0], models[1])",  # success
-    _deep_program(),                              # timeout under EvalBudget(60)
+    _deep_program(),                              # timeout under a budget of 60
     "merge(models) = add(models[0]",              # parse error
     "merge(models) = mean_elem(models[0])",       # type error
     "merge(models) = models[9]",                  # runtime error
@@ -234,7 +234,7 @@ def test_repeats_in_one_call_match_one_call_per_text(instance, monkeypatch, extr
         ]
     batch = texts + texts[::-1] + texts
     seen_before = {compile_program(_SEEN_BEFORE).canonical_hash}
-    budget = EvalBudget(60)
+    budget = 60
 
     seen_single = set(seen_before)
     single = [

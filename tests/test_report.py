@@ -196,6 +196,14 @@ def test_corrupt_log_is_report_error(tmp_path):
         ("iterations.jsonl", [{"counts": iteration["counts"]}], 1, "missing field 'iteration'"),
         ("iterations.jsonl", [{"iteration": 1, "counts": {"success": 0}}], 1,
          "counts must be an object with a count for each of"),
+        ("iterations.jsonl", [{**iteration, "counts": {**iteration["counts"], "duplicate": "x", "success": [1, 2]}}],
+         1, "counts.duplicate must be an integer, got 'x'"),
+        ("iterations.jsonl", [iteration, {**iteration, "counts": {**iteration["counts"], "success": [1, 2]}}],
+         2, "counts.success must be an integer, got [1, 2]"),
+        ("iterations.jsonl", [{**iteration, "counts": {**iteration["counts"], "timeout": True}}], 1,
+         "counts.timeout must be an integer, got True"),
+        ("iterations.jsonl", [{**iteration, "counts": {**iteration["counts"], "non_executable": 1.0}}], 1,
+         "counts.non_executable must be an integer, got 1.0"),
     ]:
         logs = {"candidates.jsonl": [success], "iterations.jsonl": [iteration], name: records}
         for log, recs in logs.items():
