@@ -14,9 +14,11 @@ import sys
 from pathlib import Path
 
 from . import benchmark
-from .config import BenchmarkConfig, ConfigError, load_config
+from .benchmark import BenchmarkConfig, ConfigError
+from .config import load_config
 from .driver import TASK_ARITHMETIC_GRID, run as run_search, task_arithmetic_baseline
-from .dsl import compile_program, default_budget
+from .dsl.interp import default_budget
+from .dsl.program import compile_program
 from .pipeline import score_program
 from .report import write_reports
 

@@ -7,8 +7,9 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .benchmark import JSON_ERRORS, BenchmarkConfig, ConfigError, from_json
-from .generator import GeneratorPolicy, default_grammar, temperature
+from .generator.policy import GeneratorPolicy, default_grammar
 from .generator.remote import EndpointConfig
+from .generator.schedule import temperature
 from .pipeline import RefineConfig
 
 
@@ -21,7 +22,7 @@ class RunConfig:
     beta: float = 0.2
     generator_mode: str = "grammar"  # "grammar" | "remote"
     max_depth: int = 8
-    budget_steps: int | None = None  # None: dsl.default_budget(k, d)
+    budget_steps: int | None = None  # None: dsl.interp.default_budget(k, d)
     top_n_for_test: int = 15
     refine: RefineConfig = field(default_factory=RefineConfig)
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)

@@ -27,15 +27,11 @@ import numpy as np
 from .benchmark import BenchmarkInstance, make_instance, save_instance, score as probe_score
 from .config import RunConfig, config_echo
 from .core import apply_merged, grid_search_task_arithmetic, task_arithmetic
-from .dsl import default_budget
-from .generator import (
-    PROMPT_ID,
-    GeneratorPolicy,
-    default_grammar,
-    remote_generate,
-    sample_program,
-    temperature,
-)
+from .dsl.interp import default_budget
+from .generator.policy import GeneratorPolicy, default_grammar, sample_program
+from .generator.prompt import PROMPT_ID
+from .generator.remote import remote_generate
+from .generator.schedule import temperature
 from .pipeline import (
     SUCCESS,
     CandidateOutcome,

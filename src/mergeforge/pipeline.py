@@ -17,19 +17,13 @@ import numpy as np
 
 from .benchmark import ProbeSet, score as probe_score
 from .core import apply_merged
-from .dsl import (
-    BudgetExceeded,
-    DslRuntimeError,
-    DslTypeError,
-    Memo,
-    MergeProgram,
-    ParseError,
-    compile_program,
-    evaluate,
-)
-from .generator import GeneratorPolicy, UnderivableProgram, derivation_counts
+from .dsl.ast import DslRuntimeError
+from .dsl.interp import BudgetExceeded, Memo, evaluate
+from .dsl.parser import ParseError
+from .dsl.program import MergeProgram, compile_program
+from .dsl.typecheck import DslTypeError
 from .generator.extract import extract_program
-from .generator.policy import LOGIT_MAX, LOGIT_MIN
+from .generator.policy import LOGIT_MAX, LOGIT_MIN, GeneratorPolicy, UnderivableProgram, derivation_counts
 
 log = logging.getLogger(__name__)
 
@@ -307,5 +301,4 @@ def category_counts(outcomes: Sequence[CandidateOutcome]) -> dict[str, int]:
 
 def exact_text_duplicates(candidates: Sequence[str]) -> int:
     """How many candidates repeat earlier batch text verbatim; log-only metric."""
-    counts = Counter(candidates)
-    return sum(c - 1 for c in counts.values())
+    return len(candidates) - len(set(candidates))

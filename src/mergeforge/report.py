@@ -97,8 +97,9 @@ def _load_jsonl(path: Path, fault) -> list[dict]:
     return records
 
 
-def histogram_bins(scores, width: float = HISTOGRAM_BIN_WIDTH) -> list[tuple[float, float, int]]:
+def histogram_bins(scores) -> list[tuple[float, float, int]]:
     """Non-empty [lo, hi) bins; a score of exactly 100 lands in [95, 100]."""
+    width = HISTOGRAM_BIN_WIDTH
     counts: Counter[int] = Counter()
     top = int(100.0 / width) - 1
     for s in scores:

@@ -9,11 +9,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mergeforge.core import Vector, as_vectors
-from mergeforge.dsl import MergeProgram, compile_program
 from mergeforge.dsl.ast import INFIX, INFIX_OPS, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
 from mergeforge.dsl.parser import _locator, lex
-from mergeforge.generator import GeneratorPolicy, Production
-from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, _eligible, _softmax
+from mergeforge.dsl.program import MergeProgram, compile_program
+from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, GeneratorPolicy, Production, _eligible, _softmax
 
 
 class Token(NamedTuple):

@@ -12,16 +12,14 @@ import pytest
 
 from conftest import load_corpus_program, mean_fold_merge, production_probability
 from mergeforge.benchmark import make_instance, score
-from mergeforge.config import BenchmarkConfig, RunConfig
+from mergeforge.benchmark import BenchmarkConfig
+from mergeforge.config import RunConfig
 from mergeforge.core import apply_merged, grid_search_task_arithmetic
 from mergeforge.driver import run
-from mergeforge.dsl import compile_program, evaluate
-from mergeforge.generator import (
-    GeneratorPolicy,
-    default_grammar,
-    sample_program,
-    temperature,
-)
+from mergeforge.dsl.interp import evaluate
+from mergeforge.dsl.program import compile_program
+from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
+from mergeforge.generator.schedule import temperature
 from mergeforge.pipeline import (
     CATEGORIES,
     PreferencePair,

@@ -8,9 +8,8 @@ import pytest
 
 import mergeforge
 from conftest import mean_fold_merge
-from mergeforge.benchmark import load_instance, make_instance, score
+from mergeforge.benchmark import BenchmarkConfig, load_instance, make_instance, score
 from mergeforge.cli import main
-from mergeforge.config import BenchmarkConfig
 from mergeforge.core import apply_merged
 from mergeforge.driver import TASK_ARITHMETIC_GRID
 from mergeforge.pipeline import CATEGORIES

@@ -13,7 +13,8 @@ from mergeforge.core import (
     task_arithmetic,
     task_vector,
 )
-from mergeforge.dsl import compile_program, evaluate
+from mergeforge.dsl.interp import evaluate
+from mergeforge.dsl.program import compile_program
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 

@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import identity_grammar
-from mergeforge.benchmark import make_instance, score
-from mergeforge.config import BenchmarkConfig, RunConfig, full_scale_preset
+from mergeforge.benchmark import BenchmarkConfig, make_instance, score
+from mergeforge.config import RunConfig, full_scale_preset
 from mergeforge import driver
 from mergeforge.driver import run
-from mergeforge.dsl import compile_program
-from mergeforge.generator import GeneratorPolicy, Production, default_grammar, temperature
-from mergeforge.generator.policy import NT_VECTOR
+from mergeforge.dsl.program import compile_program
+from mergeforge.generator.policy import NT_VECTOR, GeneratorPolicy, Production, default_grammar
+from mergeforge.generator.schedule import temperature
 from mergeforge.pipeline import ScoredAlgorithm, top_k_carryover
 
 # The benchmark's span wrappers, loaded from the file: bench/ is not a package.

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import corpus_names, load_corpus_source, pretty
-from mergeforge.dsl import compile_program, evaluate
 from mergeforge.dsl.ast import OP_TABLE, Call, Fold
-from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
+from mergeforge.dsl.interp import evaluate
+from mergeforge.dsl.program import compile_program
+from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 
 
 def h(src):
@@ -106,7 +107,9 @@ def _renamed(source):
 def test_hash_equality_implies_equal_semantics():
     # Sampled programs vs an equivalence-preserving scramble of themselves:
     # hashes agree, and so do outputs on 50 random model sets.
-    from mergeforge.dsl import canonical_hash, parse, typecheck
+    from mergeforge.dsl.canon import canonical_hash
+    from mergeforge.dsl.parser import parse
+    from mergeforge.dsl.typecheck import typecheck
 
     policy = GeneratorPolicy.initial(default_grammar(3))
     rng = np.random.default_rng(77)

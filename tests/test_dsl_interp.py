@@ -5,17 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import load_corpus_program, mean_fold_merge
 from mergeforge.core import task_arithmetic
-from mergeforge.dsl import (
-    OP_TABLE,
-    BudgetExceeded,
-    DslRuntimeError,
-    Memo,
-    compile_program,
-    default_budget,
-    evaluate,
-)
-from mergeforge.dsl.interp import MEMO_MAX_BYTES
-from mergeforge.generator import GeneratorPolicy, default_grammar, sample_program
+from mergeforge.dsl.ast import OP_TABLE, DslRuntimeError
+from mergeforge.dsl.interp import MEMO_MAX_BYTES, BudgetExceeded, Memo, default_budget, evaluate
+from mergeforge.dsl.program import compile_program
+from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 
 BIG = 100_000
 

@@ -14,16 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Token, corpus_names, load_corpus_source, pretty, tokenize
-from mergeforge.dsl import (
-    DslTypeError,
-    Memo,
-    ParseError,
-    canonical_hash,
-    compile_program,
-    evaluate,
-    parse,
-    typecheck,
-)
 from mergeforge.dsl.ast import (
     OP_TABLE,
     Call,
@@ -34,9 +24,13 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
-from mergeforge.dsl.canon import _normalize as canonical_text
-from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, _height, _lex_end
-from mergeforge.generator import GeneratorPolicy, default_grammar, extract_program, sample_program
+from mergeforge.dsl.canon import _normalize as canonical_text, canonical_hash
+from mergeforge.dsl.interp import Memo, evaluate
+from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, ParseError, _height, _lex_end, parse
+from mergeforge.dsl.program import compile_program
+from mergeforge.dsl.typecheck import DslTypeError, typecheck
+from mergeforge.generator.extract import extract_program
+from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 
 MEAN_FOLD_SRC = (
     "merge(models) = fold(tail(models), models[0], "

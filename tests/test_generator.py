@@ -11,20 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identity_grammar, pretty, production_probability
-from mergeforge.dsl import OP_TABLE, compile_program, parse, typecheck
-from mergeforge.dsl.parser import MAX_DEPTH, ParseError
-from mergeforge.generator import (
-    PROMPT,
+from mergeforge.dsl.ast import OP_TABLE
+from mergeforge.dsl.parser import MAX_DEPTH, ParseError, parse
+from mergeforge.dsl.program import compile_program
+from mergeforge.dsl.typecheck import typecheck
+from mergeforge.generator.extract import extract_program
+from mergeforge.generator.policy import (
+    NT_LIST,
+    NT_SCALAR,
+    NT_VECTOR,
     GeneratorPolicy,
     Production,
     UnderivableProgram,
     default_grammar,
     derivation_counts,
-    extract_program,
     sample_program,
-    temperature,
 )
-from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR
+from mergeforge.generator.prompt import PROMPT
+from mergeforge.generator.schedule import temperature
 
 
 # -- temperature schedule ---------------------------------------------------

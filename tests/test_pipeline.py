@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergeforge.benchmark import make_instance, score
-from mergeforge.dsl import compile_program, default_budget
+from mergeforge.dsl.interp import default_budget
 from mergeforge.dsl.parser import MAX_SOURCE_CHARS
-from mergeforge.generator import (
-    GeneratorPolicy,
-    default_grammar,
-    sample_program,
-)
+from mergeforge.dsl.program import compile_program
+from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 from mergeforge.pipeline import (
     CATEGORIES,
     DUPLICATE,

@@ -11,13 +11,8 @@ from pathlib import Path
 import pytest
 
 import mergeforge
-from mergeforge.generator import (
-    PROMPT,
-    EndpointConfig,
-    GenerationSourceError,
-    ProtocolError,
-    remote_generate,
-)
+from mergeforge.generator.prompt import PROMPT
+from mergeforge.generator.remote import EndpointConfig, GenerationSourceError, ProtocolError, remote_generate
 
 
 class _MockEndpoint:
@@ -175,7 +170,9 @@ def test_grammar_run_and_reports_load_no_http_stack(tmp_path):
     # pytest's own process may already hold these modules, so ask a fresh one.
     script = textwrap.dedent(f"""
         import sys
-        from mergeforge import BenchmarkConfig, RunConfig, run
+        from mergeforge.benchmark import BenchmarkConfig
+        from mergeforge.config import RunConfig
+        from mergeforge.driver import run
         from mergeforge.report import write_reports
         config = RunConfig(
             seed=3, iterations=2, candidates_per_iteration=20,

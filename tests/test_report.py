@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tokenize
-from mergeforge.config import BenchmarkConfig, RunConfig
-from mergeforge.dsl import OP_TABLE, ParseError
+from mergeforge.benchmark import BenchmarkConfig
+from mergeforge.config import RunConfig
+from mergeforge.dsl.ast import OP_TABLE
+from mergeforge.dsl.parser import ParseError
 from mergeforge.driver import run
 from mergeforge.pipeline import CATEGORIES
 from mergeforge.report import ReportError, histogram_bins, strategy_token_counts, write_reports
