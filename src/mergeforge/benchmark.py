@@ -84,8 +84,8 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.d < 2 or self.k < 2:
             raise ConfigError(f"need d >= 2 and k >= 2, got d={self.d}, k={self.k}")
-        if not self.component_noise >= 0:
-            raise ConfigError("component_noise must be >= 0")
+        if not 0 <= self.component_noise < float("inf"):
+            raise ConfigError(f"component_noise must be finite and >= 0, got {self.component_noise}")
         if not 0 <= self.overlap < float("inf"):
             raise ConfigError(f"overlap must be finite and >= 0, got {self.overlap}")
         if self.n_dev < 1 or self.n_test < 1:
@@ -99,14 +99,6 @@ class ProbeSet:
     xs: np.ndarray  # (n, d)
     ys: np.ndarray  # (n,)
 
-    def __post_init__(self) -> None:
-        if self.xs.ndim != 2 or self.xs.shape[0] < 1:
-            raise ValueError("probe set needs at least one probe")
-        if self.ys.shape != (self.xs.shape[0],):
-            raise ValueError("probe inputs and outputs disagree on count")
-        if not np.isfinite(self.xs).all():
-            raise ValueError("probe inputs must be finite")
-
 
 @dataclass(frozen=True)
 class BenchmarkInstance:
@@ -118,12 +110,8 @@ class BenchmarkInstance:
     test_probes: ProbeSet
     config: BenchmarkConfig
     rng_seed: int
-    dev_baseline_mse: float = field(init=False)
-    test_baseline_mse: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dev_baseline_mse", mse(self.seed_model, self.dev_probes))
-        object.__setattr__(self, "test_baseline_mse", mse(self.seed_model, self.test_probes))
+    dev_baseline_mse: float  # the seed model's MSE on each split, which score() divides by
+    test_baseline_mse: float
 
     def task_vectors(self) -> list[Vector]:
         return [task_vector(c, self.seed_model) for c in self.candidates]
@@ -179,15 +167,18 @@ def make_instance(rng_seed: int, d: int, k: int, component_noise: float,
 
     dev_xs = rng("dev_probes").normal(size=(n_dev, d))
     test_xs = rng("test_probes").normal(size=(n_test, d))
+    dev, test = ProbeSet(dev_xs, dev_xs @ target), ProbeSet(test_xs, test_xs @ target)
     return BenchmarkInstance(
         seed_model=seed_model,
         candidates=candidates,
         target=target,
         masks=masks,
-        dev_probes=ProbeSet(dev_xs, dev_xs @ target),
-        test_probes=ProbeSet(test_xs, test_xs @ target),
+        dev_probes=dev,
+        test_probes=test,
         config=config,
         rng_seed=rng_seed,
+        dev_baseline_mse=mse(seed_model, dev),
+        test_baseline_mse=mse(seed_model, test),
     )
 
 

@@ -99,6 +99,15 @@ def _candidate_record(iteration: int, index: int, outcome: CandidateOutcome) -> 
     }
 
 
+def _program_record(alg: ScoredAlgorithm) -> dict:
+    return {
+        "source": alg.program.source,
+        "hash": alg.program.canonical_hash,
+        "iteration": alg.iteration,
+        "dev_score": alg.dev_score,
+    }
+
+
 def _pair_record(pair: PreferencePair) -> dict:
     """A pair in the shape a preference-optimization trainer ingests."""
     return {
@@ -301,21 +310,9 @@ def _write_result(out: Path, config: RunConfig, report: RunReport) -> None:
         "candidates_per_iteration": config.candidates_per_iteration,
         "generator_mode": config.generator_mode,
         "s_best": report.s_best,
-        "best_program": None if report.best is None else {
-            "source": report.best.program.source,
-            "hash": report.best.program.canonical_hash,
-            "iteration": report.best.iteration,
-            "dev_score": report.best.dev_score,
-        },
+        "best_program": None if report.best is None else _program_record(report.best),
         "top_test": [
-            {
-                "rank": rank + 1,
-                "source": alg.program.source,
-                "hash": alg.program.canonical_hash,
-                "iteration": alg.iteration,
-                "dev_score": alg.dev_score,
-                "test_score": test,
-            }
+            {"rank": rank + 1, **_program_record(alg), "test_score": test}
             for rank, (alg, test) in enumerate(report.top_test)
         ],
         "baselines": report.baselines,

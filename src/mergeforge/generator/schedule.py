@@ -12,6 +12,6 @@ def temperature(t: int, t1: float, beta: float) -> float:
         raise ValueError("iteration index starts at 1")
     if not t1 > 0:
         raise ValueError("initial temperature must be positive")
-    if not beta >= 0:
-        raise ValueError("decay rate must be >= 0")
+    if not 0 <= beta < float("inf"):
+        raise ValueError(f"decay rate must be finite and >= 0, got {beta}")
     return t1 / (1.0 + beta * (t - 1))

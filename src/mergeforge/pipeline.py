@@ -73,8 +73,8 @@ class RefineConfig:
             raise ValueError("s must be >= 1")
         if self.k < 0:
             raise ValueError("k must be >= 0")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < float("inf"):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
 
 def score_program(

@@ -56,6 +56,7 @@ def test_mean_of_task_vectors_beats_single_candidates():
 def test_score_of_seed_model_is_zero():
     inst = make_instance(3, d=16, k=2, component_noise=0.05, probe_counts=(10, 10))
     assert score(inst.seed_model, inst.dev_probes, inst.dev_baseline_mse) == 0.0
+    assert score(inst.seed_model, inst.test_probes, inst.test_baseline_mse) == 0.0
 
 
 def test_score_of_target_is_hundred():
@@ -148,6 +149,7 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.content_digest() == inst.content_digest()
     assert np.array_equal(loaded.seed_model, inst.seed_model)
     assert np.array_equal(loaded.test_probes.ys, inst.test_probes.ys)
+    assert (loaded.dev_baseline_mse, loaded.test_baseline_mse) == (inst.dev_baseline_mse, inst.test_baseline_mse)
 
 
 def test_load_rejects_tampered_file(tmp_path):

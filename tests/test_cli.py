@@ -297,6 +297,9 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     {"generator_mode": "bogus"},
     {"generator_mode": "remote"},  # no endpoint
     {"budget_steps": 0},
+    {"beta": float("inf")},
+    {"refine": {"eta": float("inf")}},
+    {"benchmark": {"d": 16, "k": 3, "component_noise": float("inf")}},
 ])
 def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     config = {
@@ -389,6 +392,7 @@ def test_baseline_default_grid(instance_file, capsys):
     ["--d", "24", "--k", "3", "--overlap", "inf"],
     ["--d", "24", "--k", "3", "--overlap=-inf"],
     ["--d", "24", "--k", "3", "--overlap", "-3"],
+    ["--d", "24", "--k", "3", "--noise", "inf"],
 ])
 def test_bad_instance_sizes_are_usage_errors(tmp_path, capsys, sizes):
     out = tmp_path / "instance.json"
