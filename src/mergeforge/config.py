@@ -42,9 +42,9 @@ class RunConfig:
         if self.budget_steps is not None and self.budget_steps < 1:
             raise ConfigError("budget_steps must be >= 1")
         try:
-            temperature(1, self.t1, self.beta)
+            temperature(self.iterations, self.t1, self.beta)  # the schedule's smallest
             GeneratorPolicy.initial(default_grammar(self.benchmark.k), self.max_depth)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an iteration count no float holds
             raise ConfigError(str(exc)) from None
 
 

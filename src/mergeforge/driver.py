@@ -62,14 +62,12 @@ TASK_ARITHMETIC_GRID = (0.2, 0.4, 0.6)
 
 @dataclass
 class IterationStats:
+    """What later iterations and callers read; the rest goes to ``iterations.jsonl``."""
+
     iteration: int
-    temperature: float
     counts: dict[str, int]
     success_scores: list[float]
     chosen: list[ScoredAlgorithm]
-    pairs_built: int
-    policy_version: int
-    duplicate_exact_text: int
 
 
 @dataclass(frozen=True)
@@ -117,22 +115,6 @@ def _pair_record(pair: PreferencePair) -> dict:
         "chosen_score": pair.chosen.dev_score,
         "rejected_score": pair.rejected.dev_score,
         "iteration": pair.chosen.iteration,
-    }
-
-
-def _iteration_record(stats: IterationStats, s_best: float | None) -> dict:
-    scores = stats.success_scores
-    return {
-        "iteration": stats.iteration,
-        "temperature": stats.temperature,
-        "counts": stats.counts,
-        "success_best": max(scores) if scores else None,
-        "success_mean": (sum(scores) / len(scores)) if scores else None,
-        "s_best_so_far": s_best,
-        "chosen_hashes": [a.program.canonical_hash for a in stats.chosen],
-        "pairs_built": stats.pairs_built,
-        "policy_version": stats.policy_version,
-        "duplicate_exact_text": stats.duplicate_exact_text,
     }
 
 
@@ -236,22 +218,24 @@ def _iteration(
     if pairs and config.generator_mode == "grammar":
         policy = refine_policy(policy, pairs, config.refine.eta)
 
-    stats = IterationStats(
-        iteration=t,
-        temperature=temp,
-        counts=category_counts(outcomes),
-        success_scores=[a.dev_score for a in scored],
-        chosen=chosen,
-        pairs_built=len(pairs),
-        policy_version=policy.version,
-        duplicate_exact_text=exact_text_duplicates(candidates),
-    )
-    history.append(stats)
+    counts = category_counts(outcomes)
+    scores = [a.dev_score for a in scored]
+    history.append(IterationStats(t, counts, scores, chosen))
     # No entry outside an earlier top-n, nor a worse copy of a hash in it, can
     # enter a later one, so this is the top-n of every success so far.
     top = top_k_carryover([*top, *scored], config.top_n_for_test)
-    s_best = top[0].dev_score if top else None
-    _append_jsonl(out / "iterations.jsonl", [_iteration_record(stats, s_best)])
+    _append_jsonl(out / "iterations.jsonl", [{
+        "iteration": t,
+        "temperature": temp,
+        "counts": counts,
+        "success_best": max(scores) if scores else None,
+        "success_mean": (sum(scores) / len(scores)) if scores else None,
+        "s_best_so_far": top[0].dev_score if top else None,
+        "chosen_hashes": [a.program.canonical_hash for a in chosen],
+        "pairs_built": len(pairs),
+        "policy_version": policy.version,
+        "duplicate_exact_text": exact_text_duplicates(candidates),
+    }])
     return policy, top
 
 

@@ -181,7 +181,9 @@ class _Machine:
 
 
 def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = None) -> np.ndarray:
-    """Run a typechecked program on K task vectors of equal dimension.
+    """Run a typechecked program on K task vectors of equal dimension; its value
+    is a float64 vector of that dimension, which may be a task vector or a
+    memo entry and must not be modified.
 
     With ``memo``, closed subtrees seen by earlier calls replay their stored
     outcome; every call that shares one memo must pass the same task vectors.
@@ -195,7 +197,4 @@ def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = N
     machine = _Machine(as_vectors(models), max_steps, memo, keys)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow shows up as a non-finite check failure, not a warning
-        result = machine.run(root, ())  # never looked up: a repeated whole program is a duplicate
-    if not isinstance(result, np.ndarray):
-        raise DslRuntimeError("program produced a non-vector result")
-    return np.asarray(result, dtype=np.float64)
+        return machine.run(root, ())  # never looked up: a repeated whole program is a duplicate

@@ -160,8 +160,8 @@ def _eligible(prods: list[Production], terminal_only: bool, in_body: bool) -> tu
 def _softmax(logits: np.ndarray, temp: float) -> np.ndarray:
     if not temp > 0:
         raise ValueError("temperature must be positive")
-    shifted = (logits - logits.max()) / temp
-    w = np.exp(shifted)
+    with np.errstate(over="ignore"):  # a logit far below the max overflows to -inf: weight 0
+        w = np.exp((logits - logits.max()) / temp)
     p = w / w.sum()
     if not np.isfinite(p).all():
         raise ValueError("probabilities are not finite")

@@ -10,8 +10,11 @@ def temperature(t: int, t1: float, beta: float) -> float:
     """
     if t < 1:
         raise ValueError("iteration index starts at 1")
-    if not t1 > 0:
-        raise ValueError("initial temperature must be positive")
+    if not 0 < t1 < float("inf"):
+        raise ValueError(f"initial temperature must be finite and > 0, got {t1}")
     if not 0 <= beta < float("inf"):
         raise ValueError(f"decay rate must be finite and >= 0, got {beta}")
-    return t1 / (1.0 + beta * (t - 1))
+    temp = t1 / (1.0 + beta * (t - 1))
+    if not temp > 0:
+        raise ValueError(f"temperature of iteration {t} underflows to 0 (t1={t1}, beta={beta})")
+    return temp

@@ -23,7 +23,7 @@ from .dsl.parser import ParseError
 from .dsl.program import MergeProgram, compile_program
 from .dsl.typecheck import DslTypeError
 from .generator.extract import extract_program
-from .generator.policy import LOGIT_MAX, LOGIT_MIN, GeneratorPolicy, UnderivableProgram, derivation_counts
+from .generator.policy import LOGIT_MAX, LOGIT_MIN, GeneratorPolicy, derivation_counts
 
 log = logging.getLogger(__name__)
 
@@ -270,26 +270,18 @@ def refine_policy(
     """Contrastive production-usage update toward chosen, away from rejected.
 
     For each pair the normalized production-usage vectors of the two programs
-    are differenced and added to the logits with step ``eta``.  A program the
-    grammar cannot re-derive contributes nothing and is counted in the log.
+    are differenced and added to the logits with step ``eta``; a program the
+    grammar cannot re-derive, as no sampled one is, fails in ``derivation_counts``.
     Logits are clipped to [-10, 10]; the policy version always increments.
     """
     if not pairs:
         raise ValueError("refine_policy needs at least one pair")
     logits = dict(policy.logits)
-    skipped = 0
     for pair in pairs:
-        try:
-            u_chosen = _normalized_usage(policy, pair.chosen.program)
-            u_rejected = _normalized_usage(policy, pair.rejected.program)
-        except UnderivableProgram as exc:
-            skipped += 1
-            log.info("pair skipped, not derivable in grammar: %s", exc)
-            continue
+        u_chosen = _normalized_usage(policy, pair.chosen.program)
+        u_rejected = _normalized_usage(policy, pair.rejected.program)
         for pid in set(u_chosen) | set(u_rejected):
             logits[pid] += eta * (u_chosen.get(pid, 0.0) - u_rejected.get(pid, 0.0))
-    if skipped:
-        log.info("%d/%d pairs contributed no update", skipped, len(pairs))
     logits = {pid: float(np.clip(v, LOGIT_MIN, LOGIT_MAX)) for pid, v in logits.items()}
     return policy.with_logits(logits)
 

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import mergeforge
 from conftest import mean_fold_merge
 from mergeforge.benchmark import BenchmarkConfig, load_instance, make_instance, score
 from mergeforge.cli import main
+from mergeforge.config import RunConfig, load_config
 from mergeforge.core import apply_merged
 from mergeforge.driver import TASK_ARITHMETIC_GRID
 from mergeforge.pipeline import CATEGORIES
@@ -300,6 +303,11 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     {"beta": float("inf")},
     {"refine": {"eta": float("inf")}},
     {"benchmark": {"d": 16, "k": 3, "component_noise": float("inf")}},
+    {"t1": float("inf")},  # every choice would be uniform
+    # the last iteration's temperature underflows to 0
+    {"iterations": 2, "t1": 1e-300, "beta": 1e300},
+    {"iterations": 2, "t1": 5e-324, "beta": 1.0},
+    {"iterations": 10**400},  # no float holds it, so neither does its temperature
 ])
 def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     config = {
@@ -414,3 +422,12 @@ def test_make_instance_defaults_come_from_benchmark_config(tmp_path, capsys):
     cfg = BenchmarkConfig()
     want = make_instance(5, 24, 3, cfg.component_noise, (cfg.n_dev, cfg.n_test), cfg.overlap)
     assert load_instance(out).content_digest() == want.content_digest()
+
+
+def test_readme_example_config_is_the_default(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"Example `config\.json`.*?```json\n(.*?)```", readme, re.DOTALL).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    cfg = load_config(path)  # the README calls these the desk-scale defaults
+    assert replace(cfg, seed=0, output_dir=RunConfig.output_dir) == RunConfig()

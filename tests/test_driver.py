@@ -320,7 +320,8 @@ def test_remote_mode_run(tmp_path, monkeypatch):
         "timeout": 0, "success": 1,
     }
     # a single success cannot form pairs; policy version must stay 0
-    assert report.iterations[0].policy_version == 0
+    [record] = _read_jsonl(Path(config.output_dir) / "iterations.jsonl")
+    assert record["policy_version"] == 0
 
 
 def test_remote_failure_aborts_with_partial_logs(tmp_path, monkeypatch):

@@ -208,11 +208,13 @@ def test_reductions_are_bit_identical_to_their_reference_forms(d):
 
 def _outcome(root, models, steps, memo):
     try:
-        return evaluate(root, models, steps, memo).tobytes()
+        value = evaluate(root, models, steps, memo)
     except BudgetExceeded:
         return "timeout"
     except DslRuntimeError as exc:
         return f"error: {exc}"
+    assert value.dtype == np.float64 and value.shape == models[0].shape
+    return value.tobytes()
 
 
 def _steps_charged(root, models, memo, cap=200):

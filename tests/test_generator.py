@@ -63,6 +63,10 @@ def test_temperature_validation():
         temperature(1, 0.0, 0.2)
     with pytest.raises(ValueError):
         temperature(1, 1.2, -0.1)
+    with pytest.raises(ValueError, match="finite and > 0, got inf"):
+        temperature(1, float("inf"), 0.2)
+    with pytest.raises(ValueError, match=r"iteration 2 underflows to 0 \(t1=5e-324, beta=1.0\)"):
+        temperature(2, 5e-324, 1.0)
 
 
 # -- sampling ---------------------------------------------------------------
@@ -111,6 +115,13 @@ def test_low_temperature_concentrates_on_argmax():
         sample_program(policy, 0.01, np.random.default_rng((3, i))) for i in range(200)
     }
     assert outputs == {"merge(models) = models[1]"}
+
+
+def test_tiny_temperature_samples_the_argmax_without_warnings():
+    # (logit - max) / 1e-320 overflows to -inf, a weight of 0: the argmax limit
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    policy = policy.with_logits({**policy.logits, "V->models[1]": 0.1})
+    assert sample_program(policy, 1e-320, np.random.default_rng(0)) == "merge(models) = models[1]"
 
 
 def test_uniform_logits_sample_uniformly():
@@ -478,11 +489,14 @@ def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, s
 def test_derivation_counts_are_the_productions_drawn(logits, temp, max_depth, seed):
     policy = GeneratorPolicy.initial(default_grammar(3), max_depth=max_depth)
     policy = policy.with_logits(dict(zip(policy.logits, logits)))
-    rng = np.random.default_rng(seed)
+    rng, sampler_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         drawn = Counter()
         ast = _oracle_derive(policy, temp, NT_VECTOR, 0, False, rng, drawn)
         assert derivation_counts(policy, compile_program(pretty(ast)).ast) == drawn
+        # what refinement re-derives: every text the sampler draws
+        sampled = compile_program(sample_program(policy, temp, sampler_rng)).ast
+        assert derivation_counts(policy, sampled) == drawn
 
 
 def test_pinned_sample_texts():

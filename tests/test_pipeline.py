@@ -10,7 +10,7 @@ from mergeforge.benchmark import make_instance, score
 from mergeforge.dsl.interp import default_budget
 from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.dsl.program import compile_program
-from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
+from mergeforge.generator.policy import GeneratorPolicy, UnderivableProgram, default_grammar, sample_program
 from mergeforge.pipeline import (
     CATEGORIES,
     DUPLICATE,
@@ -465,13 +465,12 @@ def test_eta_zero_only_bumps_version():
     assert refined.version == policy.version + 1
 
 
-def test_underivable_pair_contributes_nothing(caplog):
+def test_underivable_pair_raises():
+    # every pair the driver refines on was sampled from the policy's grammar
     policy = GeneratorPolicy.initial(default_grammar(3))
     odd = _pair("merge(models) = scale(0.123, models[0])", "merge(models) = models[0]")
-    with caplog.at_level("INFO"):
-        refined = refine_policy(policy, [odd], eta=0.5)
-    assert refined.logits == policy.logits
-    assert "no update" in caplog.text
+    with pytest.raises(UnderivableProgram, match="palette"):
+        refine_policy(policy, [odd], eta=0.5)
 
 
 def test_logits_clipped():
