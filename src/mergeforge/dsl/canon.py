@@ -1,8 +1,9 @@
 """Canonical text and hashing for duplicate detection.
 
 The canonical text of a typechecked program is built once, bottom up: a fold
-variable is its binder's (depth, slot), scalar subexpressions built purely from
-literals are folded to a single literal, and the args of commutative ops are
+variable is its binder's (depth, slot), a scalar call whose arguments are all
+finite literals is folded to a single literal (a non-finite one stays in the
+text, where the interpreter fails on it), and the args of commutative ops are
 sorted as text.  Two programs that differ only in whitespace, comments, binder
 names, argument order of commutative ops, infix versus named syntax, or
 pre-computable scalar arithmetic therefore hash identically.
@@ -14,6 +15,7 @@ Spellings: ``lit:<repr>``, ``(models)``, ``(model i)``, ``(var depth slot)``,
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .ast import (
     OPS,
@@ -32,6 +34,20 @@ def _lit(value: float) -> str:
 
 
 def _normalize(node: Node) -> str:
+    if type(node) is Call:  # the most common node, tested first
+        spec = OPS[node.op]
+        args = [_normalize(a) for a in node.args]
+        if spec.result is DslType.SCALAR and all(a.startswith("lit:") for a in args):
+            values = [float(a[4:]) for a in args]
+            # The raw op (scalar ops ignore d), not the interpreter: a literal
+            # that overflows to inf compiles and fails when the program runs.
+            # So a non-finite argument is not folded: clamp(inf, 0.1, 0.9)
+            # would become 0.9, a value the interpreter never computes.
+            if all(map(math.isfinite, values)):
+                return _lit(spec.fn(None, *values))
+        if spec.commutative:
+            args.sort()
+        return f"({node.op} {' '.join(args)})"
     if isinstance(node, ScalarLit):
         return _lit(node.value)
     if isinstance(node, ModelsRef):
@@ -40,16 +56,6 @@ def _normalize(node: Node) -> str:
         return f"(model {node.index})"
     if isinstance(node, Var):
         return f"(var {node.depth} {node.slot})"
-    if isinstance(node, Call):
-        spec = OPS[node.op]
-        args = [_normalize(a) for a in node.args]
-        if spec.result == DslType.SCALAR and all(a.startswith("lit:") for a in args):
-            # The raw op (scalar ops ignore d), not the interpreter: a literal
-            # that overflows to inf compiles and fails when the program runs.
-            return _lit(spec.fn(None, *(float(a[4:]) for a in args)))
-        if spec.commutative:
-            args.sort()
-        return f"({node.op} {' '.join(args)})"
     list_c = _normalize(node.list_expr)  # a Fold
     init_c = _normalize(node.init_expr)
     body_c = _normalize(node.body)

@@ -88,9 +88,9 @@ def _kind(piece: str) -> str | None:
 # ASCII piece fixes its kind.  Other first characters are left to _kind.
 _FIRST_KIND = {c: k for c in map(chr, range(128)) if (k := _kind(c)) is not None}
 
-# What _lex_end admits: these characters only (no "#", so each "(" is a token),
-# each ">" in a "->", and each "." after a digit run that starts a token and
-# before a digit, found in the reversed text so that the search jumps to dots.
+# What lexes_plainly admits: these characters only (no "#", so each "(" is a
+# token), each ">" in a "->", and each "." after a digit run that starts a token
+# and before a digit, found in the reversed text so that the search jumps to dots.
 _PLAIN_RE = re.compile(r"[^A-Za-z0-9_ \t\n\r\x0b\x0c()\[\],=+\-*.>]")
 _REVERSED_NUMBER_DOT_RE = re.compile(r"\.(?<=[0-9]\.)[0-9]+(?![\w.]|[+-][eE])")
 _BRACKET_STEP = np.array([(c == 40) - (c == 41) for c in range(128)], np.int8)  # by ASCII code
@@ -135,15 +135,19 @@ def lex(source: str, end: int) -> tuple[list[str], list[str], list[int]]:
     return kinds, texts, offsets
 
 
+def lexes_plainly(source: str) -> bool:
+    """Whether C-level checks prove that ``source`` lexes in full with no comment."""
+    return not (_PLAIN_RE.search(source) or source.count(">") != source.count("->")
+                or source.count(".") != len(_REVERSED_NUMBER_DOT_RE.findall(source[::-1])))
+
+
 def _lex_end(source: str) -> int:
     """Just past the "(" that first opens MAX_DEPTH + 2 brackets, if the text
     provably has one and lexes in full, else its end.  Were the parser to read
     that "(", each bracket then open but it and a binder pair's fold would hold
     an expression it entered: it would have nested MAX_DEPTH + 1 deep and failed
     first.  So it reads no token past that "(" of the whole text."""
-    if (source.count("(") <= MAX_DEPTH + 1 or _PLAIN_RE.search(source)
-            or source.count(">") != source.count("->")
-            or source.count(".") != len(_REVERSED_NUMBER_DOT_RE.findall(source[::-1]))):
+    if source.count("(") <= MAX_DEPTH + 1 or not lexes_plainly(source):
         return len(source)
     depth = np.cumsum(_BRACKET_STEP[np.frombuffer(source.encode(), np.uint8)], dtype=np.int32)
     hits = np.flatnonzero(depth == MAX_DEPTH + 2)
@@ -156,14 +160,15 @@ def _height(root: Node) -> int:
     while stack:
         node, level = stack.pop()
         height = max(height, level)
-        for value in vars(node).values():
-            for child in value if isinstance(value, tuple) else (value,):
-                if isinstance(child, Node):
-                    stack.append((child, level + 1))
+        if type(node) is Call:
+            stack.extend((child, level + 1) for child in node.args)
+        elif type(node) is Fold:
+            stack.extend((child, level + 1) for child in (node.list_expr, node.init_expr, node.body))
     return height
 
 
 _ARITY = {name: len(op.args) for name, op in OP_TABLE.items()}
+_INFIX = frozenset("*+-")  # the token kinds that continue an operand as an infix chain
 
 
 def parse(source: str) -> Node:
@@ -193,14 +198,22 @@ def parse(source: str) -> Node:
         return i - 1
 
     def expr() -> Node:
-        nonlocal i, depth, infix
+        nonlocal depth
         depth += 1
         if depth > MAX_DEPTH:
             raise error(f"expression nested deeper than {MAX_DEPTH} levels", i)
         node = factor()
+        if kinds[i] in _INFIX:
+            node = chain(node)
+        depth -= 1
+        return node
+
+    def chain(node: Node) -> Node:
+        """``node`` followed by the infix chain at token i."""
+        nonlocal i, infix
+        infix = True
         kind = kinds[i]
-        while kind == "*" or kind == "+" or kind == "-":
-            infix = True
+        while kind in _INFIX:
             op = i
             i += 1
             right = factor()
@@ -208,14 +221,13 @@ def parse(source: str) -> Node:
                 while kinds[i] == "*":
                     star = i
                     i += 1
-                    right = Call("*", (right, factor()), pos=locate(offsets[star]))
-            node = Call(kind, (node, right), pos=locate(offsets[op]))
+                    right = Call("*", (right, factor()), locate(offsets[star]))
+            node = Call(kind, (node, right), locate(offsets[op]))
             kind = kinds[i]
-        depth -= 1
         return node
 
     def factor() -> Node:
-        nonlocal i
+        nonlocal i, depth
         j = i
         kind = kinds[j]
         i += 1
@@ -224,18 +236,29 @@ def parse(source: str) -> Node:
             arity = _ARITY.get(name)
             if arity is not None:
                 expect("(")
-                args = [expr()]
-                while kinds[i] == ",":
+                # The arguments take expr()'s depth step as one, checked at the
+                # first argument's token, where expr() would have failed.
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise error(f"expression nested deeper than {MAX_DEPTH} levels", i)
+                args = []
+                while True:
+                    arg = factor()
+                    if kinds[i] in _INFIX:
+                        arg = chain(arg)
+                    args.append(arg)
+                    if kinds[i] != ",":
+                        break
                     i += 1
-                    args.append(expr())
+                depth -= 1
                 expect(")")
                 if len(args) != arity:
                     plural = "s" if arity != 1 else ""
                     raise error(f"{name} takes {arity} argument{plural}, got {len(args)}", j)
-                return Call(name, tuple(args), pos=locate(offsets[j]))
+                return Call(name, tuple(args), locate(offsets[j]))
             if name == "models":
                 if kinds[i] != "[":
-                    return ModelsRef(pos=locate(offsets[j]))
+                    return ModelsRef(locate(offsets[j]))
                 i += 1
                 n = expect("number", "an integer index")
                 if not texts[n].isdigit():
@@ -245,22 +268,22 @@ def parse(source: str) -> Node:
                 except ValueError:  # more digits than sys.get_int_max_str_digits()
                     raise error("model index is too long", n) from None
                 expect("]")
-                return ModelIndex(index, pos=locate(offsets[j]))
+                return ModelIndex(index, locate(offsets[j]))
             if name == "fold":
                 return fold(j)
             for out, pair in enumerate(reversed(scopes)):  # innermost binder first
                 if name in pair:
-                    return Var(out, pair.index(name), pos=locate(offsets[j]))
+                    return Var(out, pair.index(name), locate(offsets[j]))
             raise error(f"unknown identifier {name!r}", j)
         if kind == "number":
-            return ScalarLit(float(texts[j]), pos=locate(offsets[j]))
+            return ScalarLit(float(texts[j]), locate(offsets[j]))
         if kind == "(":
             node = expr()
             expect(")")
             return node
         if kind == "-":
             n = expect("number", "a number after unary '-'")
-            return ScalarLit(-float(texts[n]), pos=locate(offsets[j]))
+            return ScalarLit(-float(texts[n]), locate(offsets[j]))
         raise error(f"expected an expression, found {texts[j] or 'end of input'!r}", j)
 
     def fold(j: int) -> Node:
@@ -281,7 +304,7 @@ def parse(source: str) -> Node:
         body = expr()
         scopes.pop()
         expect(")")
-        return Fold(list_expr, init_expr, body, pos=locate(offsets[j]))
+        return Fold(list_expr, init_expr, body, locate(offsets[j]))
 
     try:
         if texts[expect("ident", "'merge'")] != "merge":
@@ -297,7 +320,7 @@ def parse(source: str) -> Node:
         # The nested functions reach one another through their closures, a
         # reference cycle; unbinding them frees the parse's lists here rather
         # than at the next run of the cycle collector.
-        expr = factor = fold = None
+        expr = chain = factor = fold = None
     # Without infix chains the AST is no deeper than the bracket nesting.
     if infix and _height(root) > MAX_DEPTH:
         raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", *root.pos)

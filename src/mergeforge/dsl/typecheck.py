@@ -23,13 +23,7 @@ class DslTypeError(ValueError):
 
 def _check(node: Node) -> DslType:
     """The type of ``node``; a fold variable is a vector."""
-    if isinstance(node, ScalarLit):
-        return DslType.SCALAR
-    if isinstance(node, ModelsRef):
-        return DslType.VECTOR_LIST
-    if isinstance(node, (ModelIndex, Var)):
-        return DslType.VECTOR
-    if isinstance(node, Call):
+    if type(node) is Call:  # the most common node, tested first
         spec = OPS.get(node.op)
         if spec is None:  # an infix symbol: its operand types pick the op
             types = tuple(_check(arg) for arg in node.args)
@@ -48,6 +42,12 @@ def _check(node: Node) -> DslType:
                     f"{node.op} expects {expected.value}, got {got.value}", arg.pos
                 )
         return spec.result
+    if isinstance(node, ScalarLit):
+        return DslType.SCALAR
+    if isinstance(node, ModelsRef):
+        return DslType.VECTOR_LIST
+    if isinstance(node, (ModelIndex, Var)):
+        return DslType.VECTOR
     lt = _check(node.list_expr)  # a Fold
     if lt != DslType.VECTOR_LIST:
         raise DslTypeError(f"fold expects a vector list, got {lt.value}", node.list_expr.pos)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,12 @@ class GeneratorPolicy:
                         f"({'in' if in_body else 'outside'} fold bodies)"
                     )
 
+    @cached_property
+    def productions_by_key(self) -> dict[str, dict[tuple, Production]]:
+        """Each nonterminal's first production of each (kind, payload), for re-derivation."""
+        # reversed: a later production with the same key is overwritten by the first
+        return {nt: {(p.kind, p.payload): p for p in reversed(prods)} for nt, prods in self.grammar.items()}
+
     def with_logits(self, logits: dict[str, float]) -> "GeneratorPolicy":
         return replace(self, logits=logits, version=self.version + 1)
 
@@ -208,14 +215,20 @@ def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:
     nested folds, or ops missing from a restricted grammar.
     """
     counts: Counter = Counter()
-    _rederive(policy, root, NT_VECTOR, False, counts)
+    _rederive(policy.productions_by_key, root, NT_VECTOR, False, counts)
     return counts
 
 
-def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool, counts: Counter) -> None:
+def _rederive(by_key: dict[str, dict[tuple, Production]], node: Node, nt: str, in_body: bool,
+              counts: Counter) -> None:
     """Count ``node``'s productions; ``in_body`` says whether it lies in a fold body."""
     children: tuple = ()  # (child node, whether it lies in a fold body) pairs
-    if isinstance(node, ModelIndex):
+    if type(node) is Call:
+        if node.op not in OP_TABLE:
+            raise UnderivableProgram("scalar infix arithmetic has no production")
+        key = ("call", node.op)
+        children = tuple((arg, in_body) for arg in node.args)
+    elif isinstance(node, ModelIndex):
         key = ("model", node.index)
     elif isinstance(node, ModelsRef):
         key = ("models", None)
@@ -225,20 +238,15 @@ def _rederive(policy: GeneratorPolicy, node: Node, nt: str, in_body: bool, count
         if not in_body:
             raise UnderivableProgram("variable outside a fold body")
         key = ("var", node.slot)
-    elif isinstance(node, Call):
-        if node.op not in OP_TABLE:
-            raise UnderivableProgram("scalar infix arithmetic has no production")
-        key = ("call", node.op)
-        children = tuple((arg, in_body) for arg in node.args)
     else:  # a Fold
         if in_body:
             raise UnderivableProgram("nested fold has no production")
         key = ("fold", None)
         children = ((node.list_expr, False), (node.init_expr, False), (node.body, True))
-    prod = next((p for p in policy.grammar[nt] if (p.kind, p.payload) == key), None)
+    prod = by_key[nt].get(key)
     if prod is None:
         where = "the palette" if key[0] == "lit" else "the grammar"
         raise UnderivableProgram(f"{key[0]} {key[1]!r} is outside {where}")
     counts[prod.pid] += 1
     for arg_nt, (arg, arg_in_body) in zip(prod.args, children):
-        _rederive(policy, arg, arg_nt, arg_in_body, counts)
+        _rederive(by_key, arg, arg_nt, arg_in_body, counts)

@@ -277,9 +277,13 @@ def refine_policy(
     if not pairs:
         raise ValueError("refine_policy needs at least one pair")
     logits = dict(policy.logits)
+    usage: dict[str, dict[str, float]] = {}  # by source: a program in several pairs is derived once
     for pair in pairs:
-        u_chosen = _normalized_usage(policy, pair.chosen.program)
-        u_rejected = _normalized_usage(policy, pair.rejected.program)
+        for program in (pair.chosen.program, pair.rejected.program):
+            if program.source not in usage:
+                usage[program.source] = _normalized_usage(policy, program)
+        u_chosen = usage[pair.chosen.program.source]
+        u_rejected = usage[pair.rejected.program.source]
         for pid in set(u_chosen) | set(u_rejected):
             logits[pid] += eta * (u_chosen.get(pid, 0.0) - u_rejected.get(pid, 0.0))
     logits = {pid: float(np.clip(v, LOGIT_MIN, LOGIT_MAX)) for pid, v in logits.items()}

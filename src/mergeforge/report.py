@@ -14,17 +14,18 @@ from pathlib import Path
 
 from .benchmark import JSON_ERRORS, _KINDS
 from .dsl.ast import OP_TABLE
-from .dsl.parser import _ALTERNATIVES
+from .dsl.parser import _ALTERNATIVES, lexes_plainly
 from .pipeline import CATEGORIES, SUCCESS
 
 HISTOGRAM_BIN_WIDTH = 5.0
 
-# Two C-level passes stand in for ``parser.lex``.  _LEXABLE matches exactly
-# the texts lex accepts: each step takes the piece lex's alternation would (a
-# lookahead is never re-entered, so no shorter or later alternative is tried)
-# and a text with a rejected character does not match.  On such a text, the
-# pieces _IDENTS skips (whitespace, arrows, symbols) start no comment, number
-# or identifier, so its identifier groups are lex's ident tokens.
+# C-level passes stand in for ``parser.lex``.  lexes_plainly's checks prove
+# most texts lexable, and _LEXABLE, run on the rest, matches exactly the texts
+# lex accepts: each step takes the piece lex's alternation would (a lookahead
+# is never re-entered, so no shorter or later alternative is tried) and a text
+# with a rejected character does not match.  On such a text, the pieces
+# _IDENTS skips (whitespace, arrows, symbols) start no comment, number or
+# identifier, so its identifier groups are lex's ident tokens.
 _PATTERNS = dict(_ALTERNATIVES)
 _LEXABLE = re.compile(r"(?:(?=(%s))\1)*" % "|".join(_PATTERNS.values()))
 _IDENTS = re.compile(
@@ -117,7 +118,7 @@ def strategy_token_counts(sources) -> Counter[str]:
     names = set(OP_TABLE) | {"fold"}
     counts: Counter[str] = Counter()
     for source in sources:
-        if _LEXABLE.fullmatch(source):
+        if lexes_plainly(source) or _LEXABLE.fullmatch(source):
             counts.update(filter(names.__contains__, _IDENTS.findall(source)))
     return counts
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mergeforge.benchmark import load_instance, make_instance, mse, save_instance, score
+from mergeforge.benchmark import ProbeSet, load_instance, make_instance, mse, save_instance, score
 from mergeforge.core import apply_merged
 
 
@@ -84,6 +84,16 @@ def test_non_finite_mse_scores_zero_without_warnings():
         assert score(with_nan, inst.dev_probes, inst.dev_baseline_mse) == 0.0
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (7, 3), (30, 16), (200, 64), (1000, 5)])
+def test_mse_is_the_mean_of_squared_residuals_bit_for_bit(n, d):
+    rng = np.random.default_rng(n * 7 + d)
+    probes = ProbeSet(rng.normal(size=(n, d)), rng.normal(size=n))
+    for model in (rng.normal(size=d), 1e3 * rng.normal(size=d), np.full(d, 1e200)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.mean((probes.xs @ model - probes.ys) ** 2))
+        assert repr(mse(model, probes)) == repr(expected)
+
+
 def test_score_monotone_in_distance():
     inst = make_instance(5, d=16, k=2, component_noise=0.05, probe_counts=(10, 10))
     scores = [
@@ -95,8 +105,6 @@ def test_score_monotone_in_distance():
 
 
 def test_score_invariant_under_probe_reordering():
-    from mergeforge.benchmark import ProbeSet
-
     inst = make_instance(5, d=16, k=2, component_noise=0.05, probe_counts=(10, 10))
     perm = np.random.default_rng(0).permutation(inst.config.n_dev)
     shuffled = ProbeSet(inst.dev_probes.xs[perm], inst.dev_probes.ys[perm])

@@ -258,6 +258,8 @@ def test_sampled_program_round_trip():
         ast = typecheck(parse(source))
         reparsed = typecheck(parse(pretty(ast)))
         assert canonical_hash(reparsed) == canonical_hash(ast)
+        # the spelling every grammar run parses, positions included
+        assert _parsed(parse, source) == _parsed(_oracle_parse, source)
 
 
 # -- lexer against the per-token-object oracle ------------------------------

@@ -10,7 +10,13 @@ from mergeforge.benchmark import make_instance, score
 from mergeforge.dsl.interp import default_budget
 from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.dsl.program import compile_program
-from mergeforge.generator.policy import GeneratorPolicy, UnderivableProgram, default_grammar, sample_program
+from mergeforge.generator.policy import (
+    GeneratorPolicy,
+    UnderivableProgram,
+    default_grammar,
+    derivation_counts,
+    sample_program,
+)
 from mergeforge.pipeline import (
     CATEGORIES,
     DUPLICATE,
@@ -125,6 +131,16 @@ def test_overflowing_literal_compiles_and_is_non_executable(instance):
     [outcome] = _filter(instance, [source])
     assert outcome.category == NON_EXECUTABLE
     assert outcome.program is not None and "non-finite" in outcome.reason
+
+
+@pytest.mark.parametrize("literal", ["1e308 * 10.0", "1e999"])
+def test_a_non_finite_literal_is_not_folded_away(instance, literal):
+    # min(max(inf, 0.1), 0.9) is 0.9, but the interpreter fails on the inf
+    failing = f"merge(models) = scale(clamp({literal}, 0.1, 0.9), models[0])"
+    valid = "merge(models) = scale(0.9, models[0])"
+    assert compile_program(failing).canonical_hash != compile_program(valid).canonical_hash
+    outcomes = _filter(instance, [failing, valid])
+    assert [o.category for o in outcomes] == [NON_EXECUTABLE, SUCCESS]
 
 
 _FRAGMENTS = (
@@ -463,6 +479,30 @@ def test_eta_zero_only_bumps_version():
     refined = refine_policy(policy, [pair], eta=0.0)
     assert refined.logits == policy.logits
     assert refined.version == policy.version + 1
+
+
+def test_refinement_sums_each_pairs_usage():
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    best = _alg("merge(models) = fold(tail(models), models[0], (acc, x) -> "
+                "scale(clamp(0.3, 0.1, 0.9), add(acc, x)))", 90.0)
+    worst = _alg("merge(models) = models[2]", 1.0)
+    rejected = [_alg(src, 5.0) for src in (
+        "merge(models) = models[0]",
+        "merge(models) = scale(norm2(models[1]), sub(models[0], models[1]))",
+        "merge(models) = mean_stack(tail(models))",
+    )]
+    pairs = [PreferencePair(best, r) for r in rejected] + [PreferencePair(rejected[2], worst)]
+    eta = 0.3
+    expected = dict(policy.logits)
+    for pair in pairs:
+        usage = []
+        for alg in (pair.chosen, pair.rejected):
+            counts = derivation_counts(policy, alg.program.ast)
+            usage.append({pid: c / sum(counts.values()) for pid, c in counts.items()})
+        for pid in set(usage[0]) | set(usage[1]):
+            expected[pid] += eta * (usage[0].get(pid, 0.0) - usage[1].get(pid, 0.0))
+    expected = {pid: float(np.clip(v, -10.0, 10.0)) for pid, v in expected.items()}
+    assert refine_policy(policy, pairs, eta).logits == expected
 
 
 def test_underivable_pair_raises():
