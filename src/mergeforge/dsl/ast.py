@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,8 +24,12 @@ class DslRuntimeError(Exception):
 class Op:
     """One operation: its signature, its implementation, its symmetry and its infix symbol.
 
-    ``fn(d, *args)`` computes the raw result; ``d`` is the task-vector length.
-    The interpreter checks that scalar and vector results are finite.
+    ``fn(*args)`` computes the raw result from the op's arguments alone, so an
+    elementwise row is the numpy ufunc or ``operator`` function itself.  The
+    two rows that build a vector from no vector, ``ones`` and ``sum_stack``
+    (of an empty list), have ``takes_d`` and are called ``fn(d, *args)``,
+    where ``d`` is the task-vector length.  The interpreter checks that
+    scalar and vector results are finite.
     """
 
     args: tuple[DslType, ...]
@@ -32,9 +37,10 @@ class Op:
     fn: Callable
     commutative: bool = False
     infix: str | None = None  # the symbol that resolves to this op on its argument types
+    takes_d: bool = False
 
 
-def _cos(d, a, b) -> float:
+def _cos(a, b) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -42,7 +48,7 @@ def _cos(d, a, b) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
-def _mean_stack(d, vs):
+def _mean_stack(vs):
     if len(vs) == 0:
         raise DslRuntimeError("mean_stack of an empty list")
     return np.add.reduce(vs) / len(vs)
@@ -53,29 +59,29 @@ S, V, L = DslType.SCALAR, DslType.VECTOR, DslType.VECTOR_LIST
 # The op table: the whole callable surface of the language, in the order the
 # grammar lists its productions.  fold is a dedicated node, not a table op.
 OP_TABLE: dict[str, Op] = {
-    "add": Op((V, V), V, lambda d, a, b: a + b, commutative=True, infix="+"),
-    "sub": Op((V, V), V, lambda d, a, b: a - b, infix="-"),
-    "scale": Op((S, V), V, lambda d, s, v: s * v, infix="*"),
-    "hadamard": Op((V, V), V, lambda d, a, b: a * b, commutative=True, infix="*"),
-    "emax": Op((V, V), V, lambda d, a, b: np.maximum(a, b), commutative=True),
-    "emin": Op((V, V), V, lambda d, a, b: np.minimum(a, b), commutative=True),
-    "mean_elem": Op((V,), S, lambda d, v: float(np.add.reduce(v)) / len(v)),
-    "norm1": Op((V,), S, lambda d, v: float(np.add.reduce(np.abs(v)))),
-    "norm2": Op((V,), S, lambda d, v: float(np.linalg.norm(v))),
+    "add": Op((V, V), V, np.add, commutative=True, infix="+"),
+    "sub": Op((V, V), V, np.subtract, infix="-"),
+    "scale": Op((S, V), V, np.multiply, infix="*"),
+    "hadamard": Op((V, V), V, np.multiply, commutative=True, infix="*"),
+    "emax": Op((V, V), V, np.maximum, commutative=True),
+    "emin": Op((V, V), V, np.minimum, commutative=True),
+    "mean_elem": Op((V,), S, lambda v: float(np.add.reduce(v)) / len(v)),
+    "norm1": Op((V,), S, lambda v: float(np.add.reduce(np.abs(v)))),
+    "norm2": Op((V,), S, lambda v: float(np.linalg.norm(v))),
     "cos": Op((V, V), S, _cos),
     "mean_stack": Op((L,), V, _mean_stack),
-    "sum_stack": Op((L,), V, lambda d, vs: np.add.reduce(vs) if vs else np.zeros(d)),
-    "ones": Op((S,), V, lambda d, s: np.full(d, s)),
-    "clamp": Op((S, S, S), S, lambda d, x, lo, hi: min(max(x, lo), hi)),
-    "length": Op((L,), S, lambda d, vs: float(len(vs))),
-    "tail": Op((L,), L, lambda d, vs: list(vs[1:])),
+    "sum_stack": Op((L,), V, lambda d, vs: np.add.reduce(vs) if vs else np.zeros(d), takes_d=True),
+    "ones": Op((S,), V, np.full, takes_d=True),
+    "clamp": Op((S, S, S), S, lambda x, lo, hi: min(max(x, lo), hi)),
+    "length": Op((L,), S, lambda vs: float(len(vs))),
+    "tail": Op((L,), L, lambda vs: list(vs[1:])),
 }
 
 # Scalar arithmetic has infix syntax only: these ops cannot be called by name.
 INFIX_OPS: dict[str, Op] = {
-    "s_add": Op((S, S), S, lambda d, a, b: a + b, commutative=True, infix="+"),
-    "s_sub": Op((S, S), S, lambda d, a, b: a - b, infix="-"),
-    "s_mul": Op((S, S), S, lambda d, a, b: a * b, commutative=True, infix="*"),
+    "s_add": Op((S, S), S, operator.add, commutative=True, infix="+"),
+    "s_sub": Op((S, S), S, operator.sub, infix="-"),
+    "s_mul": Op((S, S), S, operator.mul, commutative=True, infix="*"),
 }
 
 # Every op by name, for the passes that see typechecked ASTs.

@@ -39,12 +39,12 @@ def _normalize(node: Node) -> str:
         args = [_normalize(a) for a in node.args]
         if spec.result is DslType.SCALAR and all(a.startswith("lit:") for a in args):
             values = [float(a[4:]) for a in args]
-            # The raw op (scalar ops ignore d), not the interpreter: a literal
-            # that overflows to inf compiles and fails when the program runs.
+            # The raw op, not the interpreter: a literal that overflows to
+            # inf compiles and fails when the program runs.
             # So a non-finite argument is not folded: clamp(inf, 0.1, 0.9)
             # would become 0.9, a value the interpreter never computes.
             if all(map(math.isfinite, values)):
-                return _lit(spec.fn(None, *values))
+                return _lit(spec.fn(*values))
         if spec.commutative:
             args.sort()
         return f"({node.op} {' '.join(args)})"

@@ -3,7 +3,9 @@
 The budget replaces a wall clock: every node entry costs one step, fold bodies
 cost per element, and exhausting the budget raises BudgetExceeded.  Non-finite
 intermediates and bad model indexes are runtime errors, so scores downstream
-are never polluted by NaN or Inf.
+are never polluted by NaN or Inf.  A vector result is finite when its squared
+norm, one dot product, is; only when that overflows or is NaN does a scan of
+its entries decide, since finite entries can still overflow the square.
 
 A ``Memo`` lets many programs run on one set of task vectors share the work of
 their common closed subtrees (those with no free fold variable).  A repeat
@@ -13,7 +15,8 @@ and timeout is the one the program would give without the memo.
 
 from __future__ import annotations
 
-import math
+import functools
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +33,8 @@ from .ast import (
     ScalarLit,
     Var,
 )
+
+_VECTOR, _SCALAR = DslType.VECTOR, DslType.SCALAR
 
 
 def default_budget(k: int, d: int) -> int:
@@ -72,9 +77,25 @@ class Memo:
         self.table[key] = (value, error, steps)
 
 
-def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
+class _Keys(dict):
+    """Memo keys of one program's closed subtrees, by node id."""
+
+    # characters of key text the walk has built: a slot, since the walk
+    # updates it per node and an instance-dict attribute measured slower
+    __slots__ = ("chars",)
+
+    def __init__(self) -> None:
+        self.chars = 0
+
+
+class _KeysTooLong(Exception):
+    """A program's key text passed MEMO_MAX_BYTES characters."""
+
+
+def _closed_keys(node: Node, keys: _Keys) -> tuple[str, int]:
     """Text of ``node``, a variable spelled ``$depth.slot``, and how many enclosing
-    binder pairs it reads; keys closed ones by id."""
+    binder pairs it reads; keys closed ones by id.  Raises _KeysTooLong once
+    the key text built passes MEMO_MAX_BYTES characters."""
     if type(node) is Call:  # the most common node, tested first
         texts, reads = [], 0
         for arg in node.args:
@@ -97,30 +118,86 @@ def _closed_keys(node: Node, keys: dict[int, str]) -> tuple[str, int]:
         body_key, body_reads = _closed_keys(node.body, keys)
         key = f"fold({list_key},{init_key},{body_key})"
         reads = max(list_reads, init_reads, body_reads - 1)
+    keys.chars += len(key)
+    if keys.chars > MEMO_MAX_BYTES:
+        raise _KeysTooLong
     if not reads:
         keys[id(node)] = key
     return key, reads
 
 
+_NON_FINITE = "non-finite intermediate value"
+
+
+@functools.lru_cache(maxsize=8)
+def _op_rows(d: int) -> dict[str, tuple]:
+    """``OPS`` as ``name -> (fn, result type)`` rows for task vectors of length
+    ``d``, bound into the rows that take it."""
+    return {
+        name: (functools.partial(op.fn, d) if op.takes_d else op.fn, op.result)
+        for name, op in OPS.items()
+    }
+
+
 class _Machine:
-    def __init__(self, models: list[np.ndarray], max_steps: int, memo: Memo | None, keys: dict[int, str]):
+    """Evaluates a program, running each child directly."""
+
+    def __init__(
+        self, models: list[np.ndarray], max_steps: int, memo: Memo | None = None, keys: _Keys | None = None
+    ):
         self.models = models
-        self.d = models[0].shape[0]
+        self.ops = _op_rows(models[0].shape[0])
         self.max_steps = max_steps
         self.remaining = max_steps
         self.memo = memo
         self.keys = keys
-        if not keys:  # nothing to look up: save a call per node
-            self.eval = self.run
 
-    def finite(self, value):
-        if isinstance(value, float):
-            ok = math.isfinite(value)
-        else:
-            ok = bool(np.isfinite(value).all())
-        if not ok:
-            raise DslRuntimeError("non-finite intermediate value")
-        return value
+    def run(self, node: Node, env: Sequence[tuple]):
+        """Evaluate ``node``; ``env`` holds the (acc, item) pair of each enclosing fold, innermost first."""
+        if self.remaining < 1:
+            raise BudgetExceeded(self.max_steps)
+        self.remaining -= 1
+        if type(node) is Call:  # the most common node, tested first
+            fn, result = self.ops[node.op]
+            value = fn(*[self.eval(a, env) for a in node.args])
+            if result is _VECTOR:
+                # A finite squared norm proves every entry finite; one that
+                # overflows from finite entries is decided by the scan.
+                if not isfinite(value.dot(value)) and not np.isfinite(value).all():
+                    raise DslRuntimeError(_NON_FINITE)
+            elif result is _SCALAR and not isfinite(value):
+                raise DslRuntimeError(_NON_FINITE)
+            return value
+        if isinstance(node, ScalarLit):
+            value = float(node.value)
+            if not isfinite(value):
+                raise DslRuntimeError(_NON_FINITE)
+            return value
+        if isinstance(node, ModelsRef):
+            return self.models
+        if isinstance(node, ModelIndex):
+            if not 0 <= node.index < len(self.models):
+                raise DslRuntimeError(
+                    f"models[{node.index}] out of range for {len(self.models)} models"
+                )
+            return self.models[node.index]
+        if isinstance(node, Var):
+            return env[node.depth][node.slot]
+        items = self.eval(node.list_expr, env)  # a Fold
+        acc = self.eval(node.init_expr, env)
+        inner = [None, *env]  # one list per fold: each body run ends before the next pair
+        for item in items:
+            inner[0] = (acc, item)
+            acc = self.eval(node.body, inner)
+        return acc
+
+    # No memo: each child runs directly.  A class attribute, not one set on the
+    # instance, so that no machine refers to itself and needs the cycle collector.
+    eval = run
+
+
+class _MemoMachine(_Machine):
+    """Evaluates a program whose closed subtrees, found in ``keys``, replay from ``memo``."""
 
     def eval(self, node: Node, env: Sequence[tuple]):
         key = self.keys.get(id(node))
@@ -149,36 +226,6 @@ class _Machine:
             raise DslRuntimeError(error)
         return value
 
-    def run(self, node: Node, env: Sequence[tuple]):
-        """Evaluate ``node``; ``env`` holds the (acc, item) pair of each enclosing fold, innermost first."""
-        if self.remaining < 1:
-            raise BudgetExceeded(self.max_steps)
-        self.remaining -= 1
-        if type(node) is Call:  # the most common node, tested first
-            args = [self.eval(a, env) for a in node.args]
-            spec = OPS[node.op]
-            value = spec.fn(self.d, *args)
-            return value if spec.result is DslType.VECTOR_LIST else self.finite(value)
-        if isinstance(node, ScalarLit):
-            return self.finite(float(node.value))
-        if isinstance(node, ModelsRef):
-            return self.models
-        if isinstance(node, ModelIndex):
-            if not 0 <= node.index < len(self.models):
-                raise DslRuntimeError(
-                    f"models[{node.index}] out of range for {len(self.models)} models"
-                )
-            return self.models[node.index]
-        if isinstance(node, Var):
-            return env[node.depth][node.slot]
-        items = self.eval(node.list_expr, env)  # a Fold
-        acc = self.eval(node.init_expr, env)
-        inner = [None, *env]  # one list per fold: each body run ends before the next pair
-        for item in items:
-            inner[0] = (acc, item)
-            acc = self.eval(node.body, inner)
-        return acc
-
 
 def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = None) -> np.ndarray:
     """Run a typechecked program on K task vectors of equal dimension; its value
@@ -190,11 +237,17 @@ def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = N
     Keys are built here, by one walk of the tree, and only when a memo is
     given: built at compile time for every text instead, they made the
     single-call untrusted_text benchmark 6.8 % slower and 4 MB larger in peak RSS.
+    A program whose key text passes ``MEMO_MAX_BYTES`` characters while they
+    are built runs without the memo, so no text makes them larger than that.
     """
-    keys: dict[int, str] = {}
+    models = as_vectors(models)
     if memo is not None:
-        _closed_keys(root, keys)
-    machine = _Machine(as_vectors(models), max_steps, memo, keys)
+        keys = _Keys()
+        try:
+            _closed_keys(root, keys)
+        except _KeysTooLong:  # the memo only replays, so the outcome is the same without it
+            memo = None
+    machine = _Machine(models, max_steps) if memo is None else _MemoMachine(models, max_steps, memo, keys)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow shows up as a non-finite check failure, not a warning
         return machine.run(root, ())  # never looked up: a repeated whole program is a duplicate

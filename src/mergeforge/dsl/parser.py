@@ -28,6 +28,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import itemgetter
+from threading import Lock
 from typing import Callable
 
 import numpy as np
@@ -96,10 +97,21 @@ _REVERSED_NUMBER_DOT_RE = re.compile(r"\.(?<=[0-9]\.)[0-9]+(?![\w.]|[+-][eE])")
 _BRACKET_STEP = np.array([(c == 40) - (c == 41) for c in range(128)], np.int8)  # by ASCII code
 
 
+# (1, offset + 1) at each offset, shared by the parses of every text with no
+# newline before its lex end, so a position costs no call frame and no new
+# tuple.  Grown on demand to the longest such text yet: never built at import,
+# since the whole table (MAX_SOURCE_CHARS + 1 entries) takes about 6.3 MB.
+_LINE_ONE: list[tuple[int, int]] = []
+_LINE_ONE_GROWING = Lock()  # entries are only appended, under this lock
+
+
 def _locator(source: str, end: int) -> Callable[[int], tuple[int, int]]:
-    """Map an offset in ``source[:end]`` to its (line, col), both from 1."""
+    """Map an offset from 0 to ``end`` in ``source`` to its (line, col), both from 1."""
     if source.find("\n", 0, end) < 0:
-        return lambda offset: (1, offset + 1)
+        if len(_LINE_ONE) <= end:
+            with _LINE_ONE_GROWING:
+                _LINE_ONE.extend((1, col) for col in range(len(_LINE_ONE) + 1, end + 2))
+        return _LINE_ONE.__getitem__
     starts = [0, *(m.end() for m in re.compile("\n").finditer(source, 0, end))]
 
     def locate(offset: int) -> tuple[int, int]:

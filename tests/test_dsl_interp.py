@@ -1,3 +1,8 @@
+import gc
+import math
+import operator
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import load_corpus_program, mean_fold_merge
 from mergeforge.core import task_arithmetic
 from mergeforge.dsl.ast import OP_TABLE, DslRuntimeError
-from mergeforge.dsl.interp import MEMO_MAX_BYTES, BudgetExceeded, Memo, default_budget, evaluate
+from mergeforge.dsl.interp import MEMO_MAX_BYTES, BudgetExceeded, Memo, _op_rows, default_budget, evaluate
+from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.dsl.program import compile_program
 from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 
@@ -198,10 +204,11 @@ def test_reductions_are_bit_identical_to_their_reference_forms(d):
         for n in range(1, len(pool) + 1):
             vs = pool[:n]
             for name in ("sum_stack", "mean_stack"):
-                got = OP_TABLE[name].fn(d, vs)
+                op = OP_TABLE[name]
+                got = op.fn(d, vs) if op.takes_d else op.fn(vs)
                 assert got.tobytes() == OLD_REDUCTIONS[name](vs).tobytes(), (name, n)
             for name in ("mean_elem", "norm1"):
-                got = np.float64(OP_TABLE[name].fn(d, vs[-1]))
+                got = np.float64(OP_TABLE[name].fn(vs[-1]))
                 want = np.float64(OLD_REDUCTIONS[name](vs[-1]))
                 assert got.tobytes() == want.tobytes(), (name, n)
 
@@ -363,3 +370,150 @@ def test_memo_counts_deep_chain_keys_against_its_byte_cap():
     )
     assert memo.nbytes == stored <= MEMO_MAX_BYTES
     assert memo.nbytes > MEMO_MAX_BYTES - 1000  # the cap bound, not the programs
+
+
+def test_a_programs_memo_keys_stop_at_the_byte_cap():
+    # A 113-deep chain over a 13-level tree of scalar literals, 58,380 of the
+    # 65,536 characters a text may have: each chain key holds the tree's ~213k
+    # characters, so all keys would total ~27M characters, a 28.2 MB peak
+    # without the per-program bound.  The walk stops at MEMO_MAX_BYTES
+    # characters and the program runs without the memo.
+    tree = "1e15"
+    for _ in range(13):
+        tree = f"({tree}-{tree})"
+    src = "merge(models) = " + "scale(1," * 113 + f"ones({tree})" + ")" * 113
+    assert len(src) <= MAX_SOURCE_CHARS
+    root = compile_program(src).ast
+    models = [np.ones(4)]
+    memo = Memo()
+    tracemalloc.start()
+    try:
+        out = evaluate(root, models, BIG, memo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == evaluate(root, models, BIG).tobytes()
+    assert memo.table == {} and memo.hits == memo.misses == 0
+    # the key characters plus their string headers, node ids and dict: ~9.6 MB
+    assert peak < MEMO_MAX_BYTES + 2.5 * 2**20  # 11.0 MB
+
+
+def test_evaluate_without_a_memo_leaves_no_reference_cycles():
+    models = [np.ones(4), np.full(4, 2.0)]
+    roots = [compile_program(f"merge(models) = {src}").ast for src in (
+        "fold(tail(models), models[0], (acc, x) -> scale(0.5, add(acc, ones(mean_elem(x)))))",
+        "add(models[0], models[7])",  # a runtime error
+    )]
+    gc.collect()
+    gc.disable()
+    try:
+        for root in roots:
+            for steps in (BIG, 3):  # the second times out
+                try:
+                    evaluate(root, models, steps)
+                except (DslRuntimeError, BudgetExceeded):
+                    pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- exactness of the op rows and of the finiteness check ---------------------
+
+# The elementwise rows as the op table spelled them when each was a lambda
+# that also took d; the rows are now the numpy and operator functions.
+OLD_ELEMENTWISE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "scale": lambda s, v: s * v,
+    "hadamard": lambda a, b: a * b,
+    "emax": lambda a, b: np.maximum(a, b),
+    "emin": lambda a, b: np.minimum(a, b),
+}
+OLD_SCALAR = {"s_add": lambda a, b: a + b, "s_sub": lambda a, b: a - b, "s_mul": lambda a, b: a * b}
+_EDGE_SCALARS = [0.0, -0.0, 5e-324, 1e-300, 3.5, -2.25, 1e200, -1e308, math.inf, -math.inf, math.nan]
+
+
+def _extreme_vector(rng, d):
+    """Signed magnitudes from 1e-300 to 1e308, with inf, -inf and NaN entries when d allows."""
+    v = rng.uniform(-1, 1, size=d) * 10.0 ** rng.uniform(-300, 308, size=d)
+    if d >= 4:
+        v[rng.choice(d, 3, replace=False)] = [np.inf, -np.inf, np.nan]
+    return v
+
+
+@pytest.mark.parametrize("d", [1, 64, 65536])
+def test_op_rows_are_bit_identical_to_their_old_forms(d):
+    rng = np.random.default_rng(d)
+    rows = _op_rows(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            a, b = _extreme_vector(rng, d), _extreme_vector(rng, d)
+            big = np.full(d, 1e200)  # products and sums of these overflow to inf
+            for x, y in ((a, b), (big, big), (big * 1e108, big * 1e108)):
+                for name in ("add", "sub", "hadamard", "emax", "emin"):
+                    got = rows[name][0](x, y)
+                    assert got.tobytes() == OLD_ELEMENTWISE[name](x, y).tobytes(), name
+                for s in _EDGE_SCALARS:
+                    assert rows["scale"][0](s, x).tobytes() == OLD_ELEMENTWISE["scale"](s, x).tobytes()
+        for s in _EDGE_SCALARS:
+            assert rows["ones"][0](s).tobytes() == np.full(d, s).tobytes()
+        assert rows["sum_stack"][0]([]).tobytes() == np.zeros(d).tobytes()
+    for name, old in OLD_SCALAR.items():
+        for s in _EDGE_SCALARS:
+            for t in (*_EDGE_SCALARS, 1e308):
+                assert repr(rows[name][0](s, t)) == repr(old(s, t)), (name, s, t)
+
+
+@pytest.mark.parametrize("src", [
+    "scale(1e200, models[0])",
+    "ones(1e160)",
+    "hadamard(scale(1e100, models[0]), scale(1e100, models[0]))",
+    "sum_stack(tail(models)) * 1e300",
+])
+def test_finite_entries_whose_squared_norm_overflows_evaluate(src):
+    models = [np.full(64, -1.5), np.ones(64), np.linspace(-1, 1, 64)]
+    out = run(f"merge(models) = {src}", models)
+    assert np.isfinite(out).all()
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(out.dot(out))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("at", [0, 31, 63])
+@pytest.mark.parametrize("src", ["add(models[0], models[1])", "sub(models[1], models[0])"])
+def test_one_non_finite_entry_raises(bad, at, src):
+    a = np.ones(64)
+    a[at] = bad
+    with pytest.raises(DslRuntimeError, match="^non-finite intermediate value$"):
+        run(f"merge(models) = {src}", [a, np.ones(64)])
+
+
+@pytest.mark.parametrize("src", ["scale(10.0, models[0])", "add(models[0], models[0])"])
+def test_one_entry_overflowing_to_inf_raises(src):
+    a = np.ones(64)
+    a[17] = 1e308
+    with pytest.raises(DslRuntimeError, match="^non-finite intermediate value$"):
+        run(f"merge(models) = {src}", [a, np.ones(64)])
+
+
+@pytest.mark.parametrize("d", [1, 64, 65536])
+def test_vector_finiteness_is_the_scan_of_every_entry(d):
+    # Each result is non-finite exactly when np.isfinite(v).all(), the rule
+    # before the squared norm was checked first, says so.
+    rng = np.random.default_rng(100 + d)
+    roots = {name: compile_program(f"merge(models) = {name}(models[0], models[1])").ast
+             for name in ("add", "hadamard")}
+    for top in (-300, -150, 0, 150, 154, 155, 160, 200, 300, 307, 308):
+        for trial in range(6):
+            a, b = (rng.uniform(-1, 1, size=d) * 10.0 ** rng.uniform(-300, top, size=d) for _ in "ab")
+            if trial % 3 == 1:
+                a[rng.integers(d)] = rng.choice([np.inf, -np.inf, np.nan])
+            for name, root in roots.items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = OLD_ELEMENTWISE[name](a, b)
+                got = _outcome(root, [a, b], BIG, None)
+                if np.isfinite(want).all():
+                    assert got == want.tobytes(), (name, top, trial)
+                else:
+                    assert got == "error: non-finite intermediate value", (name, top, trial)

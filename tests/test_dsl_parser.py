@@ -3,7 +3,10 @@ import functools
 import gc
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
+import threading
 import time
 import timeit
 from pathlib import Path
@@ -24,6 +27,7 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
+from mergeforge.dsl import parser as parser_module
 from mergeforge.dsl.canon import _normalize as canonical_text, canonical_hash
 from mergeforge.dsl.interp import Memo, evaluate
 from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, ParseError, _height, _lex_end, parse
@@ -772,3 +776,73 @@ def test_parse_leaves_no_reference_cycles(source):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _one_line_text(width):
+    """A one-line program of exactly ``width`` characters, ending in an error
+    when ``width`` is odd, so both trees and error positions are compared."""
+    text = "merge(models) = add(models[0], models[1])"
+    text = text[:-1] + " " * (width - len(text) - 2) + ")"
+    return text + (" )" if width % 2 else "  ")
+
+
+def test_one_line_positions_come_from_one_shared_table(monkeypatch):
+    table = []
+    monkeypatch.setattr(parser_module, "_LINE_ONE", table)
+    widths = [50, 51, 400, 401, 3000, 3001]
+    longest = 0
+    for width in widths + widths[::-1]:  # rising, then falling: the table only grows
+        source = _one_line_text(width)
+        assert len(source) == width and "\n" not in source
+        assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+        longest = max(longest, width)
+        assert len(table) == longest + 1  # offsets 0 .. eof
+    assert table == [(1, col) for col in range(1, widths[-1] + 2)]
+    # a text with a newline before its lex end uses its own locator
+    source = _one_line_text(51).replace("  ", "\n ", 1)
+    assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+    assert len(table) == widths[-1] + 1
+
+
+def test_importing_the_parser_builds_no_position_table():
+    src = str(Path(parser_module.__file__).parents[2])
+    done = subprocess.run(
+        [sys.executable, "-c", "import mergeforge.dsl.parser as p; print(len(p._LINE_ONE))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_position_table_grows_correctly_under_concurrent_parses(monkeypatch):
+    table = []
+    monkeypatch.setattr(parser_module, "_LINE_ONE", table)
+    widths = range(60, 12_000, 13)  # odd and even: errors and trees
+    failures = []
+
+    def work(first):
+        try:
+            for width in widths[first::6]:  # six threads race to grow the table
+                source = _one_line_text(width)
+                try:
+                    root = parse(source)
+                except ParseError as exc:
+                    assert width % 2 == 1 and (exc.line, exc.col) == (1, width)
+                else:
+                    assert width % 2 == 0 and root.pos == (1, 17)
+        except AssertionError as exc:
+            failures.append((first, exc))
+
+    threads = [threading.Thread(target=work, args=(first,)) for first in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert table == [(1, col) for col in range(1, max(widths) + 2)]

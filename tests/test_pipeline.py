@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 
@@ -91,6 +92,25 @@ def test_only_a_batch_of_several_candidates_uses_the_memo(instance, caplog, n, m
     with caplog.at_level("INFO", logger="mergeforge.pipeline"):
         assert [o.category for o in _filter(instance, batch)] == [SUCCESS] * n
     assert sum("interpreter memo:" in r.getMessage() for r in caplog.records) == memo_lines
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_filter_candidates_leaves_no_reference_cycles(instance, n):
+    # five categories in a batch, which shares a memo; one candidate runs without
+    batch = [
+        "merge(models) = add(models[0], models[1])",
+        "merge(models) = add(models[1], models[0])",
+        "merge(models) = add(models[0]",
+        _deep_program(),
+        "merge(models) = add(models[0], models[7])",
+    ][-n:]
+    gc.collect()
+    gc.disable()
+    try:
+        _filter(instance, batch, budget=60)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_no_function_extracted_category(instance):
