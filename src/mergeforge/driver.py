@@ -152,18 +152,23 @@ def _baselines(instance: BenchmarkInstance) -> dict:
     }
 
 
-def _generate(config: RunConfig, policy: GeneratorPolicy, temp: float, iteration: int) -> list[str]:
+def _generate(config: RunConfig, policy: GeneratorPolicy, temp: float,
+              iteration: int) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The iteration's candidate texts and, for each, the pids the sampler drew (none for remote text)."""
     if config.generator_mode == "grammar":
         # One generator, restarted at each candidate's own stream: the same
         # draws as default_rng((seed, _GEN_STREAM, iteration, i)).
         rng = np.random.Generator(np.random.PCG64(0))
-        texts = []
+        texts, draws = [], []
         states = pcg64_states((config.seed, _GEN_STREAM, iteration), config.candidates_per_iteration)
         for state in states:
             rng.bit_generator.state = state
-            texts.append(sample_program(policy, temp, rng))
-        return texts
-    return remote_generate(config.remote, temp, config.candidates_per_iteration)
+            text, drawn = sample_program(policy, temp, rng)
+            texts.append(text)
+            draws.append(drawn)
+        return texts, draws
+    texts = remote_generate(config.remote, temp, config.candidates_per_iteration)
+    return texts, [()] * len(texts)
 
 
 def _iteration(
@@ -183,7 +188,7 @@ def _iteration(
     the rest of the iteration's programs are freed before the next one samples.
     """
     temp = temperature(t, config.t1, config.beta)
-    candidates = _generate(config, policy, temp, t)
+    candidates, draws = _generate(config, policy, temp, t)
     outcomes = filter_candidates(
         candidates,
         set(),  # duplicate detection is per-iteration
@@ -199,8 +204,8 @@ def _iteration(
     _append_jsonl(out / "candidates.jsonl", (_candidate_record(t, i, o) for i, o in enumerate(outcomes)))
 
     scored = [
-        ScoredAlgorithm(o.program, o.dev_score, t)
-        for o in outcomes if o.category == SUCCESS
+        ScoredAlgorithm(o.program, o.dev_score, t, drawn)
+        for o, drawn in zip(outcomes, draws) if o.category == SUCCESS
     ]
     pool = [alg for stats in history for alg in stats.chosen]
     pairs = []

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
+import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,12 +42,35 @@ class Op:
     takes_d: bool = False
 
 
+# np.linalg.norm squares the entries unscaled: past ~1.3e154 the result
+# overflows to inf, and the squares of entries below ~1.5e-154 are subnormals
+# that lose bits.  A norm of d entries below sqrt(d) times that is therefore
+# recomputed from the vector divided by its largest magnitude; every norm at
+# or above it keeps the plain computation's bits, and so does every cosine of
+# two such norms whose product is finite.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
+
+
+def _norm2(v) -> float:
+    n = float(np.linalg.norm(v))
+    if not _SQRT_TINY * math.sqrt(len(v)) <= n < math.inf:
+        m = float(np.abs(v).max())
+        if 0.0 < m < math.inf:  # not a zero vector, nor one with an inf entry
+            n = m * float(np.linalg.norm(v / m))
+    return n
+
+
 def _cos(a, b) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    floor = _SQRT_TINY * math.sqrt(len(a))
+    if floor <= na and floor <= nb and na * nb < math.inf:
+        return float(np.dot(a, b)) / (na * nb)
+    ma, mb = float(np.abs(a).max()), float(np.abs(b).max())
+    if ma == 0.0 or mb == 0.0:
         raise DslRuntimeError("cosine of a zero vector")
-    return float(np.dot(a, b)) / (na * nb)
+    a, b = a / ma, b / mb
+    return float(np.dot(a, b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
 
 
 def _mean_stack(vs):
@@ -67,7 +92,7 @@ OP_TABLE: dict[str, Op] = {
     "emin": Op((V, V), V, np.minimum, commutative=True),
     "mean_elem": Op((V,), S, lambda v: float(np.add.reduce(v)) / len(v)),
     "norm1": Op((V,), S, lambda v: float(np.add.reduce(np.abs(v)))),
-    "norm2": Op((V,), S, lambda v: float(np.linalg.norm(v))),
+    "norm2": Op((V,), S, _norm2),
     "cos": Op((V, V), S, _cos),
     "mean_stack": Op((L,), V, _mean_stack),
     "sum_stack": Op((L,), V, lambda d, vs: np.add.reduce(vs) if vs else np.zeros(d), takes_d=True),

@@ -7,31 +7,18 @@ limit only terminal productions remain eligible, so derivations always finish an
 every sampled program parses and typechecks by construction.  Each grammar
 slot's eligible productions and cdf are computed once per policy and
 temperature, and a choice draws the index ``Generator.choice(n, p=p)`` would.
-
-The same grammar supports deterministic re-derivation: given a typed AST we
-can recover exactly which productions a derivation would have used, which is
-what the preference-based refinement consumes.
+The sampler also returns the pid of each production it drew, in draw order:
+the production usage that preference-based refinement consumes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
-from ..dsl.ast import (
-    OP_TABLE,
-    Call,
-    DslType,
-    ModelIndex,
-    ModelsRef,
-    Node,
-    ScalarLit,
-    Var,
-)
+from ..dsl.ast import OP_TABLE, DslType
 from ..dsl.parser import MAX_DEPTH
 
 # Nonterminals, keyed by the type an expression must produce.
@@ -45,16 +32,12 @@ _NT_FOR_TYPE = {
     DslType.VECTOR_LIST: NT_LIST,
 }
 
-# Binder names the sampler emits; re-derivation matches binders by slot.
+# Binder names the sampler emits.
 BINDERS = ("acc", "x")
 
 DEFAULT_LITERAL_PALETTE = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 LOGIT_MIN, LOGIT_MAX = -10.0, 10.0
-
-
-class UnderivableProgram(ValueError):
-    """The AST uses a shape the grammar cannot produce (index, literal, nesting)."""
 
 
 @dataclass(frozen=True)
@@ -134,12 +117,6 @@ class GeneratorPolicy:
                         f"({'in' if in_body else 'outside'} fold bodies)"
                     )
 
-    @cached_property
-    def productions_by_key(self) -> dict[str, dict[tuple, Production]]:
-        """Each nonterminal's first production of each (kind, payload), for re-derivation."""
-        # reversed: a later production with the same key is overwritten by the first
-        return {nt: {(p.kind, p.payload): p for p in reversed(prods)} for nt, prods in self.grammar.items()}
-
     def with_logits(self, logits: dict[str, float]) -> "GeneratorPolicy":
         return replace(self, logits=logits, version=self.version + 1)
 
@@ -176,15 +153,17 @@ def _softmax(logits: np.ndarray, temp: float) -> np.ndarray:
 
 
 def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: bool,
-            rng: np.random.Generator) -> str:
-    """The source text of one derivation of ``nt``, spelled as the parser reads it."""
+            rng: np.random.Generator, drawn: list[str]) -> str:
+    """The source text of one derivation of ``nt``, spelled as the parser reads it;
+    appends the pid of each production it draws to ``drawn``."""
     # Generator.choice(n, p=probs) draws the cdf's searchsorted(side="right")
     # index of one rng.random(); bisect_right finds the same index.
     eligible, cdf = policy.slot(temp, nt, depth, in_body)
     prod = eligible[bisect_right(cdf, rng.random())]
+    drawn.append(prod.pid)
     kind = prod.kind
     if kind == "call":
-        args = [_derive(policy, temp, a, depth + 1, in_body, rng) for a in prod.args]
+        args = [_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args]
         return f"{prod.payload}({', '.join(args)})"
     if kind == "model":
         return f"models[{int(prod.payload)}]"
@@ -195,58 +174,17 @@ def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: 
     if kind == "models":
         return "models"
     if kind == "fold":
-        list_expr = _derive(policy, temp, prod.args[0], depth + 1, False, rng)
-        init_expr = _derive(policy, temp, prod.args[1], depth + 1, False, rng)
-        body = _derive(policy, temp, prod.args[2], depth + 1, True, rng)
+        list_expr = _derive(policy, temp, prod.args[0], depth + 1, False, rng, drawn)
+        init_expr = _derive(policy, temp, prod.args[1], depth + 1, False, rng, drawn)
+        body = _derive(policy, temp, prod.args[2], depth + 1, True, rng, drawn)
         return f"fold({list_expr}, {init_expr}, ({BINDERS[0]}, {BINDERS[1]}) -> {body})"
     raise AssertionError(f"unknown production kind {kind}")
 
 
-def sample_program(policy: GeneratorPolicy, temp: float, rng: np.random.Generator) -> str:
-    """Sample one program as source text; always parses and typechecks."""
-    return "merge(models) = " + _derive(policy, float(temp), NT_VECTOR, 0, False, rng)
-
-
-def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:
-    """Production usage of the derivation that would produce ``root``.
-
-    Raises UnderivableProgram for shapes the grammar cannot emit: out-of-range
-    model indexes, literals outside the palette, scalar infix arithmetic,
-    nested folds, or ops missing from a restricted grammar.
-    """
-    counts: Counter = Counter()
-    _rederive(policy.productions_by_key, root, NT_VECTOR, False, counts)
-    return counts
-
-
-def _rederive(by_key: dict[str, dict[tuple, Production]], node: Node, nt: str, in_body: bool,
-              counts: Counter) -> None:
-    """Count ``node``'s productions; ``in_body`` says whether it lies in a fold body."""
-    children: tuple = ()  # (child node, whether it lies in a fold body) pairs
-    if type(node) is Call:
-        if node.op not in OP_TABLE:
-            raise UnderivableProgram("scalar infix arithmetic has no production")
-        key = ("call", node.op)
-        children = tuple((arg, in_body) for arg in node.args)
-    elif isinstance(node, ModelIndex):
-        key = ("model", node.index)
-    elif isinstance(node, ModelsRef):
-        key = ("models", None)
-    elif isinstance(node, ScalarLit):
-        key = ("lit", float(node.value))
-    elif isinstance(node, Var):
-        if not in_body:
-            raise UnderivableProgram("variable outside a fold body")
-        key = ("var", node.slot)
-    else:  # a Fold
-        if in_body:
-            raise UnderivableProgram("nested fold has no production")
-        key = ("fold", None)
-        children = ((node.list_expr, False), (node.init_expr, False), (node.body, True))
-    prod = by_key[nt].get(key)
-    if prod is None:
-        where = "the palette" if key[0] == "lit" else "the grammar"
-        raise UnderivableProgram(f"{key[0]} {key[1]!r} is outside {where}")
-    counts[prod.pid] += 1
-    for arg_nt, (arg, arg_in_body) in zip(prod.args, children):
-        _rederive(by_key, arg, arg_nt, arg_in_body, counts)
+def sample_program(policy: GeneratorPolicy, temp: float,
+                   rng: np.random.Generator) -> tuple[str, tuple[str, ...]]:
+    """Sample one program: its source text, which always parses and typechecks,
+    and the pids of the productions drawn for it, in draw order."""
+    drawn: list[str] = []
+    text = "merge(models) = " + _derive(policy, float(temp), NT_VECTOR, 0, False, rng, drawn)
+    return text, tuple(drawn)

@@ -23,7 +23,7 @@ from .dsl.parser import ParseError
 from .dsl.program import MergeProgram, compile_program
 from .dsl.typecheck import DslTypeError
 from .generator.extract import extract_program
-from .generator.policy import LOGIT_MAX, LOGIT_MIN, GeneratorPolicy, derivation_counts
+from .generator.policy import LOGIT_MAX, LOGIT_MIN, GeneratorPolicy
 
 log = logging.getLogger(__name__)
 
@@ -50,6 +50,7 @@ class ScoredAlgorithm:
     program: MergeProgram
     dev_score: float
     iteration: int
+    drawn: tuple[str, ...]  # the pids the sampler drew for it, in draw order; () for remote text
 
 
 @dataclass(frozen=True)
@@ -256,10 +257,11 @@ def build_preferences(
     return pairs
 
 
-def _normalized_usage(policy: GeneratorPolicy, program: MergeProgram) -> dict[str, float]:
-    counts = derivation_counts(policy, program.ast)
-    total = sum(counts.values())
-    return {pid: c / total for pid, c in counts.items()}
+def _normalized_usage(alg: ScoredAlgorithm) -> dict[str, float]:
+    if not alg.drawn:
+        raise ValueError(f"no drawn productions to refine on: {alg.program.source!r} was not sampled")
+    total = len(alg.drawn)
+    return {pid: c / total for pid, c in Counter(alg.drawn).items()}
 
 
 def refine_policy(
@@ -269,21 +271,21 @@ def refine_policy(
 ) -> GeneratorPolicy:
     """Contrastive production-usage update toward chosen, away from rejected.
 
-    For each pair the normalized production-usage vectors of the two programs
-    are differenced and added to the logits with step ``eta``; a program the
-    grammar cannot re-derive, as no sampled one is, fails in ``derivation_counts``.
-    Logits are clipped to [-10, 10]; the policy version always increments.
+    For each pair the normalized production-usage vectors of the two programs,
+    counted from the productions the sampler drew for them, are differenced and
+    added to the logits with step ``eta``.  Logits are clipped to [-10, 10];
+    the policy version always increments.
     """
     if not pairs:
         raise ValueError("refine_policy needs at least one pair")
     logits = dict(policy.logits)
-    usage: dict[str, dict[str, float]] = {}  # by source: a program in several pairs is derived once
+    usage: dict[tuple[str, ...], dict[str, float]] = {}  # a program in several pairs is counted once
     for pair in pairs:
-        for program in (pair.chosen.program, pair.rejected.program):
-            if program.source not in usage:
-                usage[program.source] = _normalized_usage(policy, program)
-        u_chosen = usage[pair.chosen.program.source]
-        u_rejected = usage[pair.rejected.program.source]
+        for alg in (pair.chosen, pair.rejected):
+            if alg.drawn not in usage:
+                usage[alg.drawn] = _normalized_usage(alg)
+        u_chosen = usage[pair.chosen.drawn]
+        u_rejected = usage[pair.rejected.drawn]
         for pid in set(u_chosen) | set(u_rejected):
             logits[pid] += eta * (u_chosen.get(pid, 0.0) - u_rejected.get(pid, 0.0))
     logits = {pid: float(np.clip(v, LOGIT_MIN, LOGIT_MAX)) for pid, v in logits.items()}

@@ -3,13 +3,14 @@
 Test modules import these by name (``from conftest import tokenize``).
 """
 
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from mergeforge.core import Vector, as_vectors
-from mergeforge.dsl.ast import INFIX, INFIX_OPS, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
+from mergeforge.dsl.ast import INFIX, INFIX_OPS, OP_TABLE, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
 from mergeforge.dsl.parser import _locator, lex
 from mergeforge.dsl.program import MergeProgram, compile_program
 from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, GeneratorPolicy, Production, _eligible, _softmax
@@ -65,6 +66,68 @@ def pretty_expr(node: Node, level: int = 0) -> str:
 def pretty(root: Node) -> str:
     """Render a program body back to concrete syntax: the AST oracle of ``sample_program``."""
     return f"merge(models) = {pretty_expr(root)}"
+
+
+class UnderivableProgram(ValueError):
+    """The AST uses a shape the grammar cannot produce (index, literal, nesting)."""
+
+
+def productions_by_key(policy: GeneratorPolicy) -> dict[str, dict[tuple, Production]]:
+    """Each nonterminal's first production of each (kind, payload)."""
+    # reversed: a later production with the same key is overwritten by the first
+    return {nt: {(p.kind, p.payload): p for p in reversed(prods)} for nt, prods in policy.grammar.items()}
+
+
+def derivation(policy: GeneratorPolicy, root: Node) -> tuple[str, ...]:
+    """The pids of the derivation that would produce ``root``, in the order the sampler draws them.
+
+    The re-derivation oracle of ``sample_program``'s drawn pids: where two
+    productions spell the same text, it takes the first.  Raises
+    UnderivableProgram for shapes the grammar cannot emit: out-of-range model
+    indexes, literals outside the palette, scalar infix arithmetic, nested
+    folds, or ops missing from a restricted grammar.
+    """
+    pids: list[str] = []
+    _rederive(productions_by_key(policy), root, NT_VECTOR, False, pids)
+    return tuple(pids)
+
+
+def derivation_counts(policy: GeneratorPolicy, root: Node) -> Counter:
+    """Production usage of the derivation that would produce ``root``."""
+    return Counter(derivation(policy, root))
+
+
+def _rederive(by_key: dict[str, dict[tuple, Production]], node: Node, nt: str, in_body: bool,
+              pids: list[str]) -> None:
+    """Append ``node``'s productions; ``in_body`` says whether it lies in a fold body."""
+    children: tuple = ()  # (child node, whether it lies in a fold body) pairs
+    if type(node) is Call:
+        if node.op not in OP_TABLE:
+            raise UnderivableProgram("scalar infix arithmetic has no production")
+        key = ("call", node.op)
+        children = tuple((arg, in_body) for arg in node.args)
+    elif isinstance(node, ModelIndex):
+        key = ("model", node.index)
+    elif isinstance(node, ModelsRef):
+        key = ("models", None)
+    elif isinstance(node, ScalarLit):
+        key = ("lit", float(node.value))
+    elif isinstance(node, Var):
+        if not in_body:
+            raise UnderivableProgram("variable outside a fold body")
+        key = ("var", node.slot)
+    else:  # a Fold
+        if in_body:
+            raise UnderivableProgram("nested fold has no production")
+        key = ("fold", None)
+        children = ((node.list_expr, False), (node.init_expr, False), (node.body, True))
+    prod = by_key[nt].get(key)
+    if prod is None:
+        where = "the palette" if key[0] == "lit" else "the grammar"
+        raise UnderivableProgram(f"{key[0]} {key[1]!r} is outside {where}")
+    pids.append(prod.pid)
+    for arg_nt, (arg, arg_in_body) in zip(prod.args, children):
+        _rederive(by_key, arg, arg_nt, arg_in_body, pids)
 
 
 def identity_grammar() -> dict[str, list[Production]]:

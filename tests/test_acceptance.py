@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_corpus_program, mean_fold_merge, production_probability
+from conftest import derivation, load_corpus_program, mean_fold_merge, production_probability
 from mergeforge.benchmark import make_instance, score
 from mergeforge.benchmark import BenchmarkConfig
 from mergeforge.config import RunConfig
@@ -112,7 +112,7 @@ def test_acceptance_4_preference_construction(n):
         scored = [
             ScoredAlgorithm(
                 compile_program(f"merge(models) = scale({float(i)!r}, models[0])"),
-                v, 1,
+                v, 1, (),
             )
             for i, v in enumerate(values)
         ]
@@ -153,7 +153,7 @@ def test_acceptance_5_filter_taxonomy():
     fuzz = []
     rng = np.random.default_rng(55)
     for i in range(1000):
-        source = sample_program(policy, 1.2, np.random.default_rng((31, i)))
+        source, _ = sample_program(policy, 1.2, np.random.default_rng((31, i)))
         roll = rng.random()
         if roll < 0.6:
             fuzz.append(f"```\n{source}\n```")
@@ -212,8 +212,13 @@ def test_acceptance_6_end_to_end_improvement(tmp_path):
 
 def test_acceptance_7_policy_refinement_direction():
     policy = GeneratorPolicy.initial(default_grammar(3))
-    chosen = ScoredAlgorithm(compile_program("merge(models) = mean_stack(models)"), 90.0, 1)
-    rejected = ScoredAlgorithm(compile_program("merge(models) = models[0]"), 5.0, 1)
+
+    def sampled(src, dev_score):  # with the draws the sampler makes for src
+        program = compile_program(src)
+        return ScoredAlgorithm(program, dev_score, 1, derivation(policy, program.ast))
+
+    chosen = sampled("merge(models) = mean_stack(models)", 90.0)
+    rejected = sampled("merge(models) = models[0]", 5.0)
     pairs = [PreferencePair(chosen, rejected)] * 30
     refined = refine_policy(policy, pairs, eta=1.0)
 
@@ -228,7 +233,7 @@ def test_acceptance_7_policy_refinement_direction():
     def frequency(p):
         hits = 0
         for i in range(10_000):
-            if "mean_stack" in sample_program(p, 1.0, np.random.default_rng((77, i))):
+            if "mean_stack" in sample_program(p, 1.0, np.random.default_rng((77, i)))[0]:
                 hits += 1
         return hits / 10_000
 

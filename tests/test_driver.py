@@ -76,7 +76,7 @@ def test_s_best_is_the_running_max_of_success_scores(tmp_path):
 
     # the run keeps a running top-n; it must equal ranking every success at the end
     everything = [
-        ScoredAlgorithm(compile_program(c["source"]), c["score"], c["iteration"])
+        ScoredAlgorithm(compile_program(c["source"]), c["score"], c["iteration"], ())
         for c in candidates if c["category"] == "success"
     ]
     hashes = [a.program.canonical_hash for a in everything]
@@ -253,10 +253,10 @@ def test_select_best_tie_rule():
         "d": "merge(models) = mean_stack(models)",
     }
     all_scored = [
-        ScoredAlgorithm(compile_program(programs["a"]), 90.0, 1),
-        ScoredAlgorithm(compile_program(programs["b"]), 95.0, 2),
-        ScoredAlgorithm(compile_program(programs["c"]), 95.0, 1),
-        ScoredAlgorithm(compile_program(programs["d"]), 80.0, 1),
+        ScoredAlgorithm(compile_program(programs["a"]), 90.0, 1, ()),
+        ScoredAlgorithm(compile_program(programs["b"]), 95.0, 2, ()),
+        ScoredAlgorithm(compile_program(programs["c"]), 95.0, 1, ()),
+        ScoredAlgorithm(compile_program(programs["d"]), 80.0, 1, ()),
     ]
     top2 = top_k_carryover(all_scored, 2)
     assert [a.dev_score for a in top2] == [95.0, 95.0]
@@ -266,8 +266,8 @@ def test_select_best_tie_rule():
 def test_select_best_dedup_keeps_earlier_iteration():
     program = compile_program("merge(models) = models[0]")
     all_scored = [
-        ScoredAlgorithm(program, 88.0, 3),
-        ScoredAlgorithm(program, 88.0, 1),
+        ScoredAlgorithm(program, 88.0, 3, ()),
+        ScoredAlgorithm(program, 88.0, 1, ()),
     ]
     top = top_k_carryover(all_scored, 10)
     assert len(top) == 1
@@ -276,7 +276,7 @@ def test_select_best_dedup_keeps_earlier_iteration():
 
 def test_select_best_n_larger_than_distinct():
     program = compile_program("merge(models) = models[0]")
-    assert len(top_k_carryover([ScoredAlgorithm(program, 88.0, 1)], 15)) == 1
+    assert len(top_k_carryover([ScoredAlgorithm(program, 88.0, 1, ())], 15)) == 1
 
 
 def test_select_best_empty_warns(tmp_path, caplog):
@@ -377,7 +377,7 @@ def test_pinned_full_scale_first_iteration_texts():
     # each candidate still built its own default_rng((seed, 101, t, i)).
     config = full_scale_preset(seed=7)
     policy = GeneratorPolicy.initial(default_grammar(config.benchmark.k), config.max_depth)
-    texts = driver._generate(config, policy, temperature(1, config.t1, config.beta), 1)
+    texts, _ = driver._generate(config, policy, temperature(1, config.t1, config.beta), 1)
     assert len(texts) == 3000
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "eb6b44cbd48f83e5ed676551b5581f4644cdb625a1ae52facfbb319ab76ba957"

@@ -115,7 +115,7 @@ def test_hash_equality_implies_equal_semantics():
     rng = np.random.default_rng(77)
     checked = 0
     for i in range(40):
-        source = sample_program(policy, 1.2, np.random.default_rng((5, i)))
+        source, _ = sample_program(policy, 1.2, np.random.default_rng((5, i)))
         original = compile_program(source)
         scrambled = typecheck(parse(_renamed(pretty(_scramble(original.ast)))))
         assert canonical_hash(scrambled) == original.canonical_hash

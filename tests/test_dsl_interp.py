@@ -1,6 +1,7 @@
 import gc
 import math
 import operator
+import sys
 import tracemalloc
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_memo_outcomes_equal_memo_free_evaluate(seed, budgets, exponent, zero_mo
         models[2] = np.zeros(4)  # cos of a zero vector fails
     memo = Memo()
     for steps in budgets:
-        root = compile_program(sample_program(_SAMPLER, 1.5, rng)).ast
+        root = compile_program(sample_program(_SAMPLER, 1.5, rng)[0]).ast
         assert _outcome(root, models, steps, memo) == _outcome(root, models, steps, None)
         assert _steps_charged(root, models, memo) == _steps_charged(root, models, None)
 
@@ -517,3 +518,74 @@ def test_vector_finiteness_is_the_scan_of_every_entry(d):
                     assert got == want.tobytes(), (name, top, trial)
                 else:
                     assert got == "error: non-finite intermediate value", (name, top, trial)
+
+
+# -- norm2 and cos where the squared entries leave the float range ---------------
+
+_ONES_TWOS = [np.ones(64), np.full(64, 2.0)]
+
+
+def _scaled_cos(a, b) -> float:
+    """The cosine from each vector divided by its largest magnitude, summed exactly."""
+    a, b = a / np.abs(a).max(), b / np.abs(b).max()
+    return math.fsum(a * b) / (math.hypot(*a) * math.hypot(*b))
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e300, 1e-170, 1e-300])
+def test_norm2_of_entries_whose_squares_over_or_underflow(factor):
+    out = run(f"merge(models) = ones(norm2(scale({factor!r}, models[0])))", _ONES_TWOS)
+    assert out[0] == pytest.approx(math.hypot(*(factor * _ONES_TWOS[0])), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-170])
+def test_cos_of_parallel_vectors_whose_squares_over_or_underflow(factor):
+    # the plain form gave 0.0 for 1e160 and raised "cosine of a zero vector" for 1e-170
+    out = run(f"merge(models) = ones(cos(scale({factor!r}, models[0]), models[1]))", _ONES_TWOS)
+    assert out[0] == pytest.approx(_scaled_cos(factor * _ONES_TWOS[0], _ONES_TWOS[1]), rel=1e-15)
+    assert out[0] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("fa,fb", [
+    (1e160, 1.0), (1e-170, 1.0), (1e200, 1e200), (1e-160, 1e-160), (1e-160, 1e-161), (1e300, 1e-300),
+])
+@pytest.mark.parametrize("random", [False, True])
+def test_cos_at_the_edges_matches_the_scaled_dot_oracle(fa, fb, random):
+    # the plain form gave 1.00023 for parallel vectors scaled by 1e-160 and 1e-161
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=64), rng.normal(size=64)) if random else _ONES_TWOS
+    out = run(f"merge(models) = ones(cos(scale({fa!r}, models[0]), scale({fb!r}, models[1])))", [a, b])
+    assert out[0] == pytest.approx(_scaled_cos(fa * a, fb * b), rel=1e-13)
+
+
+def test_norm2_whose_value_exceeds_the_float_range_raises():
+    with pytest.raises(DslRuntimeError, match="^non-finite intermediate value$"):
+        run("merge(models) = ones(norm2(scale(1e308, models[0])))", _ONES_TWOS)
+
+
+@pytest.mark.parametrize("d", [1, 64, 4096])
+def test_norm2_and_cos_keep_the_plain_bits_wherever_the_plain_form_holds(d):
+    # Squares of entries below sqrt(tiny) are subnormals; a plain norm of at
+    # least sqrt(d) * sqrt(tiny) loses under half an ulp to them.  Such a norm
+    # is norm2's, bit for bit, and the plain cosine of two such norms with a
+    # finite product is cos's; elsewhere both equal the scaled oracles.
+    norm2, cos = OP_TABLE["norm2"].fn, OP_TABLE["cos"].fn
+    floor = math.sqrt(sys.float_info.min) * math.sqrt(d)
+    rng = np.random.default_rng(200 + d)
+    kept = rescaled = 0
+    for top in (-320, -300, -170, -150, 0, 150, 154, 160, 200, 300, 308):
+        for _ in range(4):
+            a, b = (rng.uniform(-1, 1, size=d) * 10.0 ** rng.uniform(top - 20, top, size=d) for _ in "ab")
+            with np.errstate(over="ignore", under="ignore"):
+                na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+                if floor <= na < math.inf:
+                    kept += 1
+                    assert repr(norm2(a)) == repr(na)
+                    assert na == pytest.approx(math.hypot(*a), rel=1e-13, abs=0.0)
+                elif a.any():
+                    rescaled += 1
+                    assert norm2(a) == pytest.approx(math.hypot(*a), rel=1e-15, abs=0.0)
+                if floor <= na and floor <= nb and na * nb < math.inf:
+                    assert repr(cos(a, b)) == repr(float(np.dot(a, b)) / (na * nb))
+                elif a.any() and b.any():
+                    assert cos(a, b) == pytest.approx(_scaled_cos(a, b), rel=1e-12, abs=1e-15)
+    assert kept and rescaled  # the sweep reaches both branches

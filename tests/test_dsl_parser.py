@@ -258,7 +258,7 @@ def test_corpus_round_trip(source):
 def test_sampled_program_round_trip():
     policy = GeneratorPolicy.initial(default_grammar(3))
     for i in range(200):
-        source = sample_program(policy, 1.2, np.random.default_rng((1, i)))
+        source, _ = sample_program(policy, 1.2, np.random.default_rng((1, i)))
         ast = typecheck(parse(source))
         reparsed = typecheck(parse(pretty(ast)))
         assert canonical_hash(reparsed) == canonical_hash(ast)

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_grammar, pretty, production_probability
+from conftest import (
+    UnderivableProgram,
+    derivation,
+    derivation_counts,
+    identity_grammar,
+    pretty,
+    production_probability,
+)
 from mergeforge.dsl.ast import OP_TABLE
 from mergeforge.dsl.parser import MAX_DEPTH, ParseError, parse
 from mergeforge.dsl.program import compile_program
@@ -22,9 +29,7 @@ from mergeforge.generator.policy import (
     NT_VECTOR,
     GeneratorPolicy,
     Production,
-    UnderivableProgram,
     default_grammar,
-    derivation_counts,
     sample_program,
 )
 from mergeforge.generator.prompt import PROMPT
@@ -82,7 +87,7 @@ def test_grammar_totality_fuzz():
     # Every sample parses and typechecks; the release-gate fuzz count.
     policy = GeneratorPolicy.initial(default_grammar(3), max_depth=8)
     for i in range(10_000):
-        source = sample_program(policy, 1.2, np.random.default_rng((2, i)))
+        source, _ = sample_program(policy, 1.2, np.random.default_rng((2, i)))
         compile_program(source)
 
 
@@ -93,12 +98,12 @@ def test_max_depth_stays_under_the_parser_nesting_bound():
     policy = GeneratorPolicy.initial(default_grammar(3), MAX_DEPTH - 1)
     policy = policy.with_logits({**policy.logits, "V->ones": 10.0, "S->mean_elem": 10.0})
     for i in range(20):
-        compile_program(sample_program(policy, 1.0, np.random.default_rng((5, i))))
+        compile_program(sample_program(policy, 1.0, np.random.default_rng((5, i)))[0])
     # one level more, bypassing validate, gives text the parser refuses
     too_deep = replace(policy, max_depth=MAX_DEPTH)
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
         for i in range(20):
-            compile_program(sample_program(too_deep, 1.0, np.random.default_rng((5, i))))
+            compile_program(sample_program(too_deep, 1.0, np.random.default_rng((5, i)))[0])
 
 
 def test_low_temperature_concentrates_on_argmax():
@@ -112,7 +117,7 @@ def test_low_temperature_concentrates_on_argmax():
     logits["V->models[1]"] = 2.0
     policy = policy.with_logits(logits)
     outputs = {
-        sample_program(policy, 0.01, np.random.default_rng((3, i))) for i in range(200)
+        sample_program(policy, 0.01, np.random.default_rng((3, i)))[0] for i in range(200)
     }
     assert outputs == {"merge(models) = models[1]"}
 
@@ -121,7 +126,7 @@ def test_tiny_temperature_samples_the_argmax_without_warnings():
     # (logit - max) / 1e-320 overflows to -inf, a weight of 0: the argmax limit
     policy = GeneratorPolicy.initial(default_grammar(3))
     policy = policy.with_logits({**policy.logits, "V->models[1]": 0.1})
-    assert sample_program(policy, 1e-320, np.random.default_rng(0)) == "merge(models) = models[1]"
+    assert sample_program(policy, 1e-320, np.random.default_rng(0))[0] == "merge(models) = models[1]"
 
 
 def test_uniform_logits_sample_uniformly():
@@ -134,7 +139,7 @@ def test_uniform_logits_sample_uniformly():
     n = 10_000
     counts = np.zeros(4)
     for i in range(n):
-        src = sample_program(policy, 1.0, np.random.default_rng((4, i)))
+        src, _ = sample_program(policy, 1.0, np.random.default_rng((4, i)))
         counts[int(src[-2])] += 1
     p = 1 / 4
     sigma = np.sqrt(n * p * (1 - p))
@@ -166,7 +171,7 @@ def test_softmax_invariant_to_constant_logit_shift():
     n = 10_000
     counts = np.zeros(4)
     for i in range(n):
-        src = sample_program(shifted, temp, np.random.default_rng((6, i)))
+        src, _ = sample_program(shifted, temp, np.random.default_rng((6, i)))
         counts[int(src[-2])] += 1
     chi2 = float(np.sum((counts - n * expected) ** 2 / (n * expected)))
     assert chi2 < 16.266
@@ -188,7 +193,7 @@ def test_depth_limit_forces_terminals():
     # max_depth=1 derivations may branch once; every child must be terminal
     policy = GeneratorPolicy.initial(default_grammar(2), max_depth=1)
     for i in range(100):
-        source = sample_program(policy, 1.2, np.random.default_rng((7, i)))
+        source, _ = sample_program(policy, 1.2, np.random.default_rng((7, i)))
         program = compile_program(source)
         assert _depth(program.ast) <= 2
 
@@ -205,7 +210,8 @@ def _depth(node):
 
 def test_identity_grammar_only_emits_projection():
     policy = GeneratorPolicy.initial(identity_grammar(), max_depth=4)
-    assert sample_program(policy, 1.0, np.random.default_rng(0)) == "merge(models) = models[0]"
+    text, drawn = sample_program(policy, 1.0, np.random.default_rng(0))
+    assert (text, drawn) == ("merge(models) = models[0]", ("V->models[0]",))
 
 
 def test_policy_validation_rejects_empty_nonterminal():
@@ -234,7 +240,7 @@ def test_policy_validation_rejects_calls_outside_the_op_table():
         GeneratorPolicy.initial(grammar)
 
 
-# -- derivation recovery ------------------------------------------------------
+# -- derivation recovery: the test oracle of the sampler's drawn pids ----------
 
 def test_derivation_counts_hand_case():
     policy = GeneratorPolicy.initial(default_grammar(3))
@@ -259,12 +265,13 @@ def test_derivation_counts_fold_and_scalars():
 
 
 def test_sampled_programs_are_rederivable():
+    # in the default grammar each text has one derivation: the one the sampler drew
     policy = GeneratorPolicy.initial(default_grammar(3))
     for i in range(500):
-        ast = parse(sample_program(policy, 1.2, np.random.default_rng((8, i))))
+        text, drawn = sample_program(policy, 1.2, np.random.default_rng((8, i)))
+        ast = parse(text)
         typecheck(ast)
-        counts = derivation_counts(policy, ast)
-        assert sum(counts.values()) >= 1
+        assert derivation(policy, ast) == drawn
 
 
 def test_literal_outside_palette_is_underivable():
@@ -480,30 +487,33 @@ def test_sampling_matches_the_per_choice_point_oracle(logits, temp, max_depth, s
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
         expected = pretty(_oracle_derive(policy, temp, NT_VECTOR, 0, False, oracle_rng, Counter()))
-        assert sample_program(policy, temp, rng) == expected
+        assert sample_program(policy, temp, rng)[0] == expected
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
 @given(**_POLICY_DRAWS)
 def test_derivation_counts_are_the_productions_drawn(logits, temp, max_depth, seed):
+    # the draws refinement counts are the sampler's own; both oracles must agree with them
     policy = GeneratorPolicy.initial(default_grammar(3), max_depth=max_depth)
     policy = policy.with_logits(dict(zip(policy.logits, logits)))
     rng, sampler_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        drawn = Counter()
-        ast = _oracle_derive(policy, temp, NT_VECTOR, 0, False, rng, drawn)
-        assert derivation_counts(policy, compile_program(pretty(ast)).ast) == drawn
-        # what refinement re-derives: every text the sampler draws
-        sampled = compile_program(sample_program(policy, temp, sampler_rng)).ast
-        assert derivation_counts(policy, sampled) == drawn
+        oracle_drawn = Counter()
+        ast = _oracle_derive(policy, temp, NT_VECTOR, 0, False, rng, oracle_drawn)
+        text, drawn = sample_program(policy, temp, sampler_rng)
+        assert text == pretty(ast)
+        assert Counter(drawn) == oracle_drawn
+        sampled = compile_program(text).ast
+        assert Counter(drawn) == derivation_counts(policy, sampled)
+        assert drawn == derivation(policy, sampled)  # and in draw order
 
 
 def test_pinned_sample_texts():
     # sha256 of the first 300 texts, recorded before choice points drew from cached slots
     policy = GeneratorPolicy.initial(default_grammar(3))
     rng = np.random.default_rng(7)
-    texts = [sample_program(policy, 1.2, rng) for _ in range(300)]
+    texts = [sample_program(policy, 1.2, rng)[0] for _ in range(300)]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "190acc389703dc267fef66de9671dd44c7ac27ab58c40eb9b366d2242056983e"
     )

@@ -7,17 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import derivation, derivation_counts
 from mergeforge.benchmark import make_instance, score
 from mergeforge.dsl.interp import default_budget
 from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.dsl.program import compile_program
-from mergeforge.generator.policy import (
-    GeneratorPolicy,
-    UnderivableProgram,
-    default_grammar,
-    derivation_counts,
-    sample_program,
-)
+from mergeforge.generator.policy import GeneratorPolicy, Production, default_grammar, sample_program
 from mergeforge.pipeline import (
     CATEGORIES,
     DUPLICATE,
@@ -204,7 +199,7 @@ def test_category_counts_partition_fuzzed_batch(instance):
     batch = []
     for i in range(1000):
         roll = rng.random()
-        source = sample_program(policy, 1.2, np.random.default_rng((9, i)))
+        source, _ = sample_program(policy, 1.2, np.random.default_rng((9, i)))
         if roll < 0.55:
             batch.append(f"prose...\n```\n{source}\n```\nmore prose")
         elif roll < 0.70:
@@ -318,14 +313,19 @@ def test_evaluate_candidates_fixture_matches_core(instance):
 
 # -- preference construction --------------------------------------------------
 
+_POLICY = GeneratorPolicy.initial(default_grammar(3))
+
+
 def _alg(src, dev_score, iteration=1):
-    return ScoredAlgorithm(compile_program(src), float(dev_score), iteration)
+    """A scored program with the draws the sampler makes for ``src`` under ``default_grammar(3)``."""
+    program = compile_program(src)
+    return ScoredAlgorithm(program, float(dev_score), iteration, derivation(_POLICY, program.ast))
 
 
 def _scored_from_values(values, iteration=1):
-    # distinct programs via distinct scale factors
+    # distinct programs via distinct scale factors, most outside the literal palette
     return [
-        _alg(f"merge(models) = scale({float(v)!r}, models[0])", v, iteration)
+        ScoredAlgorithm(compile_program(f"merge(models) = scale({float(v)!r}, models[0])"), v, iteration, ())
         for v in values
     ]
 
@@ -410,7 +410,7 @@ def test_carryover_added_to_chosen():
 
 def test_carryover_deduplicates_against_chosen_by_hash():
     scored = _scored_from_values([1.0, 2.0, 3.0, 100.0])
-    dup = ScoredAlgorithm(scored[-1].program, 100.0, 1)
+    dup = ScoredAlgorithm(scored[-1].program, 100.0, 1, ())
     chosen, _ = select_preference_sets(scored, [dup], RefineConfig(k=3))
     assert len([a for a in chosen if a.program.canonical_hash == dup.program.canonical_hash]) == 1
 
@@ -525,12 +525,30 @@ def test_refinement_sums_each_pairs_usage():
     assert refine_policy(policy, pairs, eta).logits == expected
 
 
-def test_underivable_pair_raises():
-    # every pair the driver refines on was sampled from the policy's grammar
+def test_refinement_credits_the_production_drawn():
+    # two productions spell models[0]; the first, by grammar order, is V->models[0]
+    grammar = default_grammar(3)
+    grammar["V"] = grammar["V"] + [Production("V->m0", "model", 0)]
+    policy = GeneratorPolicy.initial(grammar)
+    policy = policy.with_logits({**policy.logits, "V->m0": 8.0})
+    text, drawn = sample_program(policy, 1.0, np.random.default_rng(0))
+    assert (text, drawn) == ("merge(models) = models[0]", ("V->m0",))
+    assert derivation(policy, compile_program(text).ast) == ("V->models[0]",)  # what re-deriving credits
+    chosen = ScoredAlgorithm(compile_program(text), 90.0, 1, drawn)
+    rejected = ScoredAlgorithm(compile_program("merge(models) = models[1]"), 5.0, 1, ("V->models[1]",))
+    refined = refine_policy(policy, [PreferencePair(chosen, rejected)], eta=0.5)
+    assert refined.logits["V->m0"] == policy.logits["V->m0"] + 0.5
+    assert refined.logits["V->models[0]"] == policy.logits["V->models[0]"]
+    assert refined.logits["V->models[1]"] == policy.logits["V->models[1]"] - 0.5
+
+
+def test_pair_without_draws_raises():
+    # remote text has no draws; the driver never refines on it
     policy = GeneratorPolicy.initial(default_grammar(3))
-    odd = _pair("merge(models) = scale(0.123, models[0])", "merge(models) = models[0]")
-    with pytest.raises(UnderivableProgram, match="palette"):
-        refine_policy(policy, [odd], eta=0.5)
+    remote = ScoredAlgorithm(compile_program("merge(models) = models[1]"), 90.0, 1, ())
+    pair = PreferencePair(remote, _alg("merge(models) = models[0]", 5.0))
+    with pytest.raises(ValueError, match="no drawn productions"):
+        refine_policy(policy, [pair], eta=0.5)
 
 
 def test_logits_clipped():
