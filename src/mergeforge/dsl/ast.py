@@ -120,9 +120,11 @@ INFIX: dict[tuple[str, DslType, DslType], str] = {
 INFIX["*", V, S] = "scale"  # the one symbol whose operands are swapped
 
 
-# A node's (line, col) is its last field, so the parser builds each node from
-# positional arguments alone, the cheapest call; it defaults to (0, 0) and is
-# left out of equality.  Slots keep the ~100,000 nodes of a full_scale run small.
+# A node's pos is the source offset of its token, and its last field, so the
+# parser builds each node from positional arguments alone, the cheapest call; it
+# defaults to 0 and is left out of equality.  Only a reported error turns it into
+# a (line, col), with ``parser.line_col``.  Slots keep the ~100,000 nodes of a
+# full_scale run small.
 class Node:
     __slots__ = ()
 
@@ -130,34 +132,34 @@ class Node:
 @dataclass(slots=True)
 class ScalarLit(Node):
     value: float
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
 class ModelsRef(Node):
     """The input list of task vectors, `models`."""
 
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
 class ModelIndex(Node):
     index: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
 class Var(Node):
     depth: int  # its binder's fold, counted outward from 0, the innermost
     slot: int  # 0 for that fold's accumulator, 1 for its element
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
 class Call(Node):
     op: str  # an infix symbol ("+", "-", "*") until typechecked
     args: tuple[Node, ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
@@ -165,4 +167,4 @@ class Fold(Node):
     list_expr: Node
     init_expr: Node
     body: Node
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+    pos: int = field(default=0, compare=False)

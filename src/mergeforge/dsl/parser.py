@@ -25,11 +25,8 @@ the resulting lists by index.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from itertools import accumulate, compress
 from operator import itemgetter
-from threading import Lock
-from typing import Callable
 
 import numpy as np
 
@@ -57,6 +54,11 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+def line_col(source: str, offset: int) -> tuple[int, int]:
+    """The (line, col) of ``offset`` in ``source``, both from 1; only errors need it."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 # Token alternatives in match order; ws and comment pieces are skipped.
@@ -97,30 +99,6 @@ _REVERSED_NUMBER_DOT_RE = re.compile(r"\.(?<=[0-9]\.)[0-9]+(?![\w.]|[+-][eE])")
 _BRACKET_STEP = np.array([(c == 40) - (c == 41) for c in range(128)], np.int8)  # by ASCII code
 
 
-# (1, offset + 1) at each offset, shared by the parses of every text with no
-# newline before its lex end, so a position costs no call frame and no new
-# tuple.  Grown on demand to the longest such text yet: never built at import,
-# since the whole table (MAX_SOURCE_CHARS + 1 entries) takes about 6.3 MB.
-_LINE_ONE: list[tuple[int, int]] = []
-_LINE_ONE_GROWING = Lock()  # entries are only appended, under this lock
-
-
-def _locator(source: str, end: int) -> Callable[[int], tuple[int, int]]:
-    """Map an offset from 0 to ``end`` in ``source`` to its (line, col), both from 1."""
-    if source.find("\n", 0, end) < 0:
-        if len(_LINE_ONE) <= end:
-            with _LINE_ONE_GROWING:
-                _LINE_ONE.extend((1, col) for col in range(len(_LINE_ONE) + 1, end + 2))
-        return _LINE_ONE.__getitem__
-    starts = [0, *(m.end() for m in re.compile("\n").finditer(source, 0, end))]
-
-    def locate(offset: int) -> tuple[int, int]:
-        line = bisect_right(starts, offset)
-        return line, offset - starts[line - 1] + 1
-
-    return locate
-
-
 def lex(source: str, end: int) -> tuple[list[str], list[str], list[int]]:
     """Kinds, texts and offsets of the tokens of ``source[:end]``, ending in eof."""
     pieces = _PIECE_RE.findall(source, 0, end)
@@ -135,9 +113,7 @@ def lex(source: str, end: int) -> tuple[list[str], list[str], list[int]]:
             if kind is None:
                 kind = kinds[j] = _kind(pieces[j])
                 if kind is None:
-                    raise ParseError(
-                        f"unexpected character {pieces[j]!r}", *_locator(source, end)(offsets[j])
-                    )
+                    raise ParseError(f"unexpected character {pieces[j]!r}", *line_col(source, offsets[j]))
     texts = list(compress(pieces, kinds))
     offsets = list(compress(offsets, kinds))
     kinds = list(filter(None, kinds))
@@ -184,20 +160,20 @@ _INFIX = frozenset("*+-")  # the token kinds that continue an operand as an infi
 
 
 def parse(source: str) -> Node:
-    """Parse program text into an untyped AST; raises ParseError with position."""
+    """Parse program text into an untyped AST whose nodes hold their token's
+    source offset; raises ParseError with the (line, col) of the fault."""
     if len(source) > MAX_SOURCE_CHARS:
         raise ParseError(
             f"program text is {len(source)} characters, over the limit of {MAX_SOURCE_CHARS}", 1, 1
         )
     kinds, texts, offsets = lex(source, _lex_end(source))
-    locate = _locator(source, offsets[-1])  # eof's offset, where lexing stopped
     i = 0  # index of the next token
     depth = 0  # nesting of brackets and call arguments
     infix = False  # whether an infix operator was parsed
     scopes: list[tuple[str, str]] = []  # fold binder pairs, innermost last
 
     def error(message: str, j: int) -> ParseError:
-        return ParseError(message, *locate(offsets[j]))
+        return ParseError(message, *line_col(source, offsets[j]))
 
     def expected(want: str) -> ParseError:
         return error(f"expected {want}, found {texts[i] or 'end of input'!r}", i)
@@ -233,8 +209,8 @@ def parse(source: str) -> Node:
                 while kinds[i] == "*":
                     star = i
                     i += 1
-                    right = Call("*", (right, factor()), locate(offsets[star]))
-            node = Call(kind, (node, right), locate(offsets[op]))
+                    right = Call("*", (right, factor()), offsets[star])
+            node = Call(kind, (node, right), offsets[op])
             kind = kinds[i]
         return node
 
@@ -267,10 +243,10 @@ def parse(source: str) -> Node:
                 if len(args) != arity:
                     plural = "s" if arity != 1 else ""
                     raise error(f"{name} takes {arity} argument{plural}, got {len(args)}", j)
-                return Call(name, tuple(args), locate(offsets[j]))
+                return Call(name, tuple(args), offsets[j])
             if name == "models":
                 if kinds[i] != "[":
-                    return ModelsRef(locate(offsets[j]))
+                    return ModelsRef(offsets[j])
                 i += 1
                 n = expect("number", "an integer index")
                 if not texts[n].isdigit():
@@ -280,22 +256,22 @@ def parse(source: str) -> Node:
                 except ValueError:  # more digits than sys.get_int_max_str_digits()
                     raise error("model index is too long", n) from None
                 expect("]")
-                return ModelIndex(index, locate(offsets[j]))
+                return ModelIndex(index, offsets[j])
             if name == "fold":
                 return fold(j)
             for out, pair in enumerate(reversed(scopes)):  # innermost binder first
                 if name in pair:
-                    return Var(out, pair.index(name), locate(offsets[j]))
+                    return Var(out, pair.index(name), offsets[j])
             raise error(f"unknown identifier {name!r}", j)
         if kind == "number":
-            return ScalarLit(float(texts[j]), locate(offsets[j]))
+            return ScalarLit(float(texts[j]), offsets[j])
         if kind == "(":
             node = expr()
             expect(")")
             return node
         if kind == "-":
             n = expect("number", "a number after unary '-'")
-            return ScalarLit(-float(texts[n]), locate(offsets[j]))
+            return ScalarLit(-float(texts[n]), offsets[j])
         raise error(f"expected an expression, found {texts[j] or 'end of input'!r}", j)
 
     def fold(j: int) -> Node:
@@ -316,7 +292,7 @@ def parse(source: str) -> Node:
         body = expr()
         scopes.pop()
         expect(")")
-        return Fold(list_expr, init_expr, body, locate(offsets[j]))
+        return Fold(list_expr, init_expr, body, offsets[j])
 
     try:
         if texts[expect("ident", "'merge'")] != "merge":
@@ -335,5 +311,5 @@ def parse(source: str) -> Node:
         expr = chain = factor = fold = None
     # Without infix chains the AST is no deeper than the bracket nesting.
     if infix and _height(root) > MAX_DEPTH:
-        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", *root.pos)
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", *line_col(source, root.pos))
     return root

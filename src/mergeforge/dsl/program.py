@@ -23,7 +23,7 @@ class MergeProgram:
 
 def compile_program(source: str, provenance: tuple[int, str] = (0, "manual")) -> MergeProgram:
     """Parse, typecheck, and hash; raises ParseError / DslTypeError on bad input."""
-    ast = typecheck(parse(source))
+    ast = typecheck(parse(source), source)
     return MergeProgram(
         source=source,
         ast=ast,

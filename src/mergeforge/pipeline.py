@@ -9,6 +9,7 @@ runtime failure during evaluation, and finally success with a dev score.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -167,16 +168,17 @@ def nearest_rank_thresholds(
 ) -> tuple[float, float]:
     """Score thresholds for the top p_w% and bottom p_l% by nearest rank.
 
-    The top threshold is the smallest score of the ceil(p_w/100 * N) best
-    entries, the bottom threshold the largest score of the ceil(p_l/100 * N)
-    worst; membership ties at either threshold are all included.
+    The top threshold is the smallest score of the ceil(p_w * N / 100) best
+    entries, the bottom threshold the largest score of the ceil(p_l * N / 100)
+    worst; membership ties at either threshold are all included.  Dividing
+    last keeps an integer percentile's count exact (7 / 100 * 100 exceeds 7).
     """
     ordered = sorted(scores)
     n = len(ordered)
     if n == 0:
         raise ValueError("no scores")
-    n_w = min(n, max(1, int(np.ceil(p_w / 100.0 * n))))
-    n_l = min(n, max(1, int(np.ceil(p_l / 100.0 * n))))
+    n_w = min(n, max(1, math.ceil(p_w * n / 100)))
+    n_l = min(n, max(1, math.ceil(p_l * n / 100)))
     return ordered[n - n_w], ordered[n_l - 1]
 
 

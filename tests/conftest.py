@@ -11,7 +11,7 @@ import numpy as np
 
 from mergeforge.core import Vector, as_vectors
 from mergeforge.dsl.ast import INFIX, INFIX_OPS, OP_TABLE, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
-from mergeforge.dsl.parser import _locator, lex
+from mergeforge.dsl.parser import lex
 from mergeforge.dsl.program import MergeProgram, compile_program
 from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, GeneratorPolicy, Production, _eligible, _softmax
 
@@ -23,11 +23,16 @@ class Token(NamedTuple):
     col: int
 
 
+def position(source: str, offset: int) -> tuple[int, int]:
+    """The (line, col) of ``offset`` in ``source``, found apart from ``parser.line_col``."""
+    lines = source[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
 def tokenize(source: str) -> list[Token]:
     """The tokens of ``source`` as the parser reads them, ending in eof."""
     kinds, texts, offsets = lex(source, len(source))
-    locate = _locator(source, len(source))
-    return [Token(kind, text, *locate(off)) for kind, text, off in zip(kinds, texts, offsets)]
+    return [Token(kind, text, *position(source, off)) for kind, text, off in zip(kinds, texts, offsets)]
 
 
 # Ops with infix syntax only, and the raw symbols of an untyped tree, print infix.

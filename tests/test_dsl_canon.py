@@ -117,7 +117,8 @@ def test_hash_equality_implies_equal_semantics():
     for i in range(40):
         source, _ = sample_program(policy, 1.2, np.random.default_rng((5, i)))
         original = compile_program(source)
-        scrambled = typecheck(parse(_renamed(pretty(_scramble(original.ast)))))
+        text = _renamed(pretty(_scramble(original.ast)))
+        scrambled = typecheck(parse(text), text)
         assert canonical_hash(scrambled) == original.canonical_hash
         for _ in range(50):
             models = [rng.normal(size=6) for _ in range(3)]

@@ -3,10 +3,7 @@ import functools
 import gc
 import hashlib
 import importlib.util
-import os
-import subprocess
 import sys
-import threading
 import time
 import timeit
 from pathlib import Path
@@ -16,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Token, corpus_names, load_corpus_source, pretty, tokenize
+from conftest import Token, corpus_names, load_corpus_source, position, pretty, tokenize
 from mergeforge.dsl.ast import (
     OP_TABLE,
     Call,
+    DslType,
     Fold,
     ModelIndex,
     ModelsRef,
@@ -27,12 +25,11 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
-from mergeforge.dsl import parser as parser_module
 from mergeforge.dsl.canon import _normalize as canonical_text, canonical_hash
 from mergeforge.dsl.interp import Memo, evaluate
 from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, ParseError, _height, _lex_end, parse
 from mergeforge.dsl.program import compile_program
-from mergeforge.dsl.typecheck import DslTypeError, typecheck
+from mergeforge.dsl.typecheck import DslTypeError, _check, _Mistyped, typecheck
 from mergeforge.generator.extract import extract_program
 from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 
@@ -42,13 +39,17 @@ MEAN_FOLD_SRC = (
 )
 
 
+def _typed(source):
+    return typecheck(parse(source), source)
+
+
 def test_projection_parses():
-    ast = typecheck(parse("merge(models) = models[0]"))
+    ast = _typed("merge(models) = models[0]")
     assert ast == ModelIndex(index=0)
 
 
 def test_mean_fold_fixture_parses():
-    ast = typecheck(parse(MEAN_FOLD_SRC))
+    ast = _typed(MEAN_FOLD_SRC)
     assert ast == parse(MEAN_FOLD_SRC)
 
 
@@ -95,7 +96,7 @@ def _chains_in_parens(levels):
 
 @pytest.mark.parametrize("build", [_nested_calls, _infix_chain, _parens])
 def test_nesting_up_to_max_depth_parses(build):
-    typecheck(parse(build(MAX_DEPTH - 1)))
+    _typed(build(MAX_DEPTH - 1))
 
 
 # The deepest texts here stay under MAX_SOURCE_CHARS, so the depth bound is
@@ -172,7 +173,7 @@ def test_comments_and_whitespace():
         models[0],   # first
         models[1])
     """
-    assert typecheck(parse(src)) == parse("merge(models) = add(models[0], models[1])")
+    assert _typed(src) == parse("merge(models) = add(models[0], models[1])")
 
 
 def test_non_integer_index_rejected():
@@ -181,7 +182,7 @@ def test_non_integer_index_rejected():
 
 
 def test_negative_literal():
-    ast = typecheck(parse("merge(models) = scale(-0.5, models[0])"))
+    ast = _typed("merge(models) = scale(-0.5, models[0])")
     assert ast == Call(op="scale", args=(ScalarLit(value=-0.5), ModelIndex(index=0)))
 
 
@@ -215,9 +216,7 @@ def test_infix_resolution():
 
 
 def test_typecheck_lowers_infix_to_named_ops():
-    assert typecheck(parse("merge(models) = models[0] * 0.5")) == typecheck(
-        parse("merge(models) = scale(0.5, models[0])")
-    )
+    assert _typed("merge(models) = models[0] * 0.5") == _typed("merge(models) = scale(0.5, models[0])")
 
 
 def test_scalar_plus_vector_rejected():
@@ -232,10 +231,14 @@ def test_scalar_plus_vector_rejected():
      "1:30: fold seed must be a vector, got scalar"),
     ("merge(models) = fold(models, models[0], (acc, x) -> mean_elem(x))",
      "1:53: fold body must produce a vector, got scalar"),
-], ids=["list", "seed", "body"])
+    ("# blend the models\nmerge(models) = fold(models, 0.5, (acc, x) -> acc)",
+     "2:30: fold seed must be a vector, got scalar"),
+    ("merge(models) =\r\n  fold(models, models[0],\r\n    (acc, x) -> mean_elem(x))",
+     "3:17: fold body must produce a vector, got scalar"),
+], ids=["list", "seed", "body", "seed_after_comment", "body_crlf"])
 def test_fold_operand_of_the_wrong_type_is_named(source, message):
     with pytest.raises(DslTypeError) as exc:
-        typecheck(parse(source))
+        typecheck(parse(source), source)
     assert str(exc.value) == message
 
 
@@ -250,8 +253,8 @@ SCALAR_INFIX_SRC = "merge(models) = scale(mean_elem(models[0]) + 0.1, models[0])
     ids=corpus_names() + ["scalar_infix"],
 )
 def test_corpus_round_trip(source):
-    ast = typecheck(parse(source))
-    reparsed = typecheck(parse(pretty(ast)))
+    ast = _typed(source)
+    reparsed = _typed(pretty(ast))
     assert canonical_hash(reparsed) == canonical_hash(ast)
 
 
@@ -259,8 +262,8 @@ def test_sampled_program_round_trip():
     policy = GeneratorPolicy.initial(default_grammar(3))
     for i in range(200):
         source, _ = sample_program(policy, 1.2, np.random.default_rng((1, i)))
-        ast = typecheck(parse(source))
-        reparsed = typecheck(parse(pretty(ast)))
+        ast = _typed(source)
+        reparsed = _typed(pretty(ast))
         assert canonical_hash(reparsed) == canonical_hash(ast)
         # the spelling every grammar run parses, positions included
         assert _parsed(parse, source) == _parsed(_oracle_parse, source)
@@ -486,26 +489,45 @@ def _oracle_parse(source):
     return root
 
 
-def _dump(value):
-    """A node as nested tuples that include every node's pos."""
+def _dump(value, locate):
+    """A node as nested tuples that include every node's (line, col), ``locate(pos)``."""
     if isinstance(value, Node):
-        return (type(value).__name__, value.pos, *(
-            _dump(getattr(value, f.name)) for f in dataclasses.fields(value) if f.name != "pos"
+        return (type(value).__name__, locate(value.pos), *(
+            _dump(getattr(value, f.name), locate) for f in dataclasses.fields(value) if f.name != "pos"
         ))
     if isinstance(value, tuple):
-        return tuple(_dump(v) for v in value)
+        return tuple(_dump(v, locate) for v in value)
     return value
 
 
+def _oracle_typecheck(root):
+    """typecheck's outcome on the oracle's tree, whose nodes hold (line, col)."""
+    try:
+        result = _check(root)
+        if result != DslType.VECTOR:
+            raise _Mistyped(f"a merge program must produce a vector, got {result.value}", root.pos)
+    except _Mistyped as fault:
+        message, (line, col) = fault.args
+        return ("DslTypeError", (line, col), f"{line}:{col}: {message}")
+    return _dump(root, lambda pos: pos)
+
+
 def _parsed(parse_fn, source):
-    """The untyped and the typechecked tree, or the error with its position."""
+    """The untyped and the typechecked tree, or the error with its position.
+
+    The parser's nodes hold offsets, which ``position`` turns into the
+    (line, col) that the oracle parser's nodes hold.
+    """
     try:
         root = parse_fn(source)
     except ParseError as exc:
         return ("ParseError", exc.line, exc.col, str(exc))
-    untyped = _dump(root)
+    if parse_fn is _oracle_parse:
+        return _dump(root, lambda pos: pos), _oracle_typecheck(root)
+    locate = functools.partial(position, source)
+    untyped = _dump(root, locate)
     try:
-        return untyped, _dump(typecheck(root))
+        return untyped, _dump(typecheck(root, source), locate)
     except DslTypeError as exc:
         return untyped, ("DslTypeError", exc.pos, str(exc))
 
@@ -756,7 +778,7 @@ def test_positions_cost_linear_time():
     last = root
     while isinstance(last, Call):
         last = last.args[1]
-    assert root.pos == (1, 17) and last.pos == (4097, 1)
+    assert position(source, root.pos) == (1, 17) and position(source, last.pos) == (4097, 1)
     lines = (source + " \u00e9").split("\n")
     with pytest.raises(ParseError, match="unexpected character") as exc:
         parse(source + " \u00e9")
@@ -777,72 +799,3 @@ def test_parse_leaves_no_reference_cycles(source):
     finally:
         gc.enable()
 
-
-def _one_line_text(width):
-    """A one-line program of exactly ``width`` characters, ending in an error
-    when ``width`` is odd, so both trees and error positions are compared."""
-    text = "merge(models) = add(models[0], models[1])"
-    text = text[:-1] + " " * (width - len(text) - 2) + ")"
-    return text + (" )" if width % 2 else "  ")
-
-
-def test_one_line_positions_come_from_one_shared_table(monkeypatch):
-    table = []
-    monkeypatch.setattr(parser_module, "_LINE_ONE", table)
-    widths = [50, 51, 400, 401, 3000, 3001]
-    longest = 0
-    for width in widths + widths[::-1]:  # rising, then falling: the table only grows
-        source = _one_line_text(width)
-        assert len(source) == width and "\n" not in source
-        assert _parsed(parse, source) == _parsed(_oracle_parse, source)
-        longest = max(longest, width)
-        assert len(table) == longest + 1  # offsets 0 .. eof
-    assert table == [(1, col) for col in range(1, widths[-1] + 2)]
-    # a text with a newline before its lex end uses its own locator
-    source = _one_line_text(51).replace("  ", "\n ", 1)
-    assert _parsed(parse, source) == _parsed(_oracle_parse, source)
-    assert len(table) == widths[-1] + 1
-
-
-def test_importing_the_parser_builds_no_position_table():
-    src = str(Path(parser_module.__file__).parents[2])
-    done = subprocess.run(
-        [sys.executable, "-c", "import mergeforge.dsl.parser as p; print(len(p._LINE_ONE))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"
-
-
-def test_position_table_grows_correctly_under_concurrent_parses(monkeypatch):
-    table = []
-    monkeypatch.setattr(parser_module, "_LINE_ONE", table)
-    widths = range(60, 12_000, 13)  # odd and even: errors and trees
-    failures = []
-
-    def work(first):
-        try:
-            for width in widths[first::6]:  # six threads race to grow the table
-                source = _one_line_text(width)
-                try:
-                    root = parse(source)
-                except ParseError as exc:
-                    assert width % 2 == 1 and (exc.line, exc.col) == (1, width)
-                else:
-                    assert width % 2 == 0 and root.pos == (1, 17)
-        except AssertionError as exc:
-            failures.append((first, exc))
-
-    threads = [threading.Thread(target=work, args=(first,)) for first in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert table == [(1, col) for col in range(1, max(widths) + 2)]

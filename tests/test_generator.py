@@ -270,7 +270,7 @@ def test_sampled_programs_are_rederivable():
     for i in range(500):
         text, drawn = sample_program(policy, 1.2, np.random.default_rng((8, i)))
         ast = parse(text)
-        typecheck(ast)
+        typecheck(ast, text)
         assert derivation(policy, ast) == drawn
 
 

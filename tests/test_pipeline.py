@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -333,8 +334,8 @@ def _scored_from_values(values, iteration=1):
 def _oracle_sets(values, p_w, p_l):
     """Top/bottom counts by nearest rank, ties at the threshold included."""
     desc = sorted(values, reverse=True)
-    n_w = max(1, math.ceil(p_w / 100 * len(values)))
-    n_l = max(1, math.ceil(p_l / 100 * len(values)))
+    n_w = max(1, math.ceil(Fraction(p_w) / 100 * len(values)))
+    n_l = max(1, math.ceil(Fraction(p_l) / 100 * len(values)))
     chosen_floor = desc[n_w - 1]
     rejected_ceiling = sorted(values)[n_l - 1]
     return (
@@ -353,8 +354,10 @@ def test_hundred_scores_nearest_rank():
     assert {a.dev_score for a in rejected} == set(range(1, 11))
 
 
-@pytest.mark.parametrize("n", [37, 100, 250, 3000])
-@pytest.mark.parametrize("p_w,p_l", [(3.0, 10.0), (5.0, 20.0), (1.0, 1.0)])
+# At p = 7, 7 / 100 * n lies above the exact count for n = 100, 200 and 3000,
+# and at n = 200 the values at the two ranks differ, so a float count shows.
+@pytest.mark.parametrize("n", [37, 100, 200, 250, 3000])
+@pytest.mark.parametrize("p_w,p_l", [(3.0, 10.0), (5.0, 20.0), (1.0, 1.0), (7.0, 7.0)])
 def test_thresholds_match_oracle(n, p_w, p_l):
     rng = np.random.default_rng(n)
     values = [float(v) for v in rng.integers(0, 50, size=n)]  # plenty of ties
