@@ -114,7 +114,7 @@ def _cmd_make_instance(args) -> int:
 def _cmd_eval(args) -> int:
     instance = benchmark.load_instance(args.instance)
     try:
-        text = Path(args.program).read_text(encoding="utf-8")
+        text = Path(args.program).read_text(encoding="utf-8-sig")  # an editor's BOM is not program text
     except UnicodeDecodeError as exc:
         raise ValueError(f"{args.program}: {exc}") from exc
     program = compile_program(text)

@@ -8,9 +8,11 @@ norm, one dot product, is; only when that overflows or is NaN does a scan of
 its entries decide, since finite entries can still overflow the square.
 
 A ``Memo`` lets many programs run on one set of task vectors share the work of
-their common closed subtrees (those with no free fold variable).  A repeat
-replays the stored outcome and its step charge, so every result, error text
-and timeout is the one the program would give without the memo.
+their common calls on leaves: calls whose arguments are all ``models``,
+``models[i]`` or literals.  Such a call reads no fold variable, so its op and
+arguments fix its outcome and step charge.  A repeat replays both, so every
+result, error text and timeout is the one the program would give without the
+memo.
 """
 
 from __future__ import annotations
@@ -49,81 +51,38 @@ class BudgetExceeded(Exception):
         super().__init__(f"evaluation exceeded its budget of {max_steps} steps")
 
 
-# Key characters plus vector bytes a Memo stores at most; past it, outcomes are
-# recomputed.  Keys are counted because a chain's key texts grow with the square
-# of its depth; any other entry costs a fixed size (lists only hold task vectors).
+# Charged bytes a Memo stores at most; past it, outcomes are recomputed.
 MEMO_MAX_BYTES = 8 * 2**20
+# What one entry is charged besides its vector's bytes: its key and entry
+# tuples, literal reprs, float or error text and table slot.  tracemalloc
+# measured 360-400 bytes per entry over 1,000-16,000 distinct clamp calls on
+# three 18-digit literals, the largest keys a call on leaves has.  Only a model
+# index thousands of digits long makes an entry larger, by about its length.
+MEMO_ENTRY_BYTES = 512
 
 
 class Memo:
-    """Outcomes of closed subtrees, keyed by their text, for one set of task vectors.
+    """Outcomes of calls whose arguments are all leaves, for one set of task vectors.
 
-    An entry is ``(value, None, steps)`` or ``(None, error text, steps)``,
-    where ``steps`` is what evaluating the subtree charged.  Stored values are
-    shared between programs and must not be modified.
+    A key is ``(op, *leaf keys)``: a model index's ``int``, a literal's
+    ``repr`` (so ``0.0`` and ``-0.0`` stay apart) and ``None`` for
+    ``models``.  An entry is ``(value, None, steps)`` or ``(None, error text,
+    steps)``, where ``steps`` is what evaluating the call charged.  Stored
+    values are shared between programs and must not be modified.
     """
 
     def __init__(self) -> None:
-        self.table: dict[str, tuple] = {}
-        self.nbytes = 0  # key characters plus vector bytes stored
+        self.table: dict[tuple, tuple] = {}
+        self.nbytes = 0  # MEMO_ENTRY_BYTES per entry plus vector bytes stored
         self.hits = 0
         self.misses = 0
 
-    def store(self, key: str, value, error: str | None, steps: int) -> None:
-        size = len(key) + (value.nbytes if isinstance(value, np.ndarray) else 0)
+    def store(self, key: tuple, value, error: str | None, steps: int) -> None:
+        size = MEMO_ENTRY_BYTES + (value.nbytes if isinstance(value, np.ndarray) else 0)
         if self.nbytes + size > MEMO_MAX_BYTES:
             return
         self.nbytes += size
         self.table[key] = (value, error, steps)
-
-
-class _Keys(dict):
-    """Memo keys of one program's closed subtrees, by node id."""
-
-    # characters of key text the walk has built: a slot, since the walk
-    # updates it per node and an instance-dict attribute measured slower
-    __slots__ = ("chars",)
-
-    def __init__(self) -> None:
-        self.chars = 0
-
-
-class _KeysTooLong(Exception):
-    """A program's key text passed MEMO_MAX_BYTES characters."""
-
-
-def _closed_keys(node: Node, keys: _Keys) -> tuple[str, int]:
-    """Text of ``node``, a variable spelled ``$depth.slot``, and how many enclosing
-    binder pairs it reads; keys closed ones by id.  Raises _KeysTooLong once
-    the key text built passes MEMO_MAX_BYTES characters."""
-    if type(node) is Call:  # the most common node, tested first
-        texts, reads = [], 0
-        for arg in node.args:
-            text, arg_reads = _closed_keys(arg, keys)
-            texts.append(text)
-            if arg_reads > reads:  # not max(), which made this walk ~20 % slower
-                reads = arg_reads
-        key = f"{node.op}({','.join(texts)})"
-    elif isinstance(node, ScalarLit):
-        return repr(node.value), 0
-    elif isinstance(node, ModelsRef):
-        return "models", 0
-    elif isinstance(node, ModelIndex):
-        return f"models[{node.index}]", 0
-    elif isinstance(node, Var):
-        return f"${node.depth}.{node.slot}", node.depth + 1
-    else:  # a Fold
-        list_key, list_reads = _closed_keys(node.list_expr, keys)
-        init_key, init_reads = _closed_keys(node.init_expr, keys)
-        body_key, body_reads = _closed_keys(node.body, keys)
-        key = f"fold({list_key},{init_key},{body_key})"
-        reads = max(list_reads, init_reads, body_reads - 1)
-    keys.chars += len(key)
-    if keys.chars > MEMO_MAX_BYTES:
-        raise _KeysTooLong
-    if not reads:
-        keys[id(node)] = key
-    return key, reads
 
 
 _NON_FINITE = "non-finite intermediate value"
@@ -142,15 +101,12 @@ def _op_rows(d: int) -> dict[str, tuple]:
 class _Machine:
     """Evaluates a program, running each child directly."""
 
-    def __init__(
-        self, models: list[np.ndarray], max_steps: int, memo: Memo | None = None, keys: _Keys | None = None
-    ):
+    def __init__(self, models: list[np.ndarray], max_steps: int, memo: Memo | None = None):
         self.models = models
         self.ops = _op_rows(models[0].shape[0])
         self.max_steps = max_steps
         self.remaining = max_steps
         self.memo = memo
-        self.keys = keys
 
     def run(self, node: Node, env: Sequence[tuple]):
         """Evaluate ``node``; ``env`` holds the (acc, item) pair of each enclosing fold, innermost first."""
@@ -197,12 +153,23 @@ class _Machine:
 
 
 class _MemoMachine(_Machine):
-    """Evaluates a program whose closed subtrees, found in ``keys``, replay from ``memo``."""
+    """Evaluates a program whose calls on leaves replay from ``memo``."""
 
     def eval(self, node: Node, env: Sequence[tuple]):
-        key = self.keys.get(id(node))
-        if key is None:
+        if type(node) is not Call:
             return self.run(node, env)
+        key = [node.op]
+        for arg in node.args:
+            kind = type(arg)
+            if kind is ModelIndex:
+                key.append(arg.index)
+            elif kind is ScalarLit:
+                key.append(repr(arg.value))
+            elif kind is ModelsRef:
+                key.append(None)
+            else:  # a Var, call or fold argument: run directly
+                return self.run(node, env)
+        key = tuple(key)
         memo = self.memo
         entry = memo.table.get(key)
         if entry is None:
@@ -217,7 +184,7 @@ class _MemoMachine(_Machine):
             return value
         memo.hits += 1
         value, error, steps = entry
-        # the run without the memo would time out inside this subtree exactly when
+        # the run without the memo would time out inside this call exactly when
         # fewer steps remain than it charged
         if self.remaining < steps:
             raise BudgetExceeded(self.max_steps)
@@ -232,22 +199,13 @@ def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = N
     is a float64 vector of that dimension, which may be a task vector or a
     memo entry and must not be modified.
 
-    With ``memo``, closed subtrees seen by earlier calls replay their stored
+    With ``memo``, a call on leaves seen by earlier calls replays its stored
     outcome; every call that shares one memo must pass the same task vectors.
-    Keys are built here, by one walk of the tree, and only when a memo is
-    given: built at compile time for every text instead, they made the
-    single-call untrusted_text benchmark 6.8 % slower and 4 MB larger in peak RSS.
-    A program whose key text passes ``MEMO_MAX_BYTES`` characters while they
-    are built runs without the memo, so no text makes them larger than that.
+    The key is built when the call is reached, from its op and leaves alone,
+    so every key has constant size and no other node is keyed.
     """
     models = as_vectors(models)
-    if memo is not None:
-        keys = _Keys()
-        try:
-            _closed_keys(root, keys)
-        except _KeysTooLong:  # the memo only replays, so the outcome is the same without it
-            memo = None
-    machine = _Machine(models, max_steps) if memo is None else _MemoMachine(models, max_steps, memo, keys)
+    machine = _Machine(models, max_steps) if memo is None else _MemoMachine(models, max_steps, memo)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow shows up as a non-finite check failure, not a warning
         return machine.run(root, ())  # never looked up: a repeated whole program is a duplicate

@@ -115,8 +115,8 @@ def filter_candidates(
     shares one interpreter memo across its programs.
     """
     outcomes: list[CandidateOutcome] = []
-    # one program's own repeats (closed subtrees in fold bodies) save less than the
-    # memo's key walk costs (a memo on every call made untrusted_text 8.3 % slower),
+    # one program's own repeats (calls on leaves in fold bodies) save less than the
+    # memo's lookups cost (a memo on every call made untrusted_text 1-7 % slower),
     # so a single candidate runs without one
     memo = Memo() if len(candidates) > 1 else None
     compiled: dict[str, MergeProgram | str] = {}  # source -> program or compile error

@@ -157,6 +157,16 @@ def test_program_file_that_is_not_utf8_is_named(instance_file, tmp_path, capsys)
     assert capsys.readouterr().err.startswith(f"error: {program}: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_program_file_with_a_utf8_bom_scores_as_without(instance_file, tmp_path, capsys):
+    text = "merge(models) = fold(tail(models), models[0], (acc, x) -> scale(0.5, add(acc, x)))\n"
+    scores = []
+    for name, data in (("plain.merge", text.encode()), ("bom.merge", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).write_bytes(data)
+        assert main(["eval", "--program", str(tmp_path / name), "--instance", str(instance_file)]) == 0
+        scores.append(json.loads(capsys.readouterr().out))
+    assert scores[0] == scores[1]
+
+
 def _eval_on_instance(tmp_path, text: str | bytes) -> tuple[int, Path]:
     path = tmp_path / "bad_instance.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import load_corpus_program, mean_fold_merge
 from mergeforge.core import task_arithmetic
-from mergeforge.dsl.ast import OP_TABLE, DslRuntimeError
-from mergeforge.dsl.interp import MEMO_MAX_BYTES, BudgetExceeded, Memo, _op_rows, default_budget, evaluate
+from mergeforge.dsl.ast import OP_TABLE, Call, DslRuntimeError, ModelIndex, ScalarLit
+from mergeforge.dsl.interp import (
+    MEMO_ENTRY_BYTES, MEMO_MAX_BYTES, BudgetExceeded, Memo, _op_rows, default_budget, evaluate,
+)
 from mergeforge.dsl.parser import MAX_SOURCE_CHARS
 from mergeforge.dsl.program import compile_program
 from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
@@ -277,38 +279,36 @@ def test_memo_replays_a_stored_error_with_its_text():
 
 def test_memo_hit_with_too_few_steps_left_times_out():
     models = [np.ones(2), np.full(2, 2.0)]
-    shared = "fold(models, models[0], (acc, x) -> add(acc, x))"
+    shared = "add(models[0], models[1])"  # three steps: the call and its two leaves
     memo = Memo()
     first = compile_program(f"merge(models) = scale(2.0, {shared})").ast
-    second = compile_program(f"merge(models) = sub({shared}, models[1])").ast
+    second = compile_program(f"merge(models) = sub(models[1], {shared})").ast
     _outcome(first, models, 100, memo)
     charged = _steps_charged(second, models, None)
     hits = memo.hits
-    # one step fewer than the program needs runs out inside the replayed fold
+    # one step fewer than the program needs runs out inside the replayed call
     assert _outcome(second, models, charged - 1, memo) == "timeout"
     assert memo.hits == hits + 1
     assert _outcome(second, models, charged, memo) == _outcome(second, models, charged, None)
 
 
-@pytest.mark.parametrize("folds", [  # fold texts, then how many memo entries they share
-    # alpha-renamed copies of one fold: one entry
-    (["(acc, x) -> emax(acc, scale(0.5, x))", "(a, b) -> emax(a, scale(0.5, b))",
-      "(x, acc) -> emax(x, scale(0.5, acc))"], 1),
+@pytest.mark.parametrize("folds", [
+    # alpha-renamed copies of one fold
+    ["(acc, x) -> emax(acc, scale(0.5, x))", "(a, b) -> emax(a, scale(0.5, b))",
+     "(x, acc) -> emax(x, scale(0.5, acc))"],
     # one body text under swapped binders: two different folds
-    (["(acc, x) -> emax(acc, scale(0.5, x))", "(x, acc) -> emax(acc, scale(0.5, x))"], 2),
-    # an inner fold that reads the outer binder is not closed: only the outer folds are keyed
-    (["(acc, x) -> fold(models, models[2], (a, b) -> add(a, scale(0.5, x)))",
-      "(acc, x) -> fold(tail(models), acc, (a, b) -> emin(a, b))"], 2),
+    ["(acc, x) -> emax(acc, scale(0.5, x))", "(x, acc) -> emax(acc, scale(0.5, x))"],
+    # an inner fold that reads the outer binder, and one that reads only its own
+    ["(acc, x) -> fold(models, models[2], (a, b) -> add(a, scale(0.5, x)))",
+     "(acc, x) -> fold(tail(models), acc, (a, b) -> emin(a, b))"],
 ])
 def test_memo_closed_folds_under_renamed_and_shadowing_binders(folds):
-    texts, entries = folds
     models = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([2.0, 2.0])]
     memo = Memo()
-    for fold in texts:
+    for fold in folds:
         root = compile_program(f"merge(models) = sub(fold(models, models[0], {fold}), models[1])").ast
         assert _outcome(root, models, 1000, memo) == _outcome(root, models, 1000, None)
         assert _steps_charged(root, models, memo, 1000) == _steps_charged(root, models, None, 1000)
-    assert sum(key.startswith("fold(") for key in memo.table) == entries
 
 
 def test_memo_closed_subtree_in_a_fold_body_hits_on_every_element():
@@ -324,24 +324,48 @@ def test_memo_closed_subtree_in_a_fold_body_hits_on_every_element():
 
 
 @pytest.mark.parametrize("src,keys", [
-    # a closed subtree inside a fold body
-    ("fold(models, models[0], (acc, x) -> add(acc, scale(norm2(models[1]), x)))",
-     ["norm2(models[1])"]),
-    # an inner fold whose body reads the outer binder x is not closed
-    ("fold(models, models[0], (acc, x) -> fold(tail(models), acc, (a, b) -> add(a, scale(0.5, x))))",
-     ["tail(models)"]),
-    # an inner fold that shadows x reads only its own binders: closed
-    ("fold(models, models[0], (acc, x) -> add(x, fold(models, models[1], (a, x) -> emax(a, x))))",
-     ["fold(models,models[1],emax($0.0,$0.1))"]),
-    # the root is closed but never stored: a repeated program is a duplicate
-    ("scale(2.0, add(models[0], models[1]))", ["add(models[0],models[1])"]),
-    ("add(models[0], models[1])", []),
+    # a call on leaves inside a fold body; the calls around it read x or take a call
+    pytest.param("fold(models, models[0], (acc, x) -> add(acc, scale(norm2(models[1]), x)))",
+                 [("norm2", 1)], id="in_a_fold_body"),
+    # a fold is never keyed, nor is a call with a fold argument
+    pytest.param("fold(models, models[0], (acc, x) -> add(x, fold(models, models[1], (a, x) -> emax(a, x))))",
+                 [], id="folds"),
+    # an index is its int, a literal its repr, models None
+    pytest.param("fold(tail(models), scale(clamp(0.5, -0.0, 1.0), models[2]), (acc, x) -> add(acc, x))",
+                 [("tail", None), ("clamp", "0.5", "-0.0", "1.0")], id="leaf_keys"),
+    # the root is never looked up: a repeated program is a duplicate
+    pytest.param("scale(2.0, add(models[0], models[1]))", [("add", 0, 1)], id="call_argument"),
+    pytest.param("add(models[0], models[1])", [], id="root"),
 ])
-def test_memo_keys_are_the_exact_texts_of_closed_subtrees(src, keys):
+def test_memo_keys_only_calls_on_leaves(src, keys):
     models = [np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([2.0, 2.0])]
     memo = Memo()
     evaluate(compile_program(f"merge(models) = {src}").ast, models, BIG, memo)
-    assert sorted(memo.table) == sorted(keys)
+    assert list(memo.table) == keys
+
+
+def test_memo_keeps_the_sign_of_a_zero_literal():
+    models = [np.ones(3), np.full(3, 2.0)]
+    memo = Memo()
+    for lit in ("0.0", "-0.0", "-0.0"):
+        root = compile_program(f"merge(models) = emin(scale({lit}, models[0]), models[1])").ast
+        assert _outcome(root, models, BIG, memo) == _outcome(root, models, BIG, None)
+    assert (memo.misses, memo.hits) == (2, 1)
+    plus, minus = (memo.table["scale", lit, 0][0] for lit in ("0.0", "-0.0"))
+    assert plus.tobytes() == np.zeros(3).tobytes()
+    assert minus.tobytes() == np.full(3, -0.0).tobytes() != plus.tobytes()
+
+
+def test_memo_replays_an_out_of_range_index_error():
+    models = [np.ones(2), np.zeros(2), np.full(2, 3.0)]
+    memo = Memo()
+    first = compile_program("merge(models) = scale(2.0, add(models[0], models[7]))").ast
+    second = compile_program("merge(models) = sub(models[2], add(models[0], models[7]))").ast
+    assert _outcome(first, models, 100, memo) == "error: models[7] out of range for 3 models"
+    assert memo.table["add", 0, 7] == (None, "models[7] out of range for 3 models", 3)
+    assert _outcome(second, models, 100, memo) == _outcome(second, models, 100, None)
+    assert memo.hits == 1
+    assert _steps_charged(second, models, memo) == _steps_charged(second, models, None)
 
 
 def test_memo_stops_storing_vectors_at_its_byte_cap():
@@ -352,33 +376,37 @@ def test_memo_stops_storing_vectors_at_its_byte_cap():
         "merge(models) = add(add(models[0], models[1]), sub(models[0], models[1]))"
     ).ast
     evaluate(root, models, BIG, memo)
-    assert memo.nbytes == len("add(models[0],models[1])") + 8 * d <= MEMO_MAX_BYTES
+    assert memo.nbytes == MEMO_ENTRY_BYTES + 8 * d <= MEMO_MAX_BYTES
     assert len(memo.table) == 1
 
 
-def test_memo_counts_deep_chain_keys_against_its_byte_cap():
-    # each closed subtree's key holds the text of all below it, so a chain's
-    # keys total the square of its depth: ~68k characters per program here
-    models = [np.ones(4)]
+def test_memo_stops_storing_scalar_entries_at_its_byte_cap():
+    # distinct calls on three 18-digit literals, the largest keys a call on leaves
+    # has; each tree is the one compile_program builds for scale(clamp(...), models[0])
+    models = [np.ones(2)]
     memo = Memo()
-    for i in range(150):
-        src = "merge(models) = " + "ones(mean_elem(" * 62 + f"models[0] * {i}.0" + "))" * 62
-        root = compile_program(src).ast
-        assert np.array_equal(evaluate(root, models, BIG, memo), evaluate(root, models, BIG))
-    stored = sum(
-        len(key) + (value.nbytes if isinstance(value, np.ndarray) else 0)
-        for key, (value, _, _) in memo.table.items()
-    )
-    assert memo.nbytes == stored <= MEMO_MAX_BYTES
-    assert memo.nbytes > MEMO_MAX_BYTES - 1000  # the cap bound, not the programs
+    cap = MEMO_MAX_BYTES // MEMO_ENTRY_BYTES
+    tracemalloc.start()
+    try:
+        for i in range(cap + 50):
+            lits = (ScalarLit(i / 7), ScalarLit(-0.1234567890123456), ScalarLit(1234567.891011121))
+            clamp = Call("clamp", lits)
+            assert evaluate(Call("scale", (clamp, ModelIndex(0))), models, BIG, memo)[0] == i / 7
+        del clamp, lits
+        stored, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (memo.misses, memo.hits) == (cap + 50, 0)
+    assert len(memo.table) == cap
+    assert memo.nbytes == cap * MEMO_ENTRY_BYTES <= MEMO_MAX_BYTES
+    assert stored <= memo.nbytes  # the charge covers what the entries hold
 
 
 def test_a_programs_memo_keys_stop_at_the_byte_cap():
     # A 113-deep chain over a 13-level tree of scalar literals, 58,380 of the
-    # 65,536 characters a text may have: each chain key holds the tree's ~213k
-    # characters, so all keys would total ~27M characters, a 28.2 MB peak
-    # without the per-program bound.  The walk stops at MEMO_MAX_BYTES
-    # characters and the program runs without the memo.
+    # 65,536 characters a text may have: keys spelling each subtree's text
+    # would total ~27M characters.  Only its 4,096 subtractions of two
+    # literals are calls on leaves, all with one key of constant size.
     tree = "1e15"
     for _ in range(13):
         tree = f"({tree}-{tree})"
@@ -394,9 +422,8 @@ def test_a_programs_memo_keys_stop_at_the_byte_cap():
     finally:
         tracemalloc.stop()
     assert out.tobytes() == evaluate(root, models, BIG).tobytes()
-    assert memo.table == {} and memo.hits == memo.misses == 0
-    # the key characters plus their string headers, node ids and dict: ~9.6 MB
-    assert peak < MEMO_MAX_BYTES + 2.5 * 2**20  # 11.0 MB
+    assert (memo.misses, memo.hits) == (1, 4095)
+    assert peak < 2**20
 
 
 def test_evaluate_without_a_memo_leaves_no_reference_cycles():

@@ -152,7 +152,7 @@ def test_inner_fold_that_swaps_the_outer_binder_names():
     assert np.array_equal(evaluate(program.ast, models, budget), expected)
     memo = Memo()
     assert np.array_equal(evaluate(program.ast, models, budget, memo), expected)
-    assert list(memo.table) == ["tail(models)"]  # one miss, then a hit per outer step
+    assert list(memo.table) == [("tail", None)]  # one miss, then a hit per outer step
     assert (memo.misses, memo.hits) == (1, 2)
 
 

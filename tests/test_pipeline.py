@@ -80,7 +80,7 @@ def test_five_category_batch(instance):
 
 @pytest.mark.parametrize("n,memo_lines", [(1, 0), (2, 1)])
 def test_only_a_batch_of_several_candidates_uses_the_memo(instance, caplog, n, memo_lines):
-    # a single candidate's own repeats save less than the memo's key walk costs
+    # a single candidate's own repeats save less than the memo's lookups cost
     batch = [
         "merge(models) = add(norm2(models[1]) * models[0], norm2(models[1]) * models[2])",
         "merge(models) = mean_stack(models)",

@@ -56,7 +56,8 @@ class _MockEndpoint:
                 pass
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # shutdown() waits for the loop's next poll: 0.5 s at the default interval
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
         self.thread.start()
 
     @property
