@@ -11,6 +11,7 @@ from .generator.policy import GeneratorPolicy, default_grammar
 from .generator.remote import EndpointConfig
 from .generator.schedule import temperature
 from .pipeline import RefineConfig
+from .seeding import pcg64_states
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,10 @@ class RunConfig:
             raise ConfigError("remote mode requires a remote endpoint config")
         if self.budget_steps is not None and self.budget_steps < 1:
             raise ConfigError("budget_steps must be >= 1")
+        try:
+            pcg64_states((), self.candidates_per_iteration)  # checks n before it yields
+        except ValueError as exc:
+            raise ConfigError(f"candidates_per_iteration: {exc}") from None
         try:
             temperature(self.iterations, self.t1, self.beta)  # the schedule's smallest
             GeneratorPolicy.initial(default_grammar(self.benchmark.k), self.max_depth)

@@ -10,9 +10,10 @@ its entries decide, since finite entries can still overflow the square.
 A ``Memo`` lets many programs run on one set of task vectors share the work of
 their common calls on leaves: calls whose arguments are all ``models``,
 ``models[i]`` or literals.  Such a call reads no fold variable, so its op and
-arguments fix its outcome and step charge.  A repeat replays both, so every
-result, error text and timeout is the one the program would give without the
-memo.
+arguments fix its value; it charges a step for itself and one per leaf.  A
+repeat of a call that succeeded charges those and returns the stored value, and
+a failing call is not stored, so every result, error text and timeout is the
+one the program would give without the memo.
 """
 
 from __future__ import annotations
@@ -51,38 +52,37 @@ class BudgetExceeded(Exception):
         super().__init__(f"evaluation exceeded its budget of {max_steps} steps")
 
 
-# Charged bytes a Memo stores at most; past it, outcomes are recomputed.
+# Charged bytes a Memo stores at most; past it, values are recomputed.
 MEMO_MAX_BYTES = 8 * 2**20
-# What one entry is charged besides its vector's bytes: its key and entry
-# tuples, literal reprs, float or error text and table slot.  tracemalloc
-# measured 360-400 bytes per entry over 1,000-16,000 distinct clamp calls on
-# three 18-digit literals, the largest keys a call on leaves has.  Only a model
-# index thousands of digits long makes an entry larger, by about its length.
+# What one entry is charged besides its vector's bytes: its key tuple, literal
+# reprs, float value and table slot.  tracemalloc measured 310-340 bytes per
+# entry over 1,000-16,000 distinct clamp calls on three 18-digit literals, the
+# largest keys a call on leaves has.
 MEMO_ENTRY_BYTES = 512
 
 
 class Memo:
-    """Outcomes of calls whose arguments are all leaves, for one set of task vectors.
+    """Values of calls whose arguments are all leaves, for one set of task vectors.
 
     A key is ``(op, *leaf keys)``: a model index's ``int``, a literal's
     ``repr`` (so ``0.0`` and ``-0.0`` stay apart) and ``None`` for
-    ``models``.  An entry is ``(value, None, steps)`` or ``(None, error text,
-    steps)``, where ``steps`` is what evaluating the call charged.  Stored
-    values are shared between programs and must not be modified.
+    ``models``.  An entry is the value the call returned; a call that failed
+    has none.  Stored values are shared between programs and must not be
+    modified.
     """
 
     def __init__(self) -> None:
-        self.table: dict[tuple, tuple] = {}
+        self.table: dict[tuple, object] = {}
         self.nbytes = 0  # MEMO_ENTRY_BYTES per entry plus vector bytes stored
         self.hits = 0
         self.misses = 0
 
-    def store(self, key: tuple, value, error: str | None, steps: int) -> None:
+    def store(self, key: tuple, value) -> None:
         size = MEMO_ENTRY_BYTES + (value.nbytes if isinstance(value, np.ndarray) else 0)
         if self.nbytes + size > MEMO_MAX_BYTES:
             return
         self.nbytes += size
-        self.table[key] = (value, error, steps)
+        self.table[key] = value
 
 
 _NON_FINITE = "non-finite intermediate value"
@@ -153,7 +153,7 @@ class _Machine:
 
 
 class _MemoMachine(_Machine):
-    """Evaluates a program whose calls on leaves replay from ``memo``."""
+    """Evaluates a program whose calls on leaves reuse the values in ``memo``."""
 
     def eval(self, node: Node, env: Sequence[tuple]):
         if type(node) is not Call:
@@ -171,26 +171,18 @@ class _MemoMachine(_Machine):
                 return self.run(node, env)
         key = tuple(key)
         memo = self.memo
-        entry = memo.table.get(key)
-        if entry is None:
+        value = memo.table.get(key)
+        if value is None:  # a failing call raises here and is not stored
             memo.misses += 1
-            start = self.remaining
-            try:
-                value = self.run(node, env)
-            except DslRuntimeError as exc:
-                memo.store(key, None, str(exc), start - self.remaining)
-                raise
-            memo.store(key, value, None, start - self.remaining)
+            value = self.run(node, env)
+            memo.store(key, value)
             return value
         memo.hits += 1
-        value, error, steps = entry
-        # the run without the memo would time out inside this call exactly when
-        # fewer steps remain than it charged
-        if self.remaining < steps:
+        # running the call charges one step for it and one for each leaf, so
+        # the run without the memo times out inside it exactly when fewer remain
+        if self.remaining < len(key):
             raise BudgetExceeded(self.max_steps)
-        self.remaining -= steps
-        if error is not None:
-            raise DslRuntimeError(error)
+        self.remaining -= len(key)
         return value
 
 
@@ -199,10 +191,10 @@ def evaluate(root: Node, models: Sequence, max_steps: int, memo: Memo | None = N
     is a float64 vector of that dimension, which may be a task vector or a
     memo entry and must not be modified.
 
-    With ``memo``, a call on leaves seen by earlier calls replays its stored
-    outcome; every call that shares one memo must pass the same task vectors.
-    The key is built when the call is reached, from its op and leaves alone,
-    so every key has constant size and no other node is keyed.
+    With ``memo``, a call on leaves that succeeded in an earlier call returns
+    its stored value; every call that shares one memo must pass the same task
+    vectors.  The key is built when the call is reached, from its op and leaves
+    alone, so every stored key has constant size and no other node is keyed.
     """
     models = as_vectors(models)
     machine = _Machine(models, max_steps) if memo is None else _MemoMachine(models, max_steps, memo)

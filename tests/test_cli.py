@@ -349,6 +349,10 @@ def test_bad_config_value_fails_before_writing(tmp_path, capsys, bad):
     pytest.param({"refine": {"eta": 10**400}}, f"eta must be a number, got {10**400}", id="huge_eta"),
     pytest.param({"benchmark": {"component_noise": 10**400}},
                  f"component_noise must be a number, got {10**400}", id="huge_component_noise"),
+    # each candidate of an iteration draws from the PCG64 stream of its uint32 index
+    pytest.param({"candidates_per_iteration": 2**32 + 1},
+                 "candidates_per_iteration: need 0 <= n <= 2**32 stream indices, got 4294967297",
+                 id="more_candidates_than_stream_indices"),
 ])
 def test_bad_config_kind_names_its_field(tmp_path, capsys, bad, message):
     config_path = tmp_path / "config.json"

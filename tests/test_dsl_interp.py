@@ -266,30 +266,39 @@ def test_memo_outcomes_equal_memo_free_evaluate(seed, budgets, exponent, zero_mo
         assert _steps_charged(root, models, memo) == _steps_charged(root, models, None)
 
 
-def test_memo_replays_a_stored_error_with_its_text():
+def test_memo_stores_no_failing_call():
     models = [np.ones(2), np.zeros(2)]
     memo = Memo()
     first = compile_program("merge(models) = scale(cos(models[0], models[1]), models[0])").ast
     second = compile_program("merge(models) = add(ones(cos(models[0], models[1])), models[0])").ast
     assert _outcome(first, models, 100, memo) == "error: cosine of a zero vector"
-    hits = memo.hits
-    assert _outcome(second, models, 100, memo) == "error: cosine of a zero vector"
-    assert memo.hits == hits + 1
+    assert ("cos", 0, 1) not in memo.table
+    # the repeat runs the call again: the memo-free error text and step charge
+    assert _outcome(second, models, 100, memo) == _outcome(second, models, 100, None)
+    assert _steps_charged(second, models, memo) == _steps_charged(second, models, None)
+    assert (memo.hits, memo.table) == (0, {})
 
 
-def test_memo_hit_with_too_few_steps_left_times_out():
+@pytest.mark.parametrize("shared,key", [
+    pytest.param("mean_stack(models)", ("mean_stack", None), id="one_leaf"),
+    pytest.param("add(models[0], models[1])", ("add", 0, 1), id="two_leaves"),
+    pytest.param("ones(clamp(0.1, 0.2, 0.3))", ("clamp", "0.1", "0.2", "0.3"), id="three_leaves"),
+])
+def test_memo_hit_with_too_few_steps_left_times_out(shared, key):
     models = [np.ones(2), np.full(2, 2.0)]
-    shared = "add(models[0], models[1])"  # three steps: the call and its two leaves
     memo = Memo()
     first = compile_program(f"merge(models) = scale(2.0, {shared})").ast
     second = compile_program(f"merge(models) = sub(models[1], {shared})").ast
     _outcome(first, models, 100, memo)
+    assert key in memo.table
     charged = _steps_charged(second, models, None)
     hits = memo.hits
-    # one step fewer than the program needs runs out inside the replayed call
+    # a hit charges the call and its leaves: one step fewer than the program
+    # needs runs out inside the stored call
     assert _outcome(second, models, charged - 1, memo) == "timeout"
     assert memo.hits == hits + 1
     assert _outcome(second, models, charged, memo) == _outcome(second, models, charged, None)
+    assert memo.hits == hits + 2
 
 
 @pytest.mark.parametrize("folds", [
@@ -351,21 +360,40 @@ def test_memo_keeps_the_sign_of_a_zero_literal():
         root = compile_program(f"merge(models) = emin(scale({lit}, models[0]), models[1])").ast
         assert _outcome(root, models, BIG, memo) == _outcome(root, models, BIG, None)
     assert (memo.misses, memo.hits) == (2, 1)
-    plus, minus = (memo.table["scale", lit, 0][0] for lit in ("0.0", "-0.0"))
+    plus, minus = (memo.table["scale", lit, 0] for lit in ("0.0", "-0.0"))
     assert plus.tobytes() == np.zeros(3).tobytes()
     assert minus.tobytes() == np.full(3, -0.0).tobytes() != plus.tobytes()
 
 
-def test_memo_replays_an_out_of_range_index_error():
+def test_memo_stores_no_call_on_an_out_of_range_index():
     models = [np.ones(2), np.zeros(2), np.full(2, 3.0)]
     memo = Memo()
     first = compile_program("merge(models) = scale(2.0, add(models[0], models[7]))").ast
     second = compile_program("merge(models) = sub(models[2], add(models[0], models[7]))").ast
     assert _outcome(first, models, 100, memo) == "error: models[7] out of range for 3 models"
-    assert memo.table["add", 0, 7] == (None, "models[7] out of range for 3 models", 3)
+    assert ("add", 0, 7) not in memo.table
     assert _outcome(second, models, 100, memo) == _outcome(second, models, 100, None)
-    assert memo.hits == 1
     assert _steps_charged(second, models, memo) == _steps_charged(second, models, None)
+    assert (memo.hits, memo.table) == (0, {})
+
+
+def test_memo_holds_nothing_of_failing_calls_on_long_indices():
+    # the key and error text of each failing call hold a 4,000-digit index,
+    # many times the MEMO_ENTRY_BYTES an entry is charged, so none may be kept
+    models = [np.ones(2), np.zeros(2), np.full(2, 3.0)]
+    memo = Memo()
+    tracemalloc.start()
+    try:
+        for i in range(2000):
+            src = f"merge(models) = scale(0.5, add(models[0], models[{10**3999 + i}]))"
+            with pytest.raises(DslRuntimeError, match="out of range for 3 models"):
+                evaluate(compile_program(src).ast, models, BIG, memo)
+        del src
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (memo.table, memo.nbytes) == ({}, 0)
+    assert retained < 2**20
 
 
 def test_memo_stops_storing_vectors_at_its_byte_cap():
