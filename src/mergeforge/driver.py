@@ -263,6 +263,10 @@ def run(config: RunConfig, initial_policy: GeneratorPolicy | None = None) -> Run
 
     for name in ("candidates.jsonl", "iterations.jsonl", "preferences.jsonl"):
         (out / name).write_text("")
+    # an earlier run's result must not outlive this run's logs if this run fails
+    (out / "result.json").unlink(missing_ok=True)
+    for stale in out.glob("report/*.csv"):
+        stale.unlink()
 
     for t in range(1, config.iterations + 1):
         policy, top = _iteration(t, config, policy, history, top, instance, taus, max_steps, out)

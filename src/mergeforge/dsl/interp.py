@@ -42,7 +42,9 @@ _VECTOR, _SCALAR = DslType.VECTOR, DslType.SCALAR
 
 def default_budget(k: int, d: int) -> int:
     # Generous for any sane program; tiny hand-built loops can still trip it.
-    return 10_000 * k * d
+    # A step is one node entry, so a program's step count does not grow with d
+    # but each step's cost does: past d=64 the budget stays at its d=64 value.
+    return 10_000 * k * min(d, 64)
 
 
 class BudgetExceeded(Exception):

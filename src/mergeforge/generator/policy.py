@@ -1,14 +1,16 @@
 """Production-weighted typed grammar: the refinable candidate-program source.
 
-Sampling runs a top-down typed derivation that spells its source text as it
-goes, so no AST exists until the pipeline parses that text.  At every choice
-point the eligible productions are weighted by softmax(logit / T); at the depth
-limit only terminal productions remain eligible, so derivations always finish and
-every sampled program parses and typechecks by construction.  Each grammar
-slot's eligible productions and cdf are computed once per policy and
-temperature, and a choice draws the index ``Generator.choice(n, p=p)`` would.
-The sampler also returns the pid of each production it drew, in draw order:
-the production usage that preference-based refinement consumes.
+Each production carries its own spelling: a terminal its whole text, a call
+its op name and the fold ``fold``.  Sampling runs a top-down typed derivation
+that spells its source text from those as it goes, so no AST exists until the
+pipeline parses that text.  At every choice point the eligible productions are
+weighted by softmax(logit / T); at the depth limit only terminal productions
+remain eligible, so derivations always finish and every sampled program parses
+and typechecks by construction.  Each grammar slot's eligible productions and
+cdf are computed once per policy and temperature, and a choice draws the index
+``Generator.choice(n, p=p)`` would.  The sampler also returns the pid of each
+production it drew, in draw order: the production usage that preference-based
+refinement consumes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class Production:
     """A grammar rule; binder variables occur only in fold bodies, and folds never occur there."""
     pid: str
     kind: str  # "model" | "call" | "fold" | "lit" | "var" | "models"
-    payload: object = None
+    text: str  # a terminal's spelling, a call's op name, or "fold"
     args: tuple[str, ...] = ()  # none for a terminal
 
 
@@ -53,7 +55,7 @@ def _calls(result: DslType) -> list[Production]:
     """One production per table op with this result type, in table order."""
     nt = _NT_FOR_TYPE[result]
     return [
-        Production(pid=f"{nt}->{name}", kind="call", payload=name,
+        Production(pid=f"{nt}->{name}", kind="call", text=name,
                    args=tuple(_NT_FOR_TYPE[t] for t in op.args))
         for name, op in OP_TABLE.items() if op.result == result
     ]
@@ -63,22 +65,16 @@ def default_grammar(k: int) -> dict[str, list[Production]]:
     """Full production table for instances with ``k`` candidate models."""
     if k < 1:
         raise ValueError("need at least one model")
-    vector: list[Production] = [
-        Production(pid=f"V->models[{j}]", kind="model", payload=j)
-        for j in range(k)
-    ]
+    vector = [Production(pid=f"V->models[{j}]", kind="model", text=f"models[{j}]") for j in range(k)]
     vector += _calls(DslType.VECTOR)
-    vector += [
-        Production(pid="V->fold", kind="fold", args=(NT_LIST, NT_VECTOR, NT_VECTOR)),
-        Production(pid="V->acc", kind="var", payload=0),
-        Production(pid="V->x", kind="var", payload=1),
-    ]
-    scalar: list[Production] = [
-        Production(pid=f"S->lit({c!r})", kind="lit", payload=float(c))
-        for c in DEFAULT_LITERAL_PALETTE
-    ]
+    vector.append(Production(pid="V->fold", kind="fold", text="fold",
+                             args=(NT_LIST, NT_VECTOR, NT_VECTOR)))
+    # folds never nest in fold bodies, so a binder is always the innermost fold's
+    vector += [Production(pid=f"V->{b}", kind="var", text=b) for b in BINDERS]
+    scalar = [Production(pid=f"S->lit({c!r})", kind="lit", text=repr(float(c)))
+              for c in DEFAULT_LITERAL_PALETTE]
     scalar += _calls(DslType.SCALAR)
-    lst = [Production(pid="L->models", kind="models")] + _calls(DslType.VECTOR_LIST)
+    lst = [Production(pid="L->models", kind="models", text="models")] + _calls(DslType.VECTOR_LIST)
     return {NT_VECTOR: vector, NT_SCALAR: scalar, NT_LIST: lst}
 
 
@@ -93,29 +89,23 @@ class GeneratorPolicy:
 
     @classmethod
     def initial(cls, grammar: dict[str, list[Production]], max_depth: int = 8) -> "GeneratorPolicy":
-        policy = cls(
-            grammar=grammar,
-            logits={p.pid: 0.0 for prods in grammar.values() for p in prods},
-            max_depth=max_depth,
-        )
-        policy.validate()
-        return policy
-
-    def validate(self) -> None:
-        if not 1 <= self.max_depth < MAX_DEPTH:  # a derivation nests max_depth + 1 levels
-            raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH - 1}], got {self.max_depth}")
-        for nt, prods in self.grammar.items():
+        """The uniform policy over ``grammar``, checked to derive only text that parses."""
+        if not 1 <= max_depth < MAX_DEPTH:  # a derivation nests max_depth + 1 levels
+            raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH - 1}], got {max_depth}")
+        for nt, prods in grammar.items():
             if not prods:
                 raise ValueError(f"nonterminal {nt} has no productions")
             for p in prods:  # the sampler spells a call op(...), which only table ops parse as
-                if p.kind == "call" and p.payload not in OP_TABLE:
-                    raise ValueError(f"production {p.pid} calls {p.payload!r}, which is not a table op")
+                if p.kind == "call" and p.text not in OP_TABLE:
+                    raise ValueError(f"production {p.pid} calls {p.text!r}, which is not a table op")
             for in_body in (False, True):
                 if not _eligible(prods, True, in_body):
                     raise ValueError(
                         f"nonterminal {nt} has no terminal production "
                         f"({'in' if in_body else 'outside'} fold bodies)"
                     )
+        logits = {p.pid: 0.0 for prods in grammar.values() for p in prods}
+        return cls(grammar=grammar, logits=logits, max_depth=max_depth)
 
     def with_logits(self, logits: dict[str, float]) -> "GeneratorPolicy":
         return replace(self, logits=logits, version=self.version + 1)
@@ -161,24 +151,15 @@ def _derive(policy: GeneratorPolicy, temp: float, nt: str, depth: int, in_body: 
     eligible, cdf = policy.slot(temp, nt, depth, in_body)
     prod = eligible[bisect_right(cdf, rng.random())]
     drawn.append(prod.pid)
-    kind = prod.kind
-    if kind == "call":
-        args = [_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args]
-        return f"{prod.payload}({', '.join(args)})"
-    if kind == "model":
-        return f"models[{int(prod.payload)}]"
-    if kind == "lit":
-        return repr(float(prod.payload))
-    if kind == "var":  # folds never nest in fold bodies, so the binder is the innermost
-        return BINDERS[int(prod.payload)]
-    if kind == "models":
-        return "models"
-    if kind == "fold":
+    if not prod.args:
+        return prod.text
+    if prod.kind == "fold":
         list_expr = _derive(policy, temp, prod.args[0], depth + 1, False, rng, drawn)
         init_expr = _derive(policy, temp, prod.args[1], depth + 1, False, rng, drawn)
         body = _derive(policy, temp, prod.args[2], depth + 1, True, rng, drawn)
         return f"fold({list_expr}, {init_expr}, ({BINDERS[0]}, {BINDERS[1]}) -> {body})"
-    raise AssertionError(f"unknown production kind {kind}")
+    args = [_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args]
+    return f"{prod.text}({', '.join(args)})"
 
 
 def sample_program(policy: GeneratorPolicy, temp: float,

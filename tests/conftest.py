@@ -13,7 +13,9 @@ from mergeforge.core import Vector, as_vectors
 from mergeforge.dsl.ast import INFIX, INFIX_OPS, OP_TABLE, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
 from mergeforge.dsl.parser import lex
 from mergeforge.dsl.program import MergeProgram, compile_program
-from mergeforge.generator.policy import NT_LIST, NT_SCALAR, NT_VECTOR, GeneratorPolicy, Production, _eligible, _softmax
+from mergeforge.generator.policy import (
+    BINDERS, NT_LIST, NT_SCALAR, NT_VECTOR, GeneratorPolicy, Production, _eligible, _softmax,
+)
 
 
 class Token(NamedTuple):
@@ -78,9 +80,9 @@ class UnderivableProgram(ValueError):
 
 
 def productions_by_key(policy: GeneratorPolicy) -> dict[str, dict[tuple, Production]]:
-    """Each nonterminal's first production of each (kind, payload)."""
+    """Each nonterminal's first production of each (kind, text)."""
     # reversed: a later production with the same key is overwritten by the first
-    return {nt: {(p.kind, p.payload): p for p in reversed(prods)} for nt, prods in policy.grammar.items()}
+    return {nt: {(p.kind, p.text): p for p in reversed(prods)} for nt, prods in policy.grammar.items()}
 
 
 def derivation(policy: GeneratorPolicy, root: Node) -> tuple[str, ...]:
@@ -112,19 +114,19 @@ def _rederive(by_key: dict[str, dict[tuple, Production]], node: Node, nt: str, i
         key = ("call", node.op)
         children = tuple((arg, in_body) for arg in node.args)
     elif isinstance(node, ModelIndex):
-        key = ("model", node.index)
+        key = ("model", f"models[{node.index}]")
     elif isinstance(node, ModelsRef):
-        key = ("models", None)
+        key = ("models", "models")
     elif isinstance(node, ScalarLit):
-        key = ("lit", float(node.value))
+        key = ("lit", repr(float(node.value)))
     elif isinstance(node, Var):
         if not in_body:
             raise UnderivableProgram("variable outside a fold body")
-        key = ("var", node.slot)
+        key = ("var", BINDERS[node.slot])
     else:  # a Fold
         if in_body:
             raise UnderivableProgram("nested fold has no production")
-        key = ("fold", None)
+        key = ("fold", "fold")
         children = ((node.list_expr, False), (node.init_expr, False), (node.body, True))
     prod = by_key[nt].get(key)
     if prod is None:
@@ -138,9 +140,9 @@ def _rederive(by_key: dict[str, dict[tuple, Production]], node: Node, nt: str, i
 def identity_grammar() -> dict[str, list[Production]]:
     """Single-production grammar that can only emit ``models[0]``."""
     return {
-        NT_VECTOR: [Production(pid="V->models[0]", kind="model", payload=0)],
-        NT_SCALAR: [Production(pid="S->lit(1.0)", kind="lit", payload=1.0)],
-        NT_LIST: [Production(pid="L->models", kind="models")],
+        NT_VECTOR: [Production(pid="V->models[0]", kind="model", text="models[0]")],
+        NT_SCALAR: [Production(pid="S->lit(1.0)", kind="lit", text="1.0")],
+        NT_LIST: [Production(pid="L->models", kind="models", text="models")],
     }
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import socket
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -282,7 +283,7 @@ def test_select_best_n_larger_than_distinct():
 def test_select_best_empty_warns(tmp_path, caplog):
     # every candidate indexes a model the instance lacks, so none succeeds
     grammar = identity_grammar()
-    grammar[NT_VECTOR] = [Production(pid="V->models[5]", kind="model", payload=5)]
+    grammar[NT_VECTOR] = [Production(pid="V->models[5]", kind="model", text="models[5]")]
     config = _small_config(tmp_path, iterations=1, candidates_per_iteration=5)
     with caplog.at_level("WARNING"):
         report = run(config, initial_policy=GeneratorPolicy.initial(grammar))
@@ -350,6 +351,27 @@ def test_remote_failure_aborts_with_partial_logs(tmp_path, monkeypatch):
     records = _read_jsonl(Path(config.output_dir) / "candidates.jsonl")
     assert len(records) == 2
     assert all(r["iteration"] == 1 for r in records)
+
+
+def test_failed_run_leaves_no_earlier_result_in_its_directory(tmp_path):
+    from mergeforge.generator.remote import EndpointConfig, GenerationSourceError
+
+    run(_small_config(tmp_path, iterations=1))
+    out = tmp_path / "run"
+    assert (out / "result.json").exists() and list(out.glob("report/*.csv"))
+    with socket.socket() as sock:  # bound and released: nothing listens on the port
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    config = _small_config(
+        tmp_path,
+        generator_mode="remote",
+        remote=EndpointConfig(url=f"http://127.0.0.1:{port}/", model="m", max_retries=0),
+    )
+    with pytest.raises(GenerationSourceError):
+        run(config)
+    assert not (out / "result.json").exists()
+    assert list(out.glob("report/*.csv")) == []
+    assert (out / "candidates.jsonl").read_text() == ""
 
 
 def _run_content_digest(run_dir: Path) -> str:

@@ -177,6 +177,13 @@ def test_default_budget_scales_with_problem_size():
     assert default_budget(3, 64) == 10_000 * 3 * 64
 
 
+def test_default_budget_stops_growing_past_d_64():
+    # step counts do not grow with d, so a budget that did would only let a
+    # runaway text run for hours at a wide d before it timed out
+    assert default_budget(3, 65536) == default_budget(3, 64)
+    assert default_budget(3, 16) == 10_000 * 3 * 16
+
+
 def test_zero_budget_times_out_at_the_first_node():
     with pytest.raises(BudgetExceeded, match="budget of 0 steps"):
         run("merge(models) = models[0]", [np.ones(2)] * 2, 0)

@@ -24,6 +24,7 @@ from mergeforge.dsl.program import compile_program
 from mergeforge.dsl.typecheck import typecheck
 from mergeforge.generator.extract import extract_program
 from mergeforge.generator.policy import (
+    BINDERS,
     NT_LIST,
     NT_SCALAR,
     NT_VECTOR,
@@ -99,7 +100,7 @@ def test_max_depth_stays_under_the_parser_nesting_bound():
     policy = policy.with_logits({**policy.logits, "V->ones": 10.0, "S->mean_elem": 10.0})
     for i in range(20):
         compile_program(sample_program(policy, 1.0, np.random.default_rng((5, i)))[0])
-    # one level more, bypassing validate, gives text the parser refuses
+    # one level more, bypassing the checks in initial, gives text the parser refuses
     too_deep = replace(policy, max_depth=MAX_DEPTH)
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}"):
         for i in range(20):
@@ -109,8 +110,8 @@ def test_max_depth_stays_under_the_parser_nesting_bound():
 def test_low_temperature_concentrates_on_argmax():
     grammar = identity_grammar()
     grammar[NT_VECTOR] = [
-        Production(pid="V->models[0]", kind="model", payload=0),
-        Production(pid="V->models[1]", kind="model", payload=1),
+        Production(pid="V->models[0]", kind="model", text="models[0]"),
+        Production(pid="V->models[1]", kind="model", text="models[1]"),
     ]
     policy = GeneratorPolicy.initial(grammar, max_depth=2)
     logits = dict(policy.logits)
@@ -132,7 +133,7 @@ def test_tiny_temperature_samples_the_argmax_without_warnings():
 def test_uniform_logits_sample_uniformly():
     grammar = identity_grammar()
     grammar[NT_VECTOR] = [
-        Production(pid=f"V->models[{j}]", kind="model", payload=j)
+        Production(pid=f"V->models[{j}]", kind="model", text=f"models[{j}]")
         for j in range(4)
     ]
     policy = GeneratorPolicy.initial(grammar, max_depth=2)
@@ -151,7 +152,7 @@ def test_softmax_invariant_to_constant_logit_shift():
     # unshifted analytic distribution; 0.999 quantile for df=3 is 16.266.
     grammar = identity_grammar()
     grammar[NT_VECTOR] = [
-        Production(pid=f"V->models[{j}]", kind="model", payload=j)
+        Production(pid=f"V->models[{j}]", kind="model", text=f"models[{j}]")
         for j in range(4)
     ]
     policy = GeneratorPolicy.initial(grammar, max_depth=2)
@@ -224,7 +225,7 @@ def test_policy_validation_rejects_empty_nonterminal():
 def test_policy_validation_requires_terminals():
     grammar = identity_grammar()
     grammar[NT_LIST] = [
-        Production(pid="L->tail", kind="call", payload="tail", args=(NT_LIST,))
+        Production(pid="L->tail", kind="call", text="tail", args=(NT_LIST,))
     ]
     with pytest.raises(ValueError, match="terminal"):
         GeneratorPolicy.initial(grammar)
@@ -234,7 +235,7 @@ def test_policy_validation_rejects_calls_outside_the_op_table():
     # scalar arithmetic is infix only, so a sampled s_add(...) would not parse
     grammar = identity_grammar()
     grammar[NT_SCALAR] = grammar[NT_SCALAR] + [
-        Production(pid="S->s_add", kind="call", payload="s_add", args=(NT_SCALAR, NT_SCALAR))
+        Production(pid="S->s_add", kind="call", text="s_add", args=(NT_SCALAR, NT_SCALAR))
     ]
     with pytest.raises(ValueError, match="S->s_add calls 's_add', which is not a table op"):
         GeneratorPolicy.initial(grammar)
@@ -422,7 +423,7 @@ def test_grammar_calls_follow_the_op_table():
     ]
     assert [p.pid for p in grammar[NT_LIST]] == ["L->models", "L->tail"]
     calls = [p for prods in grammar.values() for p in prods if p.kind == "call"]
-    assert {p.payload: p.args for p in calls} == {
+    assert {p.text: p.args for p in calls} == {
         "add": ("V", "V"), "sub": ("V", "V"), "scale": ("S", "V"), "hadamard": ("V", "V"),
         "emax": ("V", "V"), "emin": ("V", "V"), "mean_stack": ("L",), "sum_stack": ("L",),
         "ones": ("S",), "mean_elem": ("V",), "norm1": ("V",), "norm2": ("V",),
@@ -450,15 +451,15 @@ def _oracle_derive(policy, temp, nt, depth, in_body, rng, drawn):
     prod = eligible[rng.choice(len(eligible), p=w / w.sum())]
     drawn[prod.pid] += 1
     if prod.kind == "model":
-        return ModelIndex(index=int(prod.payload))
+        return ModelIndex(index=int(prod.text.removeprefix("models[").removesuffix("]")))
     if prod.kind == "models":
         return ModelsRef()
     if prod.kind == "lit":
-        return ScalarLit(value=float(prod.payload))
+        return ScalarLit(value=float(prod.text))
     if prod.kind == "var":
-        return Var(depth=0, slot=int(prod.payload))
+        return Var(depth=0, slot=BINDERS.index(prod.text))
     if prod.kind == "call":
-        return Call(op=prod.payload, args=tuple(
+        return Call(op=prod.text, args=tuple(
             _oracle_derive(policy, temp, a, depth + 1, in_body, rng, drawn) for a in prod.args
         ))
     return Fold(

@@ -531,7 +531,7 @@ def test_refinement_sums_each_pairs_usage():
 def test_refinement_credits_the_production_drawn():
     # two productions spell models[0]; the first, by grammar order, is V->models[0]
     grammar = default_grammar(3)
-    grammar["V"] = grammar["V"] + [Production("V->m0", "model", 0)]
+    grammar["V"] = grammar["V"] + [Production("V->m0", "model", "models[0]")]
     policy = GeneratorPolicy.initial(grammar)
     policy = policy.with_logits({**policy.logits, "V->m0": 8.0})
     text, drawn = sample_program(policy, 1.0, np.random.default_rng(0))
