@@ -1,7 +1,9 @@
 """Deterministic interpreter with a node-evaluation step budget.
 
-The budget replaces a wall clock: every node entry costs one step, fold bodies
-cost per element, and exhausting the budget raises BudgetExceeded.  Non-finite
+The budget replaces a wall clock: every node entry costs ``ceil(d / 64)``
+steps on task vectors of length d (one up to d=64, 1,024 at d=65536), so past
+d=64 a budget counts units of 64 entries and bounds time at every width; fold
+bodies cost per element, and exhausting the budget raises BudgetExceeded.  Non-finite
 intermediates and bad model indexes are runtime errors, so scores downstream
 are never polluted by NaN or Inf.  A vector result is finite when its squared
 norm, one dot product, is; only when that overflows or is NaN does a scan of
@@ -10,7 +12,7 @@ its entries decide, since finite entries can still overflow the square.
 A ``Memo`` lets many programs run on one set of task vectors share the work of
 their common calls on leaves: calls whose arguments are all ``models``,
 ``models[i]`` or literals.  Such a call reads no fold variable, so its op and
-arguments fix its value; it charges a step for itself and one per leaf.  A
+arguments fix its value; it charges an entry for itself and one per leaf.  A
 repeat of a call that succeeded charges those and returns the stored value, and
 a failing call is not stored, so every result, error text and timeout is the
 one the program would give without the memo.
@@ -42,8 +44,9 @@ _VECTOR, _SCALAR = DslType.VECTOR, DslType.SCALAR
 
 def default_budget(k: int, d: int) -> int:
     # Generous for any sane program; tiny hand-built loops can still trip it.
-    # A step is one node entry, so a program's step count does not grow with d
-    # but each step's cost does: past d=64 the budget stays at its d=64 value.
+    # Up to d=64 a node entry costs one step; past it the budget counts units
+    # of 64 entries, so it stays at its d=64 value and a program's charge
+    # grows with d as its time does.
     return 10_000 * k * min(d, 64)
 
 
@@ -108,13 +111,14 @@ class _Machine:
         self.ops = _op_rows(models[0].shape[0])
         self.max_steps = max_steps
         self.remaining = max_steps
+        self.unit = -(-models[0].shape[0] // 64)  # steps per node entry
         self.memo = memo
 
     def run(self, node: Node, env: Sequence[tuple]):
         """Evaluate ``node``; ``env`` holds the (acc, item) pair of each enclosing fold, innermost first."""
-        if self.remaining < 1:
+        if self.remaining < self.unit:
             raise BudgetExceeded(self.max_steps)
-        self.remaining -= 1
+        self.remaining -= self.unit
         if type(node) is Call:  # the most common node, tested first
             fn, result = self.ops[node.op]
             value = fn(*[self.eval(a, env) for a in node.args])
@@ -180,11 +184,12 @@ class _MemoMachine(_Machine):
             memo.store(key, value)
             return value
         memo.hits += 1
-        # running the call charges one step for it and one for each leaf, so
+        # running the call charges an entry for it and one for each leaf, so
         # the run without the memo times out inside it exactly when fewer remain
-        if self.remaining < len(key):
+        charge = len(key) * self.unit
+        if self.remaining < charge:
             raise BudgetExceeded(self.max_steps)
-        self.remaining -= len(key)
+        self.remaining -= charge
         return value
 
 

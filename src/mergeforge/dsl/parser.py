@@ -155,7 +155,9 @@ def _height(root: Node) -> int:
     return height
 
 
-_ARITY = {name: len(op.args) for name, op in OP_TABLE.items()}
+# A call's op is the table's own key string, not the lexer's piece: the
+# ~22,000 calls a full_scale iteration keeps then share their op names.
+_CALLS = {name: (name, len(op.args)) for name, op in OP_TABLE.items()}
 _INFIX = frozenset("*+-")  # the token kinds that continue an operand as an infix chain
 
 
@@ -221,8 +223,9 @@ def parse(source: str) -> Node:
         i += 1
         if kind == "ident":
             name = texts[j]
-            arity = _ARITY.get(name)
-            if arity is not None:
+            call = _CALLS.get(name)
+            if call is not None:
+                op, arity = call
                 expect("(")
                 # The arguments take expr()'s depth step as one, checked at the
                 # first argument's token, where expr() would have failed.
@@ -243,7 +246,7 @@ def parse(source: str) -> Node:
                 if len(args) != arity:
                     plural = "s" if arity != 1 else ""
                     raise error(f"{name} takes {arity} argument{plural}, got {len(args)}", j)
-                return Call(name, tuple(args), offsets[j])
+                return Call(op, tuple(args), offsets[j])
             if name == "models":
                 if kinds[i] != "[":
                     return ModelsRef(offsets[j])

@@ -184,6 +184,22 @@ def test_default_budget_stops_growing_past_d_64():
     assert default_budget(3, 16) == 10_000 * 3 * 16
 
 
+@pytest.mark.parametrize("with_memo", [False, True])
+def test_a_step_costs_in_proportion_to_vector_width(with_memo):
+    # 7 node entries; with a memo the second inner add is a hit that charges
+    # its 3 entries; past d=64 each entry costs ceil(d / 64) steps
+    program = compile_program(
+        "merge(models) = add(add(models[0], models[1]), add(models[0], models[1]))"
+    ).ast
+    for d, unit in [(64, 1), (65, 2), (65536, 1024)]:
+        models = [np.ones(d), np.full(d, 2.0)]
+        with pytest.raises(BudgetExceeded):
+            evaluate(program, models, 7 * unit - 1, Memo() if with_memo else None)
+        memo = Memo() if with_memo else None
+        assert evaluate(program, models, 7 * unit, memo)[0] == 6.0
+        assert memo is None or memo.hits == 1
+
+
 def test_zero_budget_times_out_at_the_first_node():
     with pytest.raises(BudgetExceeded, match="budget of 0 steps"):
         run("merge(models) = models[0]", [np.ones(2)] * 2, 0)

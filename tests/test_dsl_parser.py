@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import Token, corpus_names, load_corpus_source, position, pretty, tokenize
 from mergeforge.dsl.ast import (
     OP_TABLE,
+    OPS,
     Call,
     DslType,
     Fold,
@@ -267,6 +268,31 @@ def test_sampled_program_round_trip():
         assert canonical_hash(reparsed) == canonical_hash(ast)
         # the spelling every grammar run parses, positions included
         assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+
+
+def _calls(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is Call:
+            yield node
+            stack.extend(node.args)
+        elif type(node) is Fold:
+            stack.extend((node.list_expr, node.init_expr, node.body))
+
+
+def test_compiled_calls_share_the_op_table_keys():
+    # a call's op is the OPS key itself, not a private copy of the text's name
+    keys = {name: name for name in OPS}
+    policy = GeneratorPolicy.initial(default_grammar(3))
+    sources = [load_corpus_source(name) for name in corpus_names()] + [SCALAR_INFIX_SRC]
+    sources += [sample_program(policy, 1.2, np.random.default_rng((2, i)))[0] for i in range(200)]
+    seen = set()
+    for source in sources:
+        for call in _calls(compile_program(source).ast):
+            assert call.op is keys[call.op], (source, call.op)
+            seen.add(call.op)
+    assert {"add", "scale", "s_add"} <= seen  # named and infix calls alike
 
 
 # -- lexer against the per-token-object oracle ------------------------------

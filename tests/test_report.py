@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -231,3 +232,50 @@ def test_non_finite_score_is_report_error(tmp_path, token):
     want = f"corrupt log file {tmp_path / 'candidates.jsonl'} at line 1: score must be a finite number"
     with pytest.raises(ReportError, match=re.escape(want)):
         write_reports(tmp_path)
+
+
+def test_score_outside_0_to_100_is_report_error(tmp_path):
+    # every score is mapped onto [0, 100]; a hand-edited one outside it would
+    # land in the top bin or in a bin below 0
+    (tmp_path / "iterations.jsonl").write_text(
+        json.dumps({"iteration": 1, "counts": dict.fromkeys(CATEGORIES, 0)}) + "\n"
+    )
+    success = {"category": "success", "iteration": 1, "source": "merge(models) = models[0]"}
+    for score in (-0.5, 100.5):
+        (tmp_path / "candidates.jsonl").write_text(
+            json.dumps({**success, "score": 50.0}) + "\n" + json.dumps({**success, "score": score}) + "\n"
+        )
+        want = (f"corrupt log file {tmp_path / 'candidates.jsonl'} at line 2: "
+                f"score must lie in [0, 100], got {score!r}")
+        with pytest.raises(ReportError, match=re.escape(want)):
+            write_reports(tmp_path)
+    (tmp_path / "candidates.jsonl").write_text(
+        "".join(json.dumps({**success, "score": score}) + "\n" for score in (0, 0.0, 100, 100.0))
+    )
+    hist = (write_reports(tmp_path) / "score_histogram.csv").read_text().splitlines()
+    assert hist[1:] == ["1,0,5,2", "1,95,100,2"]
+
+
+def test_report_memory_does_not_grow_with_the_log(tmp_path):
+    # 20,000 records would hold several MiB as parsed records; a report that
+    # keeps none peaks at what one line and the running totals take
+    n = 20_000
+    with open(tmp_path / "candidates.jsonl", "w") as fh:
+        for i in range(n):
+            source = f"merge(models) = add(scale({i % 97 / 100}, models[{i % 3}]), mean_stack(models))"
+            fh.write(json.dumps({"category": "success", "hash": f"{i:032x}", "index": i,
+                                 "iteration": 1 + i % 3, "score": i % 1000 / 10, "source": source},
+                                sort_keys=True) + "\n")
+    with open(tmp_path / "iterations.jsonl", "w") as fh:
+        for it in (1, 2, 3):
+            fh.write(json.dumps({"iteration": it, "counts": {**dict.fromkeys(CATEGORIES, 0),
+                                                             "success": n // 3 + (it <= n % 3)}}) + "\n")
+    tracemalloc.start()
+    try:
+        report_dir = write_reports(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    tokens = (report_dir / "strategy_tokens.csv").read_text().splitlines()
+    assert tokens[1:] == [f"add,{n}", f"mean_stack,{n}", f"scale,{n}"]
