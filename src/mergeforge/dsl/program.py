@@ -1,13 +1,16 @@
-"""Compiled merge programs: source + typed AST + canonical hash + provenance."""
+"""Compiled merge programs: source + typed AST + canonical hash + provenance.
+
+``compile_program`` parses a text, then makes one walk over the tree
+(``typecheck``), which types it and spells its canonical text, and hashes that text.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .ast import Node
-from .canon import canonical_hash
 from .parser import parse
-from .typecheck import typecheck
+from .typecheck import canonical_hash, typecheck
 
 
 @dataclass(frozen=True)
@@ -23,11 +26,10 @@ class MergeProgram:
 
 def compile_program(source: str, provenance: tuple[int, str] = (0, "manual")) -> MergeProgram:
     """Parse, typecheck, and hash; raises ParseError / DslTypeError on bad input."""
-    ast = typecheck(parse(source), source)
+    ast = parse(source)
     return MergeProgram(
         source=source,
         ast=ast,
-        canonical_hash=canonical_hash(ast),
+        canonical_hash=canonical_hash(typecheck(ast, source)),
         provenance=provenance,
     )
-

@@ -13,7 +13,6 @@ import json
 import math
 import re
 from collections import Counter
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -81,8 +80,9 @@ def _iteration_fault(rec: dict) -> str | None:
     return _fault(rec, _ITERATION)
 
 
-def _records(path: Path, fault) -> Iterator[dict]:
-    """Yield a log's records one at a time, each one that ``fault`` passes.
+def _records(path: Path, fault) -> Iterator[tuple[int, dict]]:
+    """Yield a log's records one at a time, with their line numbers, each one
+    that ``fault`` passes.
 
     A line that is not JSON raises at once.  The first record ``fault`` finds
     wrong stops the yielding, and raises once the rest of the log has been
@@ -107,7 +107,7 @@ def _records(path: Path, fault) -> Iterator[dict]:
             if first_fault is None:
                 problem = fault(rec) if isinstance(rec, dict) else "a record must be a JSON object"
                 if problem is None:
-                    yield rec
+                    yield lineno, rec
                 else:
                     first_fault = f"corrupt log file {path} at line {lineno}: {problem}"
     if first_fault:
@@ -160,20 +160,34 @@ def write_reports(run_dir: str | Path) -> Path:
     """Emit CSV reports under <run_dir>/report from the run's JSONL logs.
 
     Both logs are read in full before anything is written, so a log that
-    cannot be read leaves the report directory as it was.
+    cannot be read leaves the report directory as it was.  They must agree: an
+    iteration has one record, and so does each iteration with a success.
     """
     run_dir = Path(run_dir)
+    candidates = run_dir / "candidates.jsonl"
     bins: dict[int, Counter[int]] = {}  # iteration -> success count per bin
+    first_success: dict[int, int] = {}  # iteration -> the line of its first success
     tokens: Counter[str] = Counter()
-    for rec in _records(run_dir / "candidates.jsonl", _candidate_fault):
+    for lineno, rec in _records(candidates, _candidate_fault):
         if rec["category"] == SUCCESS:
             bins.setdefault(rec["iteration"], Counter())[_bin(rec["score"])] += 1
+            first_success.setdefault(rec["iteration"], lineno)
             tokens.update(_op_names(rec["source"]))
-    iterations = sorted(  # (iteration, its category counts), one per record
-        ((rec["iteration"], ",".join(str(rec["counts"][cat]) for cat in CATEGORIES))
-         for rec in _records(run_dir / "iterations.jsonl", _iteration_fault)),
-        key=itemgetter(0),
-    )
+    rows: dict[int, str] = {}  # iteration -> its category counts
+
+    def iteration_fault(rec: dict) -> str | None:
+        # _records checks a record only after the loop below has stored the one before it
+        if (fault := _iteration_fault(rec)) is None and rec["iteration"] in rows:
+            return f"a second record for iteration {rec['iteration']}"
+        return fault
+
+    for _, rec in _records(run_dir / "iterations.jsonl", iteration_fault):
+        rows[rec["iteration"]] = ",".join(str(rec["counts"][cat]) for cat in CATEGORIES)
+    for it, lineno in first_success.items():  # in line order
+        if it not in rows:
+            raise ReportError(f"corrupt log file {candidates} at line {lineno}: "
+                              f"a success of iteration {it}, which iterations.jsonl does not record")
+    iterations = sorted(rows.items())
     report_dir = run_dir / "report"
     report_dir.mkdir(exist_ok=True)
 

@@ -3,6 +3,8 @@
 Test modules import these by name (``from conftest import tokenize``).
 """
 
+import hashlib
+import math
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -10,9 +12,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from mergeforge.core import Vector, as_vectors
-from mergeforge.dsl.ast import INFIX, INFIX_OPS, OP_TABLE, Call, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var
+from mergeforge.dsl.ast import (
+    INFIX, INFIX_OPS, OP_TABLE, OPS, Call, DslType, Fold, ModelIndex, ModelsRef, Node, ScalarLit, Var,
+)
 from mergeforge.dsl.parser import lex
 from mergeforge.dsl.program import MergeProgram, compile_program
+from mergeforge.dsl.typecheck import DslTypeError
 from mergeforge.generator.policy import (
     BINDERS, NT_LIST, NT_SCALAR, NT_VECTOR, GeneratorPolicy, Production, _eligible, _softmax,
 )
@@ -73,6 +78,97 @@ def pretty_expr(node: Node, level: int = 0) -> str:
 def pretty(root: Node) -> str:
     """Render a program body back to concrete syntax: the AST oracle of ``sample_program``."""
     return f"merge(models) = {pretty_expr(root)}"
+
+
+class Mistyped(Exception):
+    """A type fault's (message, pos), raised by ``reference_type``."""
+
+
+def reference_type(node: Node) -> DslType:
+    """The type of ``node``, resolving infix symbols in place: the reference
+    for the type half of ``typecheck``'s one walk."""
+    if type(node) is Call:
+        spec = OPS.get(node.op)
+        if spec is None:  # an infix symbol: its operand types pick the op
+            types = tuple(reference_type(arg) for arg in node.args)
+            op = INFIX.get((node.op, *types))
+            if op is None:
+                shown = ", ".join(t.value for t in types)
+                raise Mistyped(f"operator {node.op!r} not defined on ({shown})", node.pos)
+            node.op, spec = op, OPS[op]
+            if spec.args != types:  # v * s: scale takes the scalar first
+                node.args = node.args[::-1]
+            return spec.result
+        for expected, arg in zip(spec.args, node.args):
+            got = reference_type(arg)
+            if got != expected:
+                raise Mistyped(f"{node.op} expects {expected.value}, got {got.value}", arg.pos)
+        return spec.result
+    if isinstance(node, ScalarLit):
+        return DslType.SCALAR
+    if isinstance(node, ModelsRef):
+        return DslType.VECTOR_LIST
+    if isinstance(node, (ModelIndex, Var)):
+        return DslType.VECTOR
+    lt = reference_type(node.list_expr)  # a Fold
+    if lt != DslType.VECTOR_LIST:
+        raise Mistyped(f"fold expects a vector list, got {lt.value}", node.list_expr.pos)
+    it = reference_type(node.init_expr)
+    if it != DslType.VECTOR:
+        raise Mistyped(f"fold seed must be a vector, got {it.value}", node.init_expr.pos)
+    bt = reference_type(node.body)
+    if bt != DslType.VECTOR:
+        raise Mistyped(f"fold body must produce a vector, got {bt.value}", node.body.pos)
+    return DslType.VECTOR
+
+
+def _lit(value: float) -> str:
+    return f"lit:{float(value)!r}"
+
+
+def reference_text(node: Node) -> str:
+    """The canonical text of a checked tree, in a walk of its own: the
+    reference for the text half of ``typecheck``'s one walk."""
+    if type(node) is Call:
+        spec = OPS[node.op]
+        args = [reference_text(a) for a in node.args]
+        if spec.result is DslType.SCALAR and all(a.startswith("lit:") for a in args):
+            values = [float(a[4:]) for a in args]
+            if all(map(math.isfinite, values)):  # a non-finite literal is not folded
+                return _lit(spec.fn(*values))
+        if spec.commutative:
+            args.sort()
+        return f"({node.op} {' '.join(args)})"
+    if isinstance(node, ScalarLit):
+        return _lit(node.value)
+    if isinstance(node, ModelsRef):
+        return "(models)"
+    if isinstance(node, ModelIndex):
+        return f"(model {node.index})"
+    if isinstance(node, Var):
+        return f"(var {node.depth} {node.slot})"
+    return f"(fold {reference_text(node.list_expr)} {reference_text(node.init_expr)} {reference_text(node.body)})"
+
+
+def reference_typecheck(root: Node, source: str) -> Node:
+    """Check ``root`` with ``reference_type``; returns ``root``.
+
+    A DslTypeError is placed in ``source`` from its node's offset, or at the
+    (line, col) a tree from the oracle parser holds.
+    """
+    try:
+        result = reference_type(root)
+        if result != DslType.VECTOR:
+            raise Mistyped(f"a merge program must produce a vector, got {result.value}", root.pos)
+    except Mistyped as fault:
+        message, pos = fault.args
+        raise DslTypeError(message, pos if isinstance(pos, tuple) else position(source, pos)) from None
+    return root
+
+
+def reference_hash(root: Node) -> str:
+    """128-bit hex digest of a checked tree's ``reference_text``."""
+    return hashlib.blake2b(reference_text(root).encode("utf-8"), digest_size=16).hexdigest()
 
 
 class UnderivableProgram(ValueError):

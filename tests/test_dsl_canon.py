@@ -107,9 +107,8 @@ def _renamed(source):
 def test_hash_equality_implies_equal_semantics():
     # Sampled programs vs an equivalence-preserving scramble of themselves:
     # hashes agree, and so do outputs on 50 random model sets.
-    from mergeforge.dsl.canon import canonical_hash
     from mergeforge.dsl.parser import parse
-    from mergeforge.dsl.typecheck import typecheck
+    from mergeforge.dsl.typecheck import canonical_hash, typecheck
 
     policy = GeneratorPolicy.initial(default_grammar(3))
     rng = np.random.default_rng(77)
@@ -118,8 +117,8 @@ def test_hash_equality_implies_equal_semantics():
         source, _ = sample_program(policy, 1.2, np.random.default_rng((5, i)))
         original = compile_program(source)
         text = _renamed(pretty(_scramble(original.ast)))
-        scrambled = typecheck(parse(text), text)
-        assert canonical_hash(scrambled) == original.canonical_hash
+        scrambled = parse(text)
+        assert canonical_hash(typecheck(scrambled, text)) == original.canonical_hash
         for _ in range(50):
             models = [rng.normal(size=6) for _ in range(3)]
             budget = 50_000

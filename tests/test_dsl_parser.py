@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Token, corpus_names, load_corpus_source, position, pretty, tokenize
+from conftest import (
+    Token, corpus_names, load_corpus_source, position, pretty, reference_hash, reference_typecheck, tokenize,
+)
 from mergeforge.dsl.ast import (
     OP_TABLE,
     OPS,
     Call,
-    DslType,
     Fold,
     ModelIndex,
     ModelsRef,
@@ -26,11 +27,10 @@ from mergeforge.dsl.ast import (
     ScalarLit,
     Var,
 )
-from mergeforge.dsl.canon import _normalize as canonical_text, canonical_hash
 from mergeforge.dsl.interp import Memo, evaluate
 from mergeforge.dsl.parser import _TOKEN_RE, MAX_DEPTH, MAX_SOURCE_CHARS, ParseError, _height, _lex_end, parse
 from mergeforge.dsl.program import compile_program
-from mergeforge.dsl.typecheck import DslTypeError, _check, _Mistyped, typecheck
+from mergeforge.dsl.typecheck import DslTypeError, canonical_hash, typecheck
 from mergeforge.generator.extract import extract_program
 from mergeforge.generator.policy import GeneratorPolicy, default_grammar, sample_program
 
@@ -41,7 +41,9 @@ MEAN_FOLD_SRC = (
 
 
 def _typed(source):
-    return typecheck(parse(source), source)
+    root = parse(source)
+    typecheck(root, source)
+    return root
 
 
 def test_projection_parses():
@@ -138,11 +140,12 @@ def test_inner_fold_that_swaps_the_outer_binder_names():
     # The inner pair (x, acc) names its accumulator x and its element acc; its
     # seed acc still reads the outer accumulator.  Each pass reads the parser's
     # resolution, so the wrong binder would change the canonical text and result.
-    program = compile_program(
+    source = (
         "merge(models) = fold(models, models[0], (acc, x) -> "
         "fold(tail(models), acc, (x, acc) -> add(acc, scale(0.5, x))))"
     )
-    assert canonical_text(program.ast) == (
+    program = compile_program(source)
+    assert typecheck(parse(source), source) == (
         "(fold (models) (model 0) (fold (tail (models)) (var 0 0) "
         "(add (scale lit:0.5 (var 0 0)) (var 0 1))))"
     )
@@ -254,18 +257,16 @@ SCALAR_INFIX_SRC = "merge(models) = scale(mean_elem(models[0]) + 0.1, models[0])
     ids=corpus_names() + ["scalar_infix"],
 )
 def test_corpus_round_trip(source):
-    ast = _typed(source)
-    reparsed = _typed(pretty(ast))
-    assert canonical_hash(reparsed) == canonical_hash(ast)
+    program = compile_program(source)
+    assert compile_program(pretty(program.ast)).canonical_hash == program.canonical_hash
 
 
 def test_sampled_program_round_trip():
     policy = GeneratorPolicy.initial(default_grammar(3))
     for i in range(200):
         source, _ = sample_program(policy, 1.2, np.random.default_rng((1, i)))
-        ast = _typed(source)
-        reparsed = _typed(pretty(ast))
-        assert canonical_hash(reparsed) == canonical_hash(ast)
+        program = compile_program(source)
+        assert compile_program(pretty(program.ast)).canonical_hash == program.canonical_hash
         # the spelling every grammar run parses, positions included
         assert _parsed(parse, source) == _parsed(_oracle_parse, source)
 
@@ -527,14 +528,11 @@ def _dump(value, locate):
 
 
 def _oracle_typecheck(root):
-    """typecheck's outcome on the oracle's tree, whose nodes hold (line, col)."""
+    """The reference type pass's outcome on the oracle's tree, whose nodes hold (line, col)."""
     try:
-        result = _check(root)
-        if result != DslType.VECTOR:
-            raise _Mistyped(f"a merge program must produce a vector, got {result.value}", root.pos)
-    except _Mistyped as fault:
-        message, (line, col) = fault.args
-        return ("DslTypeError", (line, col), f"{line}:{col}: {message}")
+        reference_typecheck(root, None)
+    except DslTypeError as exc:
+        return ("DslTypeError", exc.pos, str(exc))
     return _dump(root, lambda pos: pos)
 
 
@@ -553,7 +551,8 @@ def _parsed(parse_fn, source):
     locate = functools.partial(position, source)
     untyped = _dump(root, locate)
     try:
-        return untyped, _dump(typecheck(root, source), locate)
+        typecheck(root, source)
+        return untyped, _dump(root, locate)
     except DslTypeError as exc:
         return untyped, ("DslTypeError", exc.pos, str(exc))
 
@@ -741,6 +740,87 @@ def test_parse_matches_the_oracle_on_hand_cases(source):
 @given(st.one_of(_program_text(), _program_text(), _program_text(), _nested_fold_text(), _deep_text()))
 def test_parse_matches_the_oracle(source):
     assert _parsed(parse, source) == _parsed(_oracle_parse, source)
+
+
+# -- the one walk against the reference passes -----------------------------
+
+def _compiled(source):
+    """compile_program's outcome: the hash, or the error with its text."""
+    try:
+        return compile_program(source).canonical_hash
+    except (ParseError, DslTypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _referenced(parse_fn, source):
+    """The outcome of ``parse_fn``'s tree through the reference type pass and
+    the reference canonical text, each a walk of its own."""
+    try:
+        return reference_hash(reference_typecheck(parse_fn(source), source))
+    except (ParseError, DslTypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_FOLDING_CASES = [
+    "merge(models) = scale(clamp(1e308 * 10.0, 0.1, 0.9), models[0])",
+    "merge(models) = scale(0.25 + 0.25 * mean_elem(models[0]) - 0.5 * 2.0, models[0])",
+    "merge(models) = scale(1e308 * 10.0 - 1e308 * 10.0, models[0]) + models[1] * (0.5 - 0.25)",
+    "merge(models) = fold(models, models[0] * 0.5, (acc, x) -> hadamard(x, acc) + ones(0.1 * 0.2))",
+]
+
+
+@pytest.mark.parametrize("source", _PARSER_CASES + _FOLDING_CASES + [MEAN_FOLD_SRC])
+def test_one_walk_matches_the_reference_passes_on_hand_cases(source):
+    assert _compiled(source) == _referenced(parse, source) == _referenced(_oracle_parse, source)
+
+
+_POLICY = GeneratorPolicy.initial(default_grammar(3))
+_sampled_text = st.integers(0, 2**32 - 1).map(
+    lambda i: sample_program(_POLICY, 1.2, np.random.default_rng((9, i)))[0]
+)
+
+# Calls of the op table's arity on operands of any type: texts that parse and
+# mostly fail the type check, somewhere inside.
+_any_typed = st.recursive(
+    st.sampled_from(["models[0]", "models[1]", "models", "0.5", "-1.5"]).map(lambda leaf: [leaf]),
+    lambda inner: st.one_of(
+        st.sampled_from(sorted(OP_TABLE)).flatmap(lambda op: st.tuples(
+            st.just(op), st.lists(inner, min_size=len(OP_TABLE[op].args), max_size=len(OP_TABLE[op].args)),
+        )).map(_call),
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(_infix),
+        st.tuples(inner, inner, st.just("acc"), st.just("x"), inner).map(_fold),
+    ),
+    max_leaves=12,
+).map(lambda fragments: " ".join(_HEAD + fragments))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_sampled_text, _any_typed, _program_text(), _nested_fold_text()))
+def test_one_walk_matches_the_reference_passes(source):
+    # the same hash or the same error text as the two walks it replaced, on
+    # the parser's tree and on the oracle parser's
+    assert _compiled(source) == _referenced(parse, source) == _referenced(_oracle_parse, source)
+
+
+def test_a_named_call_checks_its_args_in_turn():
+    # the first arg is named, although the second is mistyped as well
+    with pytest.raises(DslTypeError) as exc:
+        compile_program("merge(models) = add(models, models[0] + 0.5)")
+    assert str(exc.value) == "1:21: add expects vector, got vector_list"
+
+
+def test_swapped_infix_operands_spell_the_named_call():
+    infix = compile_program("merge(models) = models[0] * 0.5")
+    named = compile_program("merge(models) = scale(0.5, models[0])")
+    assert infix.canonical_hash == named.canonical_hash == "f794f4763da905a798dfaffaafe2083b"
+
+
+@pytest.mark.parametrize("source", [MEAN_FOLD_SRC, *_FOLDING_CASES, _PARSER_CASES[0], _PARSER_CASES[3]])
+def test_checking_a_checked_tree_again_spells_the_same_text(source):
+    root = parse(source)
+    text = typecheck(root, source)
+    assert typecheck(root, source) == text
+    assert canonical_hash(text) == compile_program(source).canonical_hash
 
 
 @pytest.mark.parametrize("source, cut", _CUT_CASES, ids=[f"cut{i}" for i in range(len(_CUT_CASES))])

@@ -14,7 +14,7 @@ import mergeforge.generator
 def test_each_module_imports_alone_and_packages_reexport_nothing():
     # A fresh interpreter per module: no earlier import can hide a cycle.
     names = [m.name for m in pkgutil.walk_packages(mergeforge.__path__, "mergeforge.")]
-    assert len(names) == 21
+    assert len(names) == 20
     src = str(Path(mergeforge.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for name in names:

@@ -220,6 +220,31 @@ def test_corrupt_log_is_report_error(tmp_path):
     write_reports(tmp_path)
 
 
+def test_a_second_record_for_an_iteration_is_report_error(tmp_path):
+    # a run that stopped between its two appends, resumed by hand, can leave
+    # one; its histogram rows would be written twice
+    success = {"category": "success", "iteration": 1, "score": 50.0, "source": "merge(models) = models[0]"}
+    _write_logs(tmp_path, [success, {**success, "iteration": 2}],
+                [_iteration_record(1, 1), _iteration_record(2, 1), _iteration_record(1, 1)])
+    (tmp_path / "report").mkdir()
+    want = f"corrupt log file {tmp_path / 'iterations.jsonl'} at line 3: a second record for iteration 1"
+    with pytest.raises(ReportError, match=re.escape(want)):
+        write_reports(tmp_path)
+    assert not any((tmp_path / "report").iterdir())
+
+
+def test_a_success_of_an_unrecorded_iteration_is_report_error(tmp_path):
+    # its score would be counted in strategy_tokens.csv and in no histogram row
+    success = {"category": "success", "iteration": 1, "score": 50.0, "source": "merge(models) = models[0]"}
+    other = {"category": "duplicate", "iteration": 2}
+    _write_logs(tmp_path, [success, other, {**success, "iteration": 3}, {**success, "iteration": 2}],
+                [_iteration_record(1, 1)])
+    want = (f"corrupt log file {tmp_path / 'candidates.jsonl'} at line 3: "
+            "a success of iteration 3, which iterations.jsonl does not record")
+    with pytest.raises(ReportError, match=re.escape(want)):
+        write_reports(tmp_path)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_score_is_report_error(tmp_path, token):
     # json reads these tokens as floats; they cannot be binned
