@@ -91,9 +91,10 @@ def _kind(piece: str) -> str | None:
 # ASCII piece fixes its kind.  Other first characters are left to _kind.
 _FIRST_KIND = {c: k for c in map(chr, range(128)) if (k := _kind(c)) is not None}
 
-# What lexes_plainly admits: these characters only (no "#", so each "(" is a
-# token), each ">" in a "->", and each "." after a digit run that starts a token
-# and before a digit, found in the reversed text so that the search jumps to dots.
+# What _lex_end proves lexes in full with no comment: these characters only (no
+# "#", so each "(" is a token), each ">" in a "->", and each "." after a digit run
+# that starts a token and before a digit, found in the reversed text so that the
+# search jumps to dots.
 _PLAIN_RE = re.compile(r"[^A-Za-z0-9_ \t\n\r\x0b\x0c()\[\],=+\-*.>]")
 _REVERSED_NUMBER_DOT_RE = re.compile(r"\.(?<=[0-9]\.)[0-9]+(?![\w.]|[+-][eE])")
 _BRACKET_STEP = np.array([(c == 40) - (c == 41) for c in range(128)], np.int8)  # by ASCII code
@@ -123,19 +124,15 @@ def lex(source: str, end: int) -> tuple[list[str], list[str], list[int]]:
     return kinds, texts, offsets
 
 
-def lexes_plainly(source: str) -> bool:
-    """Whether C-level checks prove that ``source`` lexes in full with no comment."""
-    return not (_PLAIN_RE.search(source) or source.count(">") != source.count("->")
-                or source.count(".") != len(_REVERSED_NUMBER_DOT_RE.findall(source[::-1])))
-
-
 def _lex_end(source: str) -> int:
     """Just past the "(" that first opens MAX_DEPTH + 2 brackets, if the text
     provably has one and lexes in full, else its end.  Were the parser to read
     that "(", each bracket then open but it and a binder pair's fold would hold
     an expression it entered: it would have nested MAX_DEPTH + 1 deep and failed
     first.  So it reads no token past that "(" of the whole text."""
-    if source.count("(") <= MAX_DEPTH + 1 or not lexes_plainly(source):
+    if (source.count("(") <= MAX_DEPTH + 1 or _PLAIN_RE.search(source)
+            or source.count(">") != source.count("->")
+            or source.count(".") != len(_REVERSED_NUMBER_DOT_RE.findall(source[::-1]))):
         return len(source)
     depth = np.cumsum(_BRACKET_STEP[np.frombuffer(source.encode(), np.uint8)], dtype=np.int32)
     hits = np.flatnonzero(depth == MAX_DEPTH + 2)

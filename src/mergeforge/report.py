@@ -5,6 +5,10 @@ reports can be regenerated without re-running the search.  The logs are read
 in one pass that keeps no candidate record: each success adds its score's bin
 and its op names to running totals, so a report's memory does not grow with
 the number of candidates.
+
+A success's op names are the op-table names (plus ``fold``) among the
+identifiers of its source.  The one regex that finds them matches comments and
+numbers too, so that no identifier is read inside one.
 """
 
 from __future__ import annotations
@@ -14,27 +18,26 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .benchmark import JSON_ERRORS, _KINDS
 from .dsl.ast import OP_TABLE
-from .dsl.parser import _ALTERNATIVES, lexes_plainly
+from .dsl.parser import _ALTERNATIVES
 from .pipeline import CATEGORIES, SUCCESS
 
 HISTOGRAM_BIN_WIDTH = 5.0
 
-# C-level passes stand in for ``parser.lex``.  lexes_plainly's checks prove
-# most texts lexable, and _LEXABLE, run on the rest, matches exactly the texts
-# lex accepts: each step takes the piece lex's alternation would (a lookahead
-# is never re-entered, so no shorter or later alternative is tried) and a text
-# with a rejected character does not match.  On such a text, the pieces
-# _IDENTS skips (whitespace, arrows, symbols) start no comment, number or
-# identifier, so its identifier groups are lex's ident tokens.
+# Identifiers, as lex finds them: a comment or a number is matched first so that
+# no identifier is read inside one ("# add", the "e5" of "1e5").  The pieces
+# left between matches (whitespace, arrows, symbols) start no comment, number or
+# identifier, so on a text that lexes the groups are exactly lex's ident tokens.
+# A success's source compiled, so it lexes; a hand-edited one that does not is
+# counted as the regex reads it.
 _PATTERNS = dict(_ALTERNATIVES)
-_LEXABLE = re.compile(r"(?:(?=(%s))\1)*" % "|".join(_PATTERNS.values()))
 _IDENTS = re.compile(
     r"%s|%s|(%s)" % (_PATTERNS["comment"], _PATTERNS["number"], _PATTERNS["ident"])
 )
+_NAMES = frozenset(OP_TABLE) | {"fold"}
 
 
 # What the reports read of a record: (field, test of its value, kind name).  A
@@ -77,6 +80,8 @@ def _iteration_fault(rec: dict) -> str | None:
     for cat in CATEGORIES:
         if not is_int(counts[cat]):
             return f"counts.{cat} must be {kind_name}, got {counts[cat]!r}"
+        if counts[cat] < 0:
+            return f"counts.{cat} must be >= 0, got {counts[cat]}"
     return _fault(rec, _ITERATION)
 
 
@@ -127,41 +132,13 @@ def _bin_rows(counts: Counter[int]) -> list[tuple[float, float, int]]:
     return [(i * width, (i + 1) * width, counts[i]) for i in sorted(counts)]
 
 
-def histogram_bins(scores) -> list[tuple[float, float, int]]:
-    """Non-empty [lo, hi) bins; a score of exactly 100 lands in [95, 100]."""
-    return _bin_rows(Counter(map(_bin, scores)))
-
-
-_NAMES = frozenset(OP_TABLE) | {"fold"}
-
-
-def _op_names(source: str) -> Iterable[str]:
-    """The op-table names (plus ``fold``) among the identifier tokens of
-    ``source``; none if the lexer rejects it."""
-    if lexes_plainly(source) or _LEXABLE.fullmatch(source):
-        return filter(_NAMES.__contains__, _IDENTS.findall(source))
-    return ()
-
-
-def strategy_token_counts(sources) -> Counter[str]:
-    """Frequency of operation names across program sources.
-
-    The desk analog of word-frequency analysis over generated strategies:
-    counts op-table names (plus ``fold``) among the identifier tokens of each
-    source.  Sources the lexer rejects are skipped.
-    """
-    counts: Counter[str] = Counter()
-    for source in sources:
-        counts.update(_op_names(source))
-    return counts
-
-
 def write_reports(run_dir: str | Path) -> Path:
     """Emit CSV reports under <run_dir>/report from the run's JSONL logs.
 
     Both logs are read in full before anything is written, so a log that
     cannot be read leaves the report directory as it was.  They must agree: an
-    iteration has one record, and so does each iteration with a success.
+    iteration has one record, whose success count is the number of its
+    successes, and so does each iteration with a success.
     """
     run_dir = Path(run_dir)
     candidates = run_dir / "candidates.jsonl"
@@ -172,14 +149,21 @@ def write_reports(run_dir: str | Path) -> Path:
         if rec["category"] == SUCCESS:
             bins.setdefault(rec["iteration"], Counter())[_bin(rec["score"])] += 1
             first_success.setdefault(rec["iteration"], lineno)
-            tokens.update(_op_names(rec["source"]))
+            tokens.update(filter(_NAMES.__contains__, _IDENTS.findall(rec["source"])))
     rows: dict[int, str] = {}  # iteration -> its category counts
 
     def iteration_fault(rec: dict) -> str | None:
         # _records checks a record only after the loop below has stored the one before it
-        if (fault := _iteration_fault(rec)) is None and rec["iteration"] in rows:
-            return f"a second record for iteration {rec['iteration']}"
-        return fault
+        if (fault := _iteration_fault(rec)) is not None:
+            return fault
+        it = rec["iteration"]
+        if it in rows:
+            return f"a second record for iteration {it}"
+        logged = bins.get(it, Counter()).total()
+        if rec["counts"][SUCCESS] != logged:
+            return (f"counts.{SUCCESS} must be {logged}, the number of successes candidates.jsonl "
+                    f"holds for iteration {it}, got {rec['counts'][SUCCESS]}")
+        return None
 
     for _, rec in _records(run_dir / "iterations.jsonl", iteration_fault):
         rows[rec["iteration"]] = ",".join(str(rec["counts"][cat]) for cat in CATEGORIES)

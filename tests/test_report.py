@@ -5,7 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import tokenize
@@ -15,86 +15,7 @@ from mergeforge.dsl.ast import OP_TABLE
 from mergeforge.dsl.parser import ParseError
 from mergeforge.driver import run
 from mergeforge.pipeline import CATEGORIES
-from mergeforge.report import ReportError, histogram_bins, strategy_token_counts, write_reports
-
-
-def test_histogram_binning_example():
-    assert histogram_bins([2.0, 7.0, 51.0]) == [
-        (0.0, 5.0, 1), (5.0, 10.0, 1), (50.0, 55.0, 1),
-    ]
-
-
-def test_histogram_upper_edge():
-    bins = histogram_bins([100.0, 97.5, 95.0])
-    assert bins == [(95.0, 100.0, 3)]
-
-
-def test_histogram_empty():
-    assert histogram_bins([]) == []
-
-
-def test_strategy_token_counts():
-    sources = ["merge(models) = mean_stack(models)"] * 12 + [
-        "merge(models) = add(mean_elem(models[0]) * models[1], models[0])",
-        "not parseable at all !!!",
-    ]
-    counts = strategy_token_counts(sources)
-    assert counts["mean_stack"] == 12
-    assert counts["add"] == 1
-    assert counts["mean_elem"] == 1
-    assert "models" not in counts
-
-
-def _oracle_token_counts(sources):
-    """Op names counted from tokenize's token stream; unlexable sources skipped."""
-    names = set(OP_TABLE) | {"fold"}
-    counts = Counter()
-    for source in sources:
-        try:
-            tokens = tokenize(source)
-        except ParseError:
-            continue
-        counts.update(t.text for t in tokens if t.kind == "ident" and t.text in names)
-    return counts
-
-
-_REPORT_CASES = [
-    "1e5add", "# add\nadd(", "\tadd(\t fold(models),\n\t\tnorm2)", "add(\r\n tail)\r\n",
-    "add(é)", "", "mean_stack # mean_stack é\nsum_stack", "add_x addx xadd 1add", "add!",
-    # lex rejects the ".", though a tiling free to backtrack would read "a" "1.5"
-    "a1.5 add", "x # add\n add", "١add", "añd add", "add->add", "1.e5 add", "1e+ add",
-    "add\u00a0add", "#\radd\nadd", "1.5.5 add",
-]
-
-
-def test_strategy_token_counts_match_the_oracle_on_hand_cases():
-    for source in _REPORT_CASES:
-        assert strategy_token_counts([source]) == _oracle_token_counts([source]), source
-    assert strategy_token_counts(_REPORT_CASES) == _oracle_token_counts(_REPORT_CASES)
-
-
-# Pieces lex accepts (with comments, non-ASCII whitespace and digits), and
-# pieces that leave a rejected character unless a comment swallows them.
-_LEXABLE_PIECES = [
-    *OP_TABLE, "fold", "models", "(", ")", "[", "]", ",", "=", "+", "-", "*", "->", " ", "\n",
-    "\r", "\t", "\u00a0", "1", "1.5", "e", "E", "1e5", "1e-", "١", "#", "# add", "# é!", "_",
-    "x", "a1",
-]
-_REJECTED_PIECES = [".", ">", "é", "ñ", "!", "$", "\\"]
-
-
-def _report_text(pieces):
-    return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(
-    _report_text(_LEXABLE_PIECES),
-    _report_text(_LEXABLE_PIECES + _REJECTED_PIECES),
-    st.text(max_size=40),
-), max_size=5))
-def test_strategy_token_counts_match_the_oracle(sources):
-    assert strategy_token_counts(sources) == _oracle_token_counts(sources)
+from mergeforge.report import ReportError, write_reports
 
 
 def _write_logs(run_dir, candidates, iterations):
@@ -111,6 +32,105 @@ def _iteration_record(iteration, success):
     counts = {"duplicate": 0, "no_function_extracted": 0, "non_executable": 0,
               "timeout": 0, "success": success}
     return {"iteration": iteration, "temperature": 1.0, "counts": counts}
+
+
+def _report_of(run_dir, successes):
+    """The report of one iteration whose successes are these (score, source) pairs."""
+    candidates = [{"category": "success", "iteration": 1, "score": score, "source": source}
+                  for score, source in successes]
+    _write_logs(run_dir, candidates, [_iteration_record(1, len(candidates))])
+    return write_reports(run_dir)
+
+
+def _token_counts(run_dir, sources):
+    rows = (_report_of(run_dir, [(50.0, s) for s in sources]) / "strategy_tokens.csv").read_text()
+    return Counter({token: int(count) for token, count in (row.split(",") for row in rows.splitlines()[1:])})
+
+
+@pytest.mark.parametrize("scores, rows", [
+    ([2.0, 7.0, 51.0], ["1,0,5,1", "1,5,10,1", "1,50,55,1"]),
+    ([100.0, 97.5, 95.0], ["1,95,100,3"]),  # 100 lands in the top bin
+    ([], []),  # an iteration with no success writes no row
+])
+def test_histogram_rows(tmp_path, scores, rows):
+    report_dir = _report_of(tmp_path, [(score, "merge(models) = models[0]") for score in scores])
+    assert (report_dir / "score_histogram.csv").read_text().splitlines()[1:] == rows
+
+
+_OP_NAMES = set(OP_TABLE) | {"fold"}
+
+
+def _oracle_op_names(source):
+    """Op names among tokenize's ident tokens; None if lex rejects the source."""
+    try:
+        tokens = tokenize(source)
+    except ParseError:
+        return None
+    return [t.text for t in tokens if t.kind == "ident" and t.text in _OP_NAMES]
+
+
+_REPORT_CASES = [
+    "1e5add", "# add\nadd(", "\tadd(\t fold(models),\n\t\tnorm2)", "add(\r\n tail)\r\n",
+    "", "mean_stack # mean_stack é\nsum_stack", "add_x addx xadd 1add", "x # add\n add", "١add",
+    "add->add", "1e+ add", "add\u00a0add", "#\radd\nadd",
+    "merge(models) = add(mean_elem(models[0]) * models[1], models[0])",
+]
+
+
+def test_strategy_tokens_match_the_oracle_on_hand_cases(tmp_path):
+    for source in _REPORT_CASES:
+        assert _token_counts(tmp_path, [source]) == Counter(_oracle_op_names(source)), source
+    assert _token_counts(tmp_path, _REPORT_CASES) == Counter(
+        name for source in _REPORT_CASES for name in _oracle_op_names(source))
+
+
+# Sources lex rejects, which only a hand-edited log holds (a success compiled, so
+# it lexed), with what the report counts in them: the identifiers outside
+# comments and numbers, as on a source that lexes.
+_UNLEXED_CASES = [
+    ("add(é)", {"add": 1}),
+    ("add!", {"add": 1}),
+    # lex rejects the ".", though a tiling free to backtrack would read "a" "1.5"
+    ("a1.5 add", {"add": 1}),
+    ("añd add", {"add": 1}),
+    ("1.e5 add", {"add": 1}),
+    ("1.5.5 add", {"add": 1}),
+    ("norm2(é) # add\nfold $", {"norm2": 1, "fold": 1}),
+    ("not parseable at all !!!", {}),
+]
+
+
+@pytest.mark.parametrize("source, counts", _UNLEXED_CASES)
+def test_strategy_tokens_count_a_source_that_does_not_lex(tmp_path, source, counts):
+    assert _oracle_op_names(source) is None
+    assert _token_counts(tmp_path, [source]) == Counter(counts)
+
+
+# Pieces lex accepts (with comments, non-ASCII whitespace and digits), and
+# pieces that leave a rejected character unless a comment swallows them.
+_LEXABLE_PIECES = [
+    *OP_TABLE, "fold", "models", "(", ")", "[", "]", ",", "=", "+", "-", "*", "->", " ", "\n",
+    "\r", "\t", "\u00a0", "1", "1.5", "e", "E", "1e5", "1e-", "١", "#", "# add", "# é!", "_",
+    "x", "a1",
+]
+_REJECTED_PIECES = [".", ">", "é", "ñ", "!", "$", "\\"]
+
+
+def _report_text(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
+
+
+# each example rewrites both logs, so the examples can share one run directory
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(
+    _report_text(_LEXABLE_PIECES),
+    _report_text(_LEXABLE_PIECES + _REJECTED_PIECES),
+    st.text(max_size=40),
+), max_size=5))
+def test_strategy_tokens_match_the_oracle(tmp_path, sources):
+    names = [_oracle_op_names(source) for source in sources]
+    lexed = [source for source, n in zip(sources, names) if n is not None]
+    assert _token_counts(tmp_path, lexed) == Counter(name for n in names if n is not None for name in n)
 
 
 def test_reports_from_crafted_logs(tmp_path):
@@ -184,7 +204,7 @@ def test_corrupt_log_is_report_error(tmp_path):
             write_reports(tmp_path)
 
     success = {"category": "success", "iteration": 1, "score": 50.0, "source": "merge(models) = models[0]"}
-    iteration = {"iteration": 1, "counts": dict.fromkeys(CATEGORIES, 0)}
+    iteration = {"iteration": 1, "counts": {**dict.fromkeys(CATEGORIES, 0), "success": 1}}
     for name, records, line, problem in [
         ("candidates.jsonl", [success, {"iteration": 1}], 2, "missing field 'category'"),
         ("candidates.jsonl", [[1, 2]], 1, "a record must be a JSON object"),
@@ -215,7 +235,9 @@ def test_corrupt_log_is_report_error(tmp_path):
         with pytest.raises(ReportError, match=re.escape(want)):
             write_reports(tmp_path)
     # records other than successes are read for their category only
-    (tmp_path / "candidates.jsonl").write_text(json.dumps({"category": "duplicate"}) + "\n")
+    (tmp_path / "candidates.jsonl").write_text(
+        json.dumps({"category": "duplicate"}) + "\n" + json.dumps(success) + "\n"
+    )
     (tmp_path / "iterations.jsonl").write_text(json.dumps(iteration) + "\n")
     write_reports(tmp_path)
 
@@ -245,6 +267,32 @@ def test_a_success_of_an_unrecorded_iteration_is_report_error(tmp_path):
         write_reports(tmp_path)
 
 
+def test_a_negative_category_count_is_report_error(tmp_path):
+    # filter_categories.csv would print it as a count
+    iterations = [_iteration_record(1, 0), _iteration_record(2, 0)]
+    iterations[1]["counts"]["timeout"] = -5
+    _write_logs(tmp_path, [], iterations)
+    want = f"corrupt log file {tmp_path / 'iterations.jsonl'} at line 2: counts.timeout must be >= 0, got -5"
+    with pytest.raises(ReportError, match=re.escape(want)):
+        write_reports(tmp_path)
+
+
+def test_a_success_count_the_candidates_do_not_hold_is_report_error(tmp_path):
+    # filter_categories.csv would state a count that the histogram rows do not total
+    success = {"category": "success", "iteration": 1, "score": 50.0, "source": "merge(models) = models[0]"}
+    _write_logs(tmp_path, [success, {**success, "iteration": 2}, success],
+                [_iteration_record(1, 2), _iteration_record(2, 7)])
+    want = (f"corrupt log file {tmp_path / 'iterations.jsonl'} at line 2: "
+            "counts.success must be 1, the number of successes candidates.jsonl holds for iteration 2, got 7")
+    with pytest.raises(ReportError, match=re.escape(want)):
+        write_reports(tmp_path)
+    # an iteration record's successes with none in candidates.jsonl
+    _write_logs(tmp_path, [success], [_iteration_record(1, 1), _iteration_record(2, 3)])
+    want = "counts.success must be 0, the number of successes candidates.jsonl holds for iteration 2, got 3"
+    with pytest.raises(ReportError, match=re.escape(want)):
+        write_reports(tmp_path)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_score_is_report_error(tmp_path, token):
     # json reads these tokens as floats; they cannot be binned
@@ -263,7 +311,7 @@ def test_score_outside_0_to_100_is_report_error(tmp_path):
     # every score is mapped onto [0, 100]; a hand-edited one outside it would
     # land in the top bin or in a bin below 0
     (tmp_path / "iterations.jsonl").write_text(
-        json.dumps({"iteration": 1, "counts": dict.fromkeys(CATEGORIES, 0)}) + "\n"
+        json.dumps({"iteration": 1, "counts": {**dict.fromkeys(CATEGORIES, 0), "success": 4}}) + "\n"
     )
     success = {"category": "success", "iteration": 1, "source": "merge(models) = models[0]"}
     for score in (-0.5, 100.5):
